@@ -1,10 +1,16 @@
 """A generic set-associative cache model.
 
-Used directly for the secondary cache (1-way and 2-way in the paper) and for
-standalone miss-ratio studies (e.g. the L1 size/associativity ablation of
-Section 5).  The L1 hot path in :mod:`repro.core.hierarchy` keeps its own flat
-tag arrays for speed; this class is the reference model those arrays must
-agree with (checked by tests).
+Holds the state of the secondary cache's halves (1-way and 2-way in the
+paper) and serves standalone miss-ratio studies (e.g. the L1
+size/associativity ablation of Section 5).  The L1 hot path in
+:mod:`repro.core.hierarchy` keeps its own flat tag arrays for speed; the
+miss handlers of :mod:`repro.core.engine.timing` probe and fill a
+direct-mapped L2 half's ``_tags``/``_dirty`` lists in place, and call
+:meth:`Cache.access` only for an associative half.  For both, this class is
+the reference model the flat arrays must agree with (checked by tests).
+Because the memory system holds references to those two lists, a cache
+never rebinds them: :meth:`Cache.flush` and :meth:`Cache.load_state` write
+into them.
 
 State is tracked per line: tag, dirty.  Addresses given to the cache are
 *line* addresses (word address >> log2(line_words)); the caller owns that
@@ -179,8 +185,8 @@ class Cache:
         if self.ways == 1:
             dirty = sum(1 for t, d in zip(self._tags, self._dirty)
                         if t != INVALID and d)
-            self._tags = [INVALID] * self.sets
-            self._dirty = [False] * self.sets
+            self._tags[:] = [INVALID] * self.sets
+            self._dirty[:] = [False] * self.sets
         else:
             for entry_set in self._sets:
                 dirty += sum(1 for entry in entry_set if entry[1])
@@ -235,8 +241,8 @@ class Cache:
                         f"cache snapshot has {len(tags)} sets, "
                         f"expected {self.sets}"
                     )
-                self._tags = tags
-                self._dirty = dirty
+                self._tags[:] = tags
+                self._dirty[:] = dirty
             else:
                 sets = [[[int(tag), bool(dirty)] for tag, dirty in entry_set]
                         for entry_set in state["sets"]]

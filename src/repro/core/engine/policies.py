@@ -9,6 +9,13 @@ attribute call, never a per-access branch chain.
 
 Every handler takes the memory system as its first argument, advances and
 returns the cycle counter, and mutates only memory-system state.
+
+A handler is the only call its event costs besides the timing steps of
+:mod:`repro.core.engine.timing` it needs, which it calls by name as module
+globals: victim eviction and the L1-D install are inline, and the
+read-miss buffer discipline (:func:`wb_consistency_wait`) is skipped when
+nothing is buffered, since it would then be a no-op — except under the
+dirty-bit scheme, whose empty-buffer case flash-clears the dirty bits.
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ from __future__ import annotations
 from repro.core.cache import INVALID
 from repro.core.config import WritePolicy
 from repro.core.engine.timing import (
-    evict_victim_write_back,
-    install_dline,
     l2_data_refill,
     push_write,
     wb_consistency_wait,
@@ -29,14 +34,24 @@ from repro.obs import runtime as _obs
 
 
 def load_miss_write_back(ms, now: int, dline: int, index: int) -> int:
-    st = ms.stats
-    st.l1d_read_misses += 1
+    ms.stats.l1d_read_misses += 1
     if _obs.enabled:
         _obs.tracer.emit("l1d_miss", cyc=now, line=dline, cls="read")
-    now = wb_consistency_wait(ms, now, dline, index)
-    now = evict_victim_write_back(ms, now, index)
+    if ms.wb._entries or ms._dirty_bit_bypass:
+        now = wb_consistency_wait(ms, now, dline, index)
+    dtags = ms._dtags
+    ddirty = ms._ddirty
+    victim = dtags[index]
+    if victim != INVALID and ddirty[index] == ms._dirty_epoch:
+        victim = int(victim)
+        if _obs.enabled:
+            _obs.tracer.emit("victim_flush", cyc=now, line=victim)
+        now = push_write(ms, now, victim, ms._wb_victim_cost)
     now = l2_data_refill(ms, now, dline)
-    install_dline(ms, dline, index, dirty=False)
+    dtags[index] = dline
+    ddirty[index] = 0
+    ms._dwrite_only[index] = 0
+    ms._dvalid[index] = ms._d_full_valid
     return now
 
 
@@ -44,17 +59,29 @@ def store_write_back(ms, now: int, addr: int, partial: bool) -> int:
     st = ms.stats
     dline = addr >> ms._dl_shift
     index = dline & ms._d_mask
-    if ms._dtags[index] == dline:
+    dtags = ms._dtags
+    ddirty = ms._ddirty
+    if dtags[index] == dline:
         st.stall_l1_writes += 1
-        ms._ddirty[index] = ms._dirty_epoch
+        ddirty[index] = ms._dirty_epoch
         return now + 1
+    # Write miss: the same refill as a load miss, installed dirty.
     st.l1d_write_misses += 1
     if _obs.enabled:
         _obs.tracer.emit("l1d_miss", cyc=now, line=dline, cls="write")
-    now = wb_consistency_wait(ms, now, dline, index)
-    now = evict_victim_write_back(ms, now, index)
+    if ms.wb._entries or ms._dirty_bit_bypass:
+        now = wb_consistency_wait(ms, now, dline, index)
+    victim = dtags[index]
+    if victim != INVALID and ddirty[index] == ms._dirty_epoch:
+        victim = int(victim)
+        if _obs.enabled:
+            _obs.tracer.emit("victim_flush", cyc=now, line=victim)
+        now = push_write(ms, now, victim, ms._wb_victim_cost)
     now = l2_data_refill(ms, now, dline)
-    install_dline(ms, dline, index, dirty=True)
+    dtags[index] = dline
+    ddirty[index] = ms._dirty_epoch
+    ms._dwrite_only[index] = 0
+    ms._dvalid[index] = ms._d_full_valid
     return now
 
 
@@ -64,15 +91,21 @@ def store_write_back(ms, now: int, addr: int, partial: bool) -> int:
 def load_miss_write_through(ms, now: int, dline: int, index: int) -> int:
     st = ms.stats
     st.l1d_read_misses += 1
-    wo_read = ms._dtags[index] == dline and ms._dwrite_only[index]
+    dtags = ms._dtags
+    dwrite_only = ms._dwrite_only
+    wo_read = dtags[index] == dline and dwrite_only[index]
     if wo_read:
         st.l1d_write_only_read_misses += 1
     if _obs.enabled:
         _obs.tracer.emit("l1d_miss", cyc=now, line=dline,
                          cls="wo_read" if wo_read else "read")
-    now = wb_consistency_wait(ms, now, dline, index)
+    if ms.wb._entries or ms._dirty_bit_bypass:
+        now = wb_consistency_wait(ms, now, dline, index)
     now = l2_data_refill(ms, now, dline)
-    install_dline(ms, dline, index, dirty=False)
+    dtags[index] = dline
+    ms._ddirty[index] = 0
+    dwrite_only[index] = 0
+    ms._dvalid[index] = ms._d_full_valid
     return now
 
 

@@ -30,6 +30,13 @@ The write-policy and miss/refill handlers live in
 :mod:`repro.core.engine.policies` and :mod:`repro.core.engine.timing`;
 dispatch is resolved once at construction and bound as methods
 (``_store``/``_load_miss``/``_ifetch_miss``), never branched per access.
+The miss path behind them is flat: a bound handler calls only the timing
+steps the event needs (``wb_consistency_wait``, ``l2_data_refill``,
+``push_write``), and those probe and fill the L2 halves' tag and dirty
+lists directly, through references this class takes at construction.
+These six callables, plus the write buffer's own methods, are the only
+calls on the miss path, and the boundaries the benchmark's traced run
+measures.
 
 The L1 hit paths are inlined and the L1 caches are restricted to
 direct-mapped organizations — exactly the design space the machine can build
@@ -126,10 +133,21 @@ class MemorySystem:
         self._dwrite_only: List[int] = [0] * dcache.lines
         self._dvalid: List[int] = [0] * dcache.lines
 
-        # ----- L2 and its address-granularity conversions.
+        # ----- L2 and its address-granularity conversions.  The miss
+        # handlers probe and fill a direct-mapped half's tag and dirty lists
+        # in place (``Cache`` never rebinds them); ``None`` tags send an
+        # associative half through ``Cache.access``.
         self.l2 = SecondaryCache(config.l2)
         self._i_l2_delta = self.l2.line_shift - self._il_shift
         self._d_l2_delta = self.l2.line_shift - self._dl_shift
+        self._l2i = l2i = self.l2.instruction_half
+        self._l2i_tags = l2i._tags
+        self._l2i_dirty = l2i._dirty
+        self._l2i_mask = l2i.index_mask
+        self._l2d = l2d = self.l2.data_half
+        self._l2d_tags = l2d._tags
+        self._l2d_dirty = l2d._dirty
+        self._l2d_mask = l2d.index_mask
 
         # ----- Write buffer.
         self.wb = WriteBuffer(config.write_buffer.depth,
@@ -148,6 +166,9 @@ class MemorySystem:
         # ----- Concurrency mechanisms.
         self._i_waits_for_wb = not config.concurrency.i_refill_during_wb_drain
         self._bypass = config.concurrency.bypass
+        # With nothing buffered, a read miss has nothing to wait for, except
+        # that the dirty-bit scheme then flash-clears the dirty bits.
+        self._dirty_bit_bypass = self._bypass is BypassMode.DIRTY_BIT
         self._dirty_buffer = config.concurrency.l2_dirty_buffer
         self._dirty_buffer_free = 0
 

@@ -16,19 +16,17 @@ machine).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.core.cache import Cache
 from repro.core.config import L2Config
 from repro.params import log2i
 
 
 class SecondaryCache:
-    """State (not timing) of the secondary cache.
+    """State (not timing) of the secondary cache: one or two halves.
 
     Timing — access cycles, miss penalties, the dirty buffer — lives in the
-    memory system (:mod:`repro.core.hierarchy`); this class answers only
-    *hit?* and *was a dirty victim displaced?*.
+    memory system's miss handlers (:mod:`repro.core.engine.timing`), which
+    probe and fill :attr:`instruction_half` and :attr:`data_half` directly.
     """
 
     def __init__(self, config: L2Config):
@@ -59,22 +57,6 @@ class SecondaryCache:
     def data_half(self) -> Cache:
         """The cache array serving data accesses and buffered writes."""
         return self._dcache
-
-    def access_instruction(self, l2_line: int) -> Tuple[bool, bool]:
-        """An instruction refill request; returns (hit, victim_was_dirty)."""
-        hit, fill = self._icache.access(l2_line, write=False)
-        return hit, fill.victim_dirty
-
-    def access_data_read(self, l2_line: int) -> Tuple[bool, bool]:
-        """A data refill request; returns (hit, victim_was_dirty)."""
-        hit, fill = self._dcache.access(l2_line, write=False)
-        return hit, fill.victim_dirty
-
-    def access_data_write(self, l2_line: int) -> Tuple[bool, bool]:
-        """A buffered write draining into L2 (write-allocate, marks dirty);
-        returns (hit, victim_was_dirty)."""
-        hit, fill = self._dcache.access(l2_line, write=True)
-        return hit, fill.victim_dirty
 
     def contains(self, l2_line: int, instruction: bool = False) -> bool:
         """Non-mutating presence check."""

@@ -208,7 +208,8 @@ def derive_energy_model(config, technology: str = DEFAULT_TECHNOLOGY
     ways_probe = l2cfg.ways * TAG_PROBE_PJ
 
     # Write-through drains push single words; write-back pushes victim
-    # lines (see evict_victim_write_back vs the store handlers).
+    # lines (see the write-back vs write-through handlers in
+    # repro.core.engine.policies).
     drain_words = (1 if config.write_policy.is_write_through
                    else dcache.line_words)
 

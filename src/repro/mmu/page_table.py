@@ -27,7 +27,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.params import MAX_PROCESSES, PAGE_WORDS, is_power_of_two
+from repro.params import MAX_PROCESSES, PAGE_WORDS, is_power_of_two, log2i
 
 #: Default number of page colors.  256 colors x 4 KW pages = 1024 KW, enough
 #: to keep index bits stable for every cache size the paper sweeps.
@@ -35,6 +35,9 @@ DEFAULT_COLORS = 256
 
 #: PID stride for color bin-hopping (odd, so every color is reachable).
 _PID_COLOR_STRIDE = 97
+
+_PAGE_SHIFT = log2i(PAGE_WORDS)
+_PAGE_MASK = PAGE_WORDS - 1
 
 
 class PageTable:
@@ -80,17 +83,31 @@ class PageTable:
     def translate_batch(self, pid: int, word_addrs: np.ndarray) -> np.ndarray:
         """Vectorized translation of a batch of virtual word addresses.
 
-        First-touch allocation happens in address order within the batch for
-        pages not seen before, which is deterministic for a deterministic
-        trace.
+        First-touch allocation happens in ascending page order within the
+        batch for pages not seen before, which is deterministic for a
+        deterministic trace.  Consecutive addresses mostly stay on one page,
+        so pages are looked up once per run of equal pages.
         """
-        vpages = word_addrs // PAGE_WORDS
-        offsets = word_addrs - vpages * PAGE_WORDS
-        unique_pages, inverse = np.unique(vpages, return_inverse=True)
-        frames = np.empty(len(unique_pages), dtype=np.int64)
-        for i, vpage in enumerate(unique_pages):
-            frames[i] = self.translate_page(pid, int(vpage))
-        return frames[inverse] * PAGE_WORDS + offsets
+        # The result, which callers keep, is allocated before the
+        # temporaries, and each temporary is dropped once used: the freed
+        # space then lies above the result, and peak memory stays below
+        # that of a plain np.unique over every page.
+        physical = word_addrs & _PAGE_MASK
+        vpages = word_addrs >> _PAGE_SHIFT
+        n = len(vpages)
+        run_start = np.empty(n, dtype=bool)
+        run_start[:1] = True
+        np.not_equal(vpages[1:], vpages[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        del run_start
+        unique_pages, inverse = np.unique(vpages[starts], return_inverse=True)
+        del vpages
+        frames = np.array([self.translate_page(pid, vpage)
+                           for vpage in unique_pages.tolist()],
+                          dtype=np.int64)
+        physical |= np.repeat(frames[inverse] << _PAGE_SHIFT,
+                              np.diff(starts, append=n))
+        return physical
 
     def color_of_frame(self, frame: int) -> int:
         """The color of a physical frame."""

@@ -9,20 +9,33 @@ mirroring every reference into a shadow ``Cache``, then require the
 final resident lines, dirty bits, and miss counts to agree — under both
 engines, so the equivalence chain ``Cache == reference == batched``
 is closed on the tag-array level, not just on aggregate statistics.
+
+The miss handlers do the same for a direct-mapped L2 half: they probe and
+fill its ``_tags``/``_dirty`` lists in place.  The last battery runs each
+machine twice, once that way and once with every L2 access routed
+through ``Cache.access``, and requires identical statistics, state and
+``cache_miss`` events.
 """
 
+import dataclasses
 import random
 
 import pytest
 
+from repro import obs
 from repro.core.cache import INVALID, Cache
 from repro.core.config import (
+    ConcurrencyConfig,
+    L2Config,
     WritePolicy,
     base_architecture,
     write_through_buffer,
 )
 from repro.core.engine import ENGINE_NAMES
 from repro.core.hierarchy import MemorySystem
+from repro.core.simulator import Simulation
+from repro.obs.tracing import read_events
+from repro.trace.benchmarks import default_suite
 
 N = 6_000
 DEADLINE = 10 ** 9
@@ -129,3 +142,45 @@ class TestWriteMissInvalidate:
         shadow = shadow_replay(config, *columns[:3])
         assert_tags_match(ms, shadow, config)
         assert ms.stats.l1i_misses == shadow[0].misses
+
+
+def run_l2_path(config, engine, through_cache_access, trace_path):
+    """Stats, final state and ``cache_miss`` events of one traced run."""
+    sim = Simulation(config=config, profiles=default_suite(6_000)[:3],
+                     level=3, time_slice=2_000, engine=engine)
+    l2 = sim.memsys.l2
+    l2.instruction_half.trace_name = "l2i"
+    l2.data_half.trace_name = "l2d" if l2.split else "l2"
+    if through_cache_access:
+        sim.memsys._l2i_tags = None
+        sim.memsys._l2d_tags = None
+    obs.enable(trace_path, sample_interval=None)
+    try:
+        stats = sim.run()
+    finally:
+        obs.disable()
+    misses = [event for event in read_events(trace_path)
+              if event["ev"] == "cache_miss"]
+    return dataclasses.asdict(stats), sim.memsys.state_dict(), misses
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("policy", (WritePolicy.WRITE_BACK,
+                                    WritePolicy.WRITE_ONLY))
+@pytest.mark.parametrize("split", (False, True))
+class TestL2FlatArraysMatchCacheAccess:
+    def test_same_stats_state_and_events(self, engine, policy, split,
+                                         tmp_path):
+        config = base_architecture().with_(
+            name="small-l2",
+            l2=L2Config(size_words=4096, line_words=32, split=split),
+            concurrency=ConcurrencyConfig(l2_dirty_buffer=split))
+        if policy is not WritePolicy.WRITE_BACK:
+            config = config.with_(write_policy=policy,
+                                  write_buffer=write_through_buffer())
+        flat = run_l2_path(config, engine, False, tmp_path / "flat.jsonl")
+        reference = run_l2_path(config, engine, True, tmp_path / "ref.jsonl")
+        assert flat[0]["l2d_dirty_victims"] > 0
+        assert {event["name"] for event in flat[2]} == (
+            {"l2i", "l2d"} if split else {"l2"})
+        assert flat == reference

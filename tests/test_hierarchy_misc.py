@@ -68,6 +68,37 @@ class TestFetchSize:
         assert run_ops(ms, [load(260)]) == 1 + 6
 
 
+class TestBufferedWriteUpdatesL2AtEnqueue:
+    """DESIGN §6: a buffered write allocates and dirties its L2 line when
+    it enters the write buffer, while its drain *timing* is still pending.
+    A demand access that follows therefore sees the drained state early."""
+
+    def test_write_through_store_dirties_l2_before_its_drain(self):
+        ms = MemorySystem(tiny_config(WritePolicy.WRITE_MISS_INVALIDATE))
+        run_ops(ms, [store(2048)])            # L2 line 64, not resident
+        (line, completion), = ms.wb.state_dict()["entries"]
+        assert line == 2048 >> 2
+        assert completion > ms.now            # drain still pending...
+        assert ms.l2.data_half.is_dirty(2048 >> 5)   # ...L2 already dirty
+        assert ms.stats.l2_write_misses == 1
+
+    def test_victim_push_dirties_l2_before_the_refill_reads_it(self):
+        ms = MemorySystem(tiny_config(WritePolicy.WRITE_BACK))
+        # L1-D: 16 lines of 4 W, so words 256 and 1280 share index 0; L2:
+        # 32 lines of 32 W, so L2 lines 8 (word 256) and 40 share set 0.
+        run_ops(ms, [store(256)])             # L1 line dirty, L2 clean
+        assert not ms.l2.data_half.is_dirty(256 >> 5)
+        before = ms.now
+        run_ops(ms, [load(1280)])
+        # The load miss pushed the dirty victim (L2 hit, 6-cycle drain)
+        # and then refilled from L2 at once; the refill already finds L2
+        # line 8 dirty and pays the dirty-miss penalty.
+        assert ms.stats.l2_write_accesses == 1
+        assert ms.stats.l2_write_misses == 0
+        assert ms.stats.l2d_dirty_victims == 1
+        assert ms.now - before == 1 + 6 + 237
+
+
 class TestTlbToggle:
     def test_disabled_tlb_never_probes(self):
         ms = MemorySystem(tiny_config(WritePolicy.WRITE_BACK,

@@ -162,6 +162,26 @@ class TestPageTableProperties:
         for virtual, physical in zip(addrs, out.tolist()):
             assert virtual % PAGE_WORDS == physical % PAGE_WORDS
 
+    @given(batches=st.lists(
+               st.lists(st.one_of(st.integers(0, 3 * PAGE_WORDS),
+                                  st.integers(0, 2**24)), max_size=200),
+               min_size=1, max_size=3),
+           pid=st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_translation_matches_scalar_first_touch(self, batches,
+                                                          pid):
+        # Reference: allocate the batch's pages in ascending order, then
+        # translate every address one at a time.
+        table, reference = PageTable(), PageTable()
+        for addrs in batches:
+            out = table.translate_batch(pid, np.asarray(addrs,
+                                                        dtype=np.int64))
+            for vpage in sorted({a // PAGE_WORDS for a in addrs}):
+                reference.translate_page(pid, vpage)
+            assert out.tolist() == [reference.translate(pid, a)
+                                    for a in addrs]
+        assert table.state_dict() == reference.state_dict()
+
 
 class TestTraceRoundtrip:
     batches = st.lists(
