@@ -5,31 +5,31 @@ constants, statistics); an **engine** owns the *hot loop* that advances that
 state over a prepared instruction batch.  The split lets one architectural
 model run under interchangeable execution strategies:
 
+``batched`` (the default)
+    A scalar loop that visits only *events*
+    (:class:`repro.core.engine.batched.BatchedEngine`): NumPy finds, once
+    per prepared batch, the instructions that open a new L1-I line or
+    access data, and every other instruction advances the clock by one
+    cycle without being executed.  Bit-identical to ``reference`` by
+    construction (every architectural mutation goes through the same
+    shared policy/timing handlers) and by test
+    (``tests/test_engine_lockstep.py``,
+    ``tests/test_engine_slice_edges.py``).
+
 ``reference``
     The original pure-Python per-instruction loop
     (:class:`repro.core.engine.reference.ReferenceEngine`).  Simple,
-    auditable, and the semantic ground truth.
-
-``batched``
-    A NumPy-accelerated loop
-    (:class:`repro.core.engine.batched.BatchedEngine`) that vectorizes the
-    dominant all-hit path — tag-compare over instruction chunks to find the
-    next event (L1 miss, store, TLB page crossing, syscall), bulk cycle
-    accounting for the hit run in between — and falls back to the exact
-    scalar path for every event.  Bit-identical to ``reference`` by
-    construction (every architectural mutation goes through the same
-    shared policy/timing handlers) and by test
-    (``tests/test_engine_lockstep.py``).
+    auditable, and the oracle the lockstep batteries compare against.
 
 The protocol between the two sides is deliberately narrow:
 
 * an engine is constructed with the :class:`MemorySystem` it drives;
-* ``run_slice(pcs, kinds, addrs, partials, syscalls, start, deadline)``
-  executes instructions and returns a :class:`SliceResult`;
-* ``on_state_loaded()`` is called after ``MemorySystem.load_state`` so an
-  engine can rebuild any derived representation of the architectural
-  state (the batched engine drops its per-batch prediction caches; the
-  tag arrays themselves stay plain lists shared with the memory system).
+* ``run_slice(pcs, kinds, addrs, partials, syscalls, start, deadline,
+  batch=None)`` executes instructions and returns a
+  :class:`SliceResult`.  ``batch`` is the prepared batch the columns
+  come from, if any; an engine may keep per-batch data on it (the
+  batched engine's event index), freed with the batch.  Engines hold no
+  other state between calls, so a checkpoint restore needs no hook.
 
 Policy and refill/timing handlers live in :mod:`repro.core.engine.policies`
 and :mod:`repro.core.engine.timing`; dispatch is resolved **once at
@@ -52,7 +52,7 @@ REASON_SYSCALL = "syscall"  # voluntary system call executed
 REASON_SLICE = "slice"      # cycle deadline reached
 
 #: Engine used when none is requested, everywhere engines are selectable.
-DEFAULT_ENGINE = "reference"
+DEFAULT_ENGINE = "batched"
 
 #: Every engine name :func:`resolve_engine` accepts, in preference order.
 ENGINE_NAMES = ("reference", "batched")
@@ -68,10 +68,9 @@ class SliceResult(NamedTuple):
 class Engine:
     """The narrow protocol every engine implements.
 
-    Engines are stateful per :class:`MemorySystem` instance (the batched
-    engine caches per-batch column arrays) but hold no architectural state
-    of their own — everything observable lives on the memory system, which
-    is what makes engines interchangeable mid-run via checkpoints.
+    Engines hold no architectural state of their own — everything
+    observable lives on the memory system, which is what makes engines
+    interchangeable mid-run via checkpoints.
     """
 
     #: Wire/CLI identifier; must appear in :data:`ENGINE_NAMES`.
@@ -82,11 +81,8 @@ class Engine:
 
     def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
                   partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, np_cols=None) -> SliceResult:
+                  start: int, deadline: int, batch=None) -> SliceResult:
         raise NotImplementedError
-
-    def on_state_loaded(self) -> None:
-        """Hook after ``load_state`` replaced the tag arrays."""
 
 
 def resolve_engine(name: str):

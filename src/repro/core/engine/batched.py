@@ -1,81 +1,54 @@
-"""The batched engine: vectorized hit path, exact scalar fallback.
+"""The batched engine: a scalar loop that visits only events.
 
-Strategy
---------
+Most instructions hit everywhere and cost exactly one cycle.  This
+engine finds, once per prepared batch and with NumPy, the instructions
+that might not, and its loop executes only those *events*; every other
+instruction is a free step that advances the clock by one.
 
-The reference loop spends almost all of its iterations on instructions
-that hit everywhere: L1-I hit, no data access or an L1-D load hit, no TLB
-page crossing, no syscall.  Those instructions cost exactly one cycle
-(write-back store hits: two) and touch no architectural state that later
-hit/miss decisions depend on, so a run of them can be accounted in bulk.
-This engine finds the runs with NumPy and only executes *events* —
-anything that could stall, mutate state, or end the slice — through the
-exact scalar path (the same bound policy/timing handlers the reference
-engine calls, so cycle accounting and obs events are identical by
-construction).  Architectural state stays in the same plain-Python
-representation the reference engine uses — the scalar path and the
-handlers run at full speed, and checkpoints are engine-agnostic.
+The event index
+---------------
 
-Exact miss prediction
+An instruction is an event when its L1-I line differs from the previous
+instruction's, or when it accesses data.  :func:`event_index` returns
+the event positions as an int32 array, and the system-call positions.
+The index depends only on the batch and the L1-I line size, so it is
+built on the first call that runs the batch, kept on the
+:class:`~repro.sched.process.PreparedBatch` in place of its NumPy
+columns (which are dropped), and freed with the batch.  Callers that
+pass bare columns get an index built for that call.  Each call turns
+into a list only the events it can reach: at one cycle per instruction,
+none past ``start + deadline - now``.
+
+Why skipping is exact
 ---------------------
 
-The L1s are direct-mapped and every miss installs the missed line, so
-hit/miss classification is a *chain* property: an access hits iff the
-previous access to the same cache index referenced the same line —
-regardless of whether that access hit or missed — and the first access
-per index is resolved against the live tag array.  Only ``ifetch_miss``
-writes L1-I tags, so the I-side chain is exact under every policy; under
-the write-back policy loads and stores both install on miss and hits
-change no classification-relevant state (a resident line is fully valid
-and readable), so the D-side chain (load misses and store hits) is exact
-as well, and nothing ever needs re-classifying during the walk.
+* Only ``ifetch_miss`` writes L1-I tags, and it installs the line it
+  fetches.  So an instruction in the same line as the one before it, in
+  the same call, hits.  A line is never larger than a page (an L1 is at
+  most a page), so it is also on the same page: no I-TLB probe.  The
+  I-TLB page check therefore sits under the line-change test.
+* The first instruction of every call is always an event: another
+  process may have evicted its line, or moved the TLB's last page,
+  since this batch last ran.
+* A free instruction touches no state, so the only question is where
+  the call stops.  The clock after a free step at position ``q`` is
+  ``q + c``, and ``c`` moves only when an event stalls.  The reference
+  loop tests ``now >= deadline`` after every instruction, and a system
+  call wins a tie with it.  So an event runs only if the clock before
+  it is below the deadline, and after the last one the call takes free
+  steps up to where they reach the deadline, the next system call or
+  the batch end, whichever comes first.  A call with
+  ``start < len(pcs)`` always runs at least one instruction, as
+  ``reference`` does.
 
-:meth:`_static_for` therefore computes, once per prepared batch (cached
-by list identity; the scheduler re-enters the same batch many slices in
-a row): the chain predecessors and line-equality masks (one stable
-radix argsort per side — the cache index fits in int16), load-count
-prefix sums, static store-hit positions, and the *static* events —
-syscalls, TLB page-crossing chains, and (write-through policies) every
-store.  Per ``run_slice`` call the batch is walked in chunks of
-:data:`CHUNK`; a chunk build only has to resolve its *heads* — positions
-whose chain predecessor lies before the chunk (possibly in another
-process's slice) — against the live arrays, with short Python loops
-(heads are sparse).  The walk itself is plain Python: the next event
-comes from ``bisect`` over a sorted position list, bulk cost and
-store-hit counts from prefix sums and the sorted static store-hit list,
-because at realistic event densities per-event NumPy call overhead
-would eat the bulk savings.
-
-Under the write-through policies store handlers mutate d-side state in
-policy-specific ways (invalidate, write-only allocate, sub-block valid
-bits), so every store is a scalar event (it also drains into the write
-buffer) and the load chain is only trusted where the predecessor is a
-*load* (an executed load always leaves its line readable); a load whose
-predecessor is a store is forced through the scalar path, and after
-every d-mutating event the remaining same-index loads of the chunk are
-re-derived from live state — both directions: a stale "hit" is never
-bulk-skipped, and a cold line's tail of stale "miss" positions
-collapses back into the bulk path once its first miss installs it.
-
-Events
-------
-
-An instruction is executed by the scalar path when any of these hold:
-
-* its L1-I fetch misses, or (loads) its L1-D word is not readable, or
-  (stores) anything beyond a write-back tag hit would happen;
-* it executes a syscall (slice ends there);
-* the TLB is enabled and its PC or data address crosses a page relative
-  to the *previous* instruction's — page crossings probe (and mutate)
-  the TLBs even on hits.  The first instruction of every call and the
-  first data access at-or-after ``start`` are conservatively forced
-  through the scalar path, because the previous page state may belong
-  to a different process's slice.
-
-Cutting a bulk run at the slice deadline binary-searches the run's cost
-function, so the slice consumes exactly the instructions the reference
-engine would have.  Statistics are bit-identical to the reference
-engine — property-tested in ``tests/test_engine_lockstep.py``.
+Events run the reference loop's code.  Misses and stores go through the
+same bound handlers, with one exception: a write-back store hit is
+accounted inline (it sets the line's dirty mark and costs one extra
+cycle).  It reads ``ms._dirty_epoch`` at the moment of the store,
+because handlers may bump the epoch, and it emits no obs event, as
+``store_write_back`` emits none.  Statistics, obs event streams and
+checkpoints are bit-identical to ``reference`` (``tests/test_engine_*``,
+``tests/test_golden_miss_path.py``).
 """
 
 from __future__ import annotations
@@ -97,412 +70,109 @@ from repro.params import PAGE_WORDS, log2i
 
 _PAGE_SHIFT = log2i(PAGE_WORDS)
 
-#: Instructions per classification chunk.  Large chunks amortize the
-#: fixed cost of a chunk's head-resolution pass (heads are bounded by
-#: the working set's distinct cache indices, not the chunk length); the
-#: run_slice loop additionally caps each chunk at the slice's remaining
-#: cycle budget so work past the deadline is never classified.
-CHUNK = 65536
 
-#: Cached per-batch static column sets (keyed by batch list identity).
-_MAX_CACHED_BATCHES = 16
+def event_index(pcs, kinds, syscalls, il_shift: int) -> tuple:
+    """``(il_shift, events, syscall positions)`` for one batch.
 
-
-def _prev_chain(idx, line, positions=None, n=None):
-    """Chain predecessors for a direct-mapped access stream.
-
-    ``idx``/``line`` are the cache index and line of each access, in
-    program order.  Returns ``(prev_pos, same_line)`` over the full
-    ``n``-length batch: ``prev_pos[p]`` is the batch position of the
-    previous access to the same index (-1 if none), ``same_line[p]``
-    whether that access referenced the same line.  ``positions`` maps
-    the access stream to batch positions (identity if None).
-
-    The access stream is run-length compressed first: within a maximal
-    run of accesses to one line, every access trivially chains to its
-    immediate predecessor (same index, same line), so only run *starts*
-    go through the sort-based chain — and a run start's predecessor is
-    the *end* of the previous run with its index.  Instruction streams
-    are mostly sequential (a line change every ``line_words`` fetches),
-    so this shrinks the argsort by an order of magnitude.  The sort key
-    always fits in int16 (an L1 is at most a page, 4096 words), where
-    NumPy's stable sort is a radix sort.
+    ``events`` is a sorted int32 array of the positions whose L1-I line
+    (``pc >> il_shift``) differs from the previous position's or that
+    access data.  The columns may be lists or arrays.
     """
-    m = idx.size
-    if n is None:
-        n = m
-    if not m:
-        return np.full(n, -1, dtype=np.int32), np.zeros(n, dtype=bool)
-    chg = np.empty(m, dtype=bool)
-    chg[0] = True
-    np.not_equal(line[1:], line[:-1], out=chg[1:])
-    rs = np.flatnonzero(chg).astype(np.int32)  # run starts, stream coords
-    r = rs.size
-    re = np.empty(r, dtype=np.int32)  # run ends, stream coords
-    re[:-1] = rs[1:] - 1
-    re[-1] = m - 1
-    idx16 = idx[rs].astype(np.int16)
-    order = np.argsort(idx16, kind="stable")
-    s_idx = idx16[order]
-    s_line = line[rs[order]]
-    head = np.empty(r, dtype=bool)
-    head[0] = True
-    np.not_equal(s_idx[1:], s_idx[:-1], out=head[1:])
-    if positions is None:
-        gpos = rs[order]  # scatter targets, batch coords
-        gend = re[order]  # chain values: run ends, batch coords
-    else:
-        gpos = positions[rs[order]]
-        gend = positions[re[order]]
-    prev_g = np.empty(r, dtype=np.int32)
-    prev_g[1:] = gend[:-1]
-    prev_g[head] = -1
-    same_g = np.zeros(r, dtype=bool)
-    np.equal(s_line[1:], s_line[:-1], out=same_g[1:])
-    same_g[head] = False
-    # Base: every non-start access chains to its immediate predecessor in
-    # the stream (same index, same line by construction of the runs).
-    if positions is None:
-        prev_pos = np.arange(-1, n - 1, dtype=np.int32)
-        same_line = np.ones(n, dtype=bool)
-    else:
-        prev_pos = np.full(n, -1, dtype=np.int32)
-        same_line = np.zeros(n, dtype=bool)
-        prev_pos[positions[1:]] = positions[:-1]
-        same_line[positions] = True
-    prev_pos[gpos] = prev_g
-    same_line[gpos] = same_g
-    return prev_pos, same_line
+    lines = np.asarray(pcs, dtype=np.int64) >> il_shift
+    event = np.asarray(kinds) != 0
+    if lines.size:
+        event[0] = True
+        event[1:] |= lines[1:] != lines[:-1]
+    return (il_shift, np.flatnonzero(event).astype(np.int32),
+            np.flatnonzero(syscalls).tolist())
 
 
 class BatchedEngine(Engine):
-    """NumPy-accelerated execution, bit-identical to ``reference``."""
+    """Event-indexed execution, bit-identical to ``reference``."""
 
     name = "batched"
 
     def __init__(self, ms):
         super().__init__(ms)
-        self._bulk_store_hits = (
+        self._wb_store_hits = (
             ms.config.write_policy is WritePolicy.WRITE_BACK)
-        self._subblock = ms.config.write_policy is WritePolicy.SUBBLOCK
-        self._batches: dict = {}
 
-    def on_state_loaded(self) -> None:
-        # Batch statics are state-independent, but drop them anyway: a
-        # restore is rare and the cache repopulates in one slice.
-        self._batches.clear()
-
-    # -------------------------------------------------------- batch statics
-
-    def _static_for(self, pcs, kinds, addrs, syscalls, np_cols=None):
-        """Static (state-independent) columns for one prepared batch."""
-        cached = self._batches.get(id(pcs))
-        if cached is not None and cached[0] is pcs:
-            return cached[1]
-        ms = self.ms
-        if np_cols is not None:
-            pcs_np, kinds_np, addrs_np, syscalls_np = np_cols
-        else:
-            pcs_np = np.array(pcs, dtype=np.int64)
-            kinds_np = np.array(kinds, dtype=np.uint8)
-            addrs_np = np.array(addrs, dtype=np.int64)
-            syscalls_np = np.array(syscalls, dtype=bool)
-        n = len(pcs)
-        is_load = kinds_np == 1
-        is_store = kinds_np == 2
-        static_ev = syscalls_np.copy()
-        if not self._bulk_store_hits:
-            static_ev |= is_store
-        data_pos = np.flatnonzero(kinds_np != 0).astype(np.int32)
-        # Physical word addresses stay far below 2**31 (the page table is
-        # a bump allocator over 4 KW frames), so the per-access columns —
-        # line numbers, cache indices, chain positions — fit in int32,
-        # halving the width of every chain gather/scatter below.  The
-        # int64 path survives as a fallback for outsized address spaces.
-        hi = 0
-        if n:
-            hi = max(int(pcs_np.max()), int(addrs_np.max()))
-        col = np.int32 if hi < 2 ** 31 else np.int64
-        pc_c = pcs_np.astype(col)
-        ad_c = addrs_np.astype(col)
-        if ms._tlb_enabled:
-            # Page-crossing chains: instruction i crosses when its page
-            # differs from instruction i-1's (the reference loop's
-            # last_ipage/last_dpage).  Chain heads are forced per call.
-            ipage = pc_c >> _PAGE_SHIFT
-            ichg = np.empty(n, dtype=bool)
-            ichg[0] = True
-            np.not_equal(ipage[1:], ipage[:-1], out=ichg[1:])
-            static_ev |= ichg
-            if data_pos.size:
-                dpage = ad_c[data_pos] >> _PAGE_SHIFT
-                dchg = np.empty(data_pos.size, dtype=bool)
-                dchg[0] = True
-                np.not_equal(dpage[1:], dpage[:-1], out=dchg[1:])
-                static_ev[data_pos[dchg]] = True
-        iline = pc_c >> ms._il_shift
-        iidx = iline & ms._i_mask
-        dline = ad_c >> ms._dl_shift
-        didx = dline & ms._d_mask
-
-        prev_ipos, same_iline = _prev_chain(iidx, iline)
-        prev_dpos, same_dline = _prev_chain(
-            didx[data_pos], dline[data_pos], positions=data_pos, n=n)
-        static = {
-            "iline": iline,
-            "iidx": iidx,
-            "is_load": is_load,
-            "is_data": kinds_np != 0,
-            "dline": dline,
-            "didx": didx,
-            "dbit": ad_c & ms._dline_mask,
-            "loadcum": np.cumsum(is_load, dtype=np.int32),
-            "data_pos": data_pos,
-            "prev_ipos": prev_ipos,
-            "imiss_s": ~same_iline,
-            "prev_dpos": prev_dpos,
-        }
-        if self._bulk_store_hits:
-            sh_s = is_store & same_dline
-            sh_pos = np.flatnonzero(sh_s)
-            static["ld_miss_s"] = is_load & ~same_dline
-            static["sh_s"] = sh_s
-            static["st_ev_s"] = is_store & ~sh_s
-            static["sh_pos"] = sh_pos.tolist()
-            static["sh_didx"] = didx[sh_pos].tolist()
-        else:
-            # The load chain is only exact through load predecessors: an
-            # executed load always leaves its line readable, while the
-            # write-through store handlers may invalidate or allocate
-            # write-only.  Loads chained to a store run scalar.
-            vp = prev_dpos[data_pos]
-            has_prev = vp >= 0
-            dpv = data_pos[has_prev]
-            vph = vp[has_prev]
-            prev_store = np.zeros(n, dtype=bool)
-            prev_store[dpv] = is_store[vph]
-            static_ev |= is_load & prev_store
-            if self._subblock:
-                # Sub-block valid bits are per *word*: a load hit on one
-                # word of a store-allocated (partially valid) line says
-                # nothing about the other words, so only same-word load
-                # chains are static hits; a same-line different-word
-                # load resolves against the live valid bits instead.
-                dbit = static["dbit"]
-                diff_word = np.zeros(n, dtype=bool)
-                diff_word[dpv] = dbit[dpv] != dbit[vph]
-                static_ev |= is_load & same_dline & diff_word
-            static["ld_miss_s"] = is_load & ~same_dline
-        static["static_ev"] = static_ev
-        if len(self._batches) >= _MAX_CACHED_BATCHES:
-            self._batches.clear()
-        self._batches[id(pcs)] = (pcs, static)
-        return static
-
-    # ------------------------------------------------------------- hot loop
+    def _index(self, pcs, kinds, syscalls, batch) -> tuple:
+        il_shift = self.ms._il_shift
+        if batch is None:
+            return event_index(pcs, kinds, syscalls, il_shift)
+        index = batch.events
+        if index is None or index[0] != il_shift:
+            columns = batch.np_cols or (pcs, kinds, syscalls)
+            index = batch.events = event_index(*columns, il_shift)
+            batch.np_cols = None
+        return index
 
     def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
                   partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, np_cols=None) -> SliceResult:
+                  start: int, deadline: int, batch=None) -> SliceResult:
         ms = self.ms
         st = ms.stats
         now = ms.now
-        n = len(pcs)
-        S = self._static_for(pcs, kinds, addrs, syscalls, np_cols)
-
-        s_iline = S["iline"]
-        s_iidx = S["iidx"]
-        s_is_load = S["is_load"]
-        s_is_data = S["is_data"]
-        s_dline = S["dline"]
-        s_didx = S["didx"]
-        s_dbit = S["dbit"]
-        s_loadcum = S["loadcum"]
-        s_static_ev = S["static_ev"]
-        s_prev_ipos = S["prev_ipos"]
-        s_imiss = S["imiss_s"]
-        s_prev_dpos = S["prev_dpos"]
-        s_ld_miss = S["ld_miss_s"]
-
-        itags = ms._itags
-        dtags = ms._dtags
-        ddirty = ms._ddirty
-        dwrite_only = ms._dwrite_only
-        dvalid = ms._dvalid
-        il_shift = ms._il_shift
-        i_mask = ms._i_mask
-        dl_shift = ms._dl_shift
-        d_mask = ms._d_mask
-        dline_mask = ms._dline_mask
-
-        tlb_on = ms._tlb_enabled
-        itlb_access = ms.itlb.access
-        dtlb_access = ms.dtlb.access
-        tlb_penalty = ms._tlb_penalty
         last_ipage = ms._last_ipage
         last_dpage = ms._last_dpage
-
-        ifetch_miss = ms._ifetch_miss
-        load_miss = ms._load_miss
-        store = ms._store
-        bulk_sh = self._bulk_store_hits
-        subblock = self._subblock
-        flatnonzero = np.flatnonzero
-
-        if bulk_sh:
-            s_sh = S["sh_s"]
-            s_st_ev = S["st_ev_s"]
-            sh_pos = S["sh_pos"]
-            sh_didx = S["sh_didx"]
-
-        # Chain heads whose "previous page" belongs to an earlier slice
-        # (possibly another process): force them through the scalar path.
-        force_a = start if tlb_on else -1
-        force_b = -1
-        if tlb_on:
-            dp = S["data_pos"]
-            j = int(np.searchsorted(dp, start))
-            if j < dp.size:
-                force_b = int(dp[j])
-
-        loads = 0
-        stores = 0
-        i = start
+        n = len(pcs)
+        end = start
         reason = REASON_END
+        if start < n:
+            _, ev, sys_pos = self._index(pcs, kinds, syscalls, batch)
+            j = bisect_left(sys_pos, start)
+            sys_at = sys_pos[j] if j < len(sys_pos) else n
+            last = sys_at if sys_at < n else n - 1
+            # The call runs at least one instruction, so at least one
+            # cycle; at one cycle each, none runs past ``reach``.
+            cutoff = deadline if deadline > now else now + 1
+            reach = start + cutoff - now - 1
+            events = ev[ev.searchsorted(start, "right"):ev.searchsorted(
+                reach if reach < last else last, "right")].tolist()
+            events.insert(0, start)
+            events.append(reach + 1)  # always beyond the deadline
 
-        while i < n and reason is REASON_END:
-            # ---- resolve the chunk's heads against the live state --------
-            # Every instruction costs at least one cycle, so at most
-            # ``deadline - now`` more can be consumed this slice; capping
-            # the chunk there keeps short time slices from classifying
-            # (and then abandoning) work past the deadline.
-            c0 = i
-            c1 = min(n, c0 + max(64, min(CHUNK, deadline - now)))
-            sl = slice(c0, c1)
-            iidx_c = s_iidx[sl]
-            iline_c = s_iline[sl]
-            didx_c = s_didx[sl]
-            dline_c = s_dline[sl]
-            dbit_c = s_dbit[sl]
-            is_load_c = s_is_load[sl]
+            itags = ms._itags
+            il_shift = ms._il_shift
+            ip_shift = _PAGE_SHIFT - il_shift
+            i_mask = ms._i_mask
+            dtags = ms._dtags
+            ddirty = ms._ddirty
+            dwrite_only = ms._dwrite_only
+            dvalid = ms._dvalid
+            dl_shift = ms._dl_shift
+            d_mask = ms._d_mask
+            dline_mask = ms._dline_mask
+            tlb_on = ms._tlb_enabled
+            itlb_access = ms.itlb.access
+            dtlb_access = ms.dtlb.access
+            tlb_penalty = ms._tlb_penalty
+            ifetch_miss = ms._ifetch_miss
+            load_miss = ms._load_miss
+            store = ms._store
+            wb_store_hits = self._wb_store_hits
 
-            imiss = s_imiss[sl].copy()
-            ih = flatnonzero(s_prev_ipos[sl] < c0)
-            if ih.size:
-                for t, ix, ln in zip(ih.tolist(), iidx_c[ih].tolist(),
-                                     iline_c[ih].tolist()):
-                    imiss[t] = itags[ix] != ln
-
-            ld_miss = s_ld_miss[sl].copy()
-            div_heads = None
-            if bulk_sh:
-                dh = flatnonzero((s_prev_dpos[sl] < c0) & s_is_data[sl])
-                if dh.size:
-                    div_heads = []
-                    sh_c = s_sh[sl]
-                    for t, lo, ix, ln, bt in zip(
-                            dh.tolist(), is_load_c[dh].tolist(),
-                            didx_c[dh].tolist(), dline_c[dh].tolist(),
-                            dbit_c[dh].tolist()):
-                        if lo:
-                            ld_miss[t] = not (dtags[ix] == ln
-                                              and not dwrite_only[ix]
-                                              and (dvalid[ix] >> bt) & 1)
-                        elif (dtags[ix] == ln) != sh_c[t]:
-                            # A head store whose live hit/miss disagrees
-                            # with the static store-hit pattern runs as a
-                            # scalar event; the static store-hit slots it
-                            # occupies are never inside a bulk run, so
-                            # the static prefix structures stay right.
-                            div_heads.append(t)
-                ev = s_static_ev[sl] | imiss | ld_miss | s_st_ev[sl]
-            else:
-                dh = flatnonzero((s_prev_dpos[sl] < c0) & is_load_c)
-                if dh.size:
-                    for t, ix, ln, bt in zip(
-                            dh.tolist(), didx_c[dh].tolist(),
-                            dline_c[dh].tolist(), dbit_c[dh].tolist()):
-                        ld_miss[t] = not (dtags[ix] == ln
-                                          and not dwrite_only[ix]
-                                          and (dvalid[ix] >> bt) & 1)
-                ev = s_static_ev[sl] | imiss | ld_miss
-            if div_heads:
-                for t in div_heads:
-                    ev[t] = True
-            if c0 <= force_a < c1:
-                ev[force_a - c0] = True
-            if c0 <= force_b < c1:
-                ev[force_b - c0] = True
-            positions = (flatnonzero(ev) + c0).tolist()
-
-            # ---- walk the chunk: O(1) bulk runs, scalar events -----------
-            while True:
-                k = bisect_left(positions, i)
-                p = positions[k] if k < len(positions) else c1
-
-                if p > i:
-                    # Bulk the all-hit run [i, p).
-                    if bulk_sh:
-                        j0 = bisect_left(sh_pos, i)
-                        seg_cost = (p - i) + bisect_left(sh_pos, p) - j0
-                    else:
-                        seg_cost = p - i
-                    budget = deadline - now
-                    if seg_cost >= budget:
-                        # The deadline lands inside this run: consume
-                        # exactly up to (and including) the instruction
-                        # that reaches it, like the reference loop.
-                        if bulk_sh:
-                            lo, hi = 1, p - i
-                            while lo < hi:
-                                mid = (lo + hi) >> 1
-                                if (mid + bisect_left(sh_pos, i + mid) - j0
-                                        >= budget):
-                                    hi = mid
-                                else:
-                                    lo = mid + 1
-                            m = lo
-                            now += m + bisect_left(sh_pos, i + m) - j0
-                        else:
-                            m = budget if budget > 0 else 1
-                            now += m
-                        end = i + m
-                        reason = REASON_SLICE
-                    else:
-                        now += seg_cost
-                        end = p
-                    loads += int(s_loadcum[end - 1]
-                                 - (s_loadcum[i - 1] if i else 0))
-                    if bulk_sh:
-                        jend = bisect_left(sh_pos, end)
-                        if jend > j0:
-                            sh_n = jend - j0
-                            stores += sh_n
-                            st.stall_l1_writes += sh_n
-                            epoch = ms._dirty_epoch
-                            for jj in range(j0, jend):
-                                ddirty[sh_didx[jj]] = epoch
-                    i = end
-                    if reason is not REASON_END:
-                        break
-
-                if i >= c1:
-                    break  # chunk exhausted; build the next one
-
-                # ---- scalar event at i (exact reference semantics) -------
-                pc = pcs[i]
-                now += 1
-                mut_d = False
-                if tlb_on:
-                    page = pc >> _PAGE_SHIFT
-                    if page != last_ipage:
-                        last_ipage = page
-                        if not itlb_access(0, page):
-                            now += tlb_penalty
-                            st.stall_tlb += tlb_penalty
-                iline = pc >> il_shift
-                if itags[iline & i_mask] != iline:
-                    now = ifetch_miss(now, iline)
+            loads = stores = write_hits = 0
+            iline_prev = None  # the call's first instruction is an event
+            # The clock after a free step at position q is q + c; only a
+            # stall moves c.
+            c = now + 1 - start
+            for i in events:
+                if i + c > cutoff:
+                    break  # the deadline falls before i
+                iline = pcs[i] >> il_shift
+                if iline != iline_prev:
+                    iline_prev = iline
+                    if tlb_on:
+                        page = iline >> ip_shift
+                        if page != last_ipage:
+                            last_ipage = page
+                            if not itlb_access(0, page):
+                                c += tlb_penalty
+                                st.stall_tlb += tlb_penalty
+                    if itags[iline & i_mask] != iline:
+                        c = ifetch_miss(i + c, iline) - i
                 kind = kinds[i]
                 if kind:
                     addr = addrs[i]
@@ -511,80 +181,52 @@ class BatchedEngine(Engine):
                         if page != last_dpage:
                             last_dpage = page
                             if not dtlb_access(0, page):
-                                now += tlb_penalty
+                                c += tlb_penalty
                                 st.stall_tlb += tlb_penalty
+                    dline = addr >> dl_shift
+                    index = dline & d_mask
                     if kind == 1:
                         loads += 1
-                        dline = addr >> dl_shift
-                        index = dline & d_mask
                         if not (dtags[index] == dline
                                 and not dwrite_only[index]
                                 and (dvalid[index] >> (addr & dline_mask))
                                 & 1):
-                            now = load_miss(now, dline, index)
-                            mut_d = not bulk_sh
+                            c = load_miss(i + c, dline, index) - i
                     else:
                         stores += 1
-                        dline = addr >> dl_shift
-                        index = dline & d_mask
-                        if not bulk_sh:
-                            hit_before = dtags[index] == dline
-                            if subblock and hit_before:
-                                mut_d = (not partials[i]
-                                         and not ((dvalid[index]
-                                                   >> (addr & dline_mask))
-                                                  & 1))
-                            else:
-                                mut_d = not hit_before
-                        now = store(now, addr, partials[i])
-                i += 1
-                if syscalls[i - 1]:
-                    reason = REASON_SYSCALL
-                    break
-                if now >= deadline:
-                    reason = REASON_SLICE
-                    break
+                        if wb_store_hits and dtags[index] == dline:
+                            ddirty[index] = ms._dirty_epoch
+                            write_hits += 1
+                            c += 1
+                        else:
+                            c = store(i + c, addr, partials[i]) - i
+            # The last instruction run: where free steps after the last
+            # event reach the deadline, the system call or the batch end.
+            end = cutoff - c
+            if end > last:
+                end = last
+            ran = events[bisect_left(events, i) - 1]
+            if end < ran:
+                end = ran
+            now = end + c
+            if end == sys_at:
+                reason = REASON_SYSCALL
+            elif now >= deadline:
+                reason = REASON_SLICE
+            end += 1
+            st.stall_l1_writes += write_hits
+            st.loads += loads
+            st.stores += stores
 
-                # ---- re-classify after a write-through d-side mutation ---
-                # (Write-back classifications are exact by construction.)
-                if mut_d and i < c1:
-                    rel = i - c0
-                    kx = index
-                    tag = dtags[kx]
-                    wo = dwrite_only[kx]
-                    vm = dvalid[kx]
-                    for a in flatnonzero(didx_c[rel:] == kx).tolist():
-                        pr = a + rel
-                        if not is_load_c[pr]:
-                            continue
-                        new = not (int(dline_c[pr]) == tag and wo == 0
-                                   and (vm >> int(dbit_c[pr])) & 1)
-                        if bool(ld_miss[pr]) != new:
-                            ld_miss[pr] = new
-                            evp = (new or bool(s_static_ev[pr + c0])
-                                   or bool(imiss[pr]))
-                            pa = pr + c0
-                            kk = bisect_left(positions, pa)
-                            have = (kk < len(positions)
-                                    and positions[kk] == pa)
-                            if evp and not have:
-                                positions.insert(kk, pa)
-                            elif not evp and have:
-                                del positions[kk]
-
-        consumed = i - start
+        consumed = end - start
         ms.now = now
         ms._last_ipage = last_ipage
         ms._last_dpage = last_dpage
         st.instructions += consumed
-        st.loads += loads
-        st.stores += stores
         if reason == REASON_SYSCALL:
             st.syscalls += 1
         st.cycles = now - ms._cycles_base
         ms._sync_tlb_stats()
         if ms.energy is not None:
-            # Bulk accounting over the slice's counters — the all-hit
-            # fast path never prices events individually.
             ms.energy.account(st)
         return SliceResult(consumed, reason)

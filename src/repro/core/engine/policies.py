@@ -3,6 +3,8 @@
 One function pair per :class:`~repro.core.config.WritePolicy` — a store
 handler and a load-miss handler — extracted from ``MemorySystem`` so the
 reference and batched engines execute the *same* code on every event.
+The one exception is a write-back store hit, which the batched engine
+accounts inline, exactly as :func:`store_write_back`'s hit branch does.
 :func:`resolve_policy` maps a policy to its pair once; the memory system
 binds the pair as methods at construction, so the hot loops pay a plain
 attribute call, never a per-access branch chain.
@@ -62,6 +64,7 @@ def store_write_back(ms, now: int, addr: int, partial: bool) -> int:
     dtags = ms._dtags
     ddirty = ms._ddirty
     if dtags[index] == dline:
+        # The batched engine inlines this branch; keep the two in step.
         st.stall_l1_writes += 1
         ddirty[index] = ms._dirty_epoch
         return now + 1

@@ -1,11 +1,12 @@
 """The reference engine: the original per-instruction Python loop.
 
-This is the semantic ground truth the batched engine is verified against.
-One instruction per iteration: instruction fetch (inlined direct-mapped
-L1-I hit check), optional data access (inlined universal L1-D load-hit
-check), TLB probes on page crossings, and cycle accounting into the
-Fig. 4 stall components.  Misses and stores dispatch through the policy
-and timing handlers bound on the memory system at construction.
+This is the readable oracle the batched (default) engine is verified
+against.  One instruction per iteration: instruction fetch (inlined
+direct-mapped L1-I hit check), optional data access (inlined universal
+L1-D load-hit check), TLB probes on page crossings, and cycle accounting
+into the Fig. 4 stall components.  Misses and stores dispatch through the
+policy and timing handlers bound on the memory system at construction.
+It ignores ``batch``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class ReferenceEngine(Engine):
 
     def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
                   partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, np_cols=None) -> SliceResult:
+                  start: int, deadline: int, batch=None) -> SliceResult:
         ms = self.ms
         now = ms.now
         st = ms.stats

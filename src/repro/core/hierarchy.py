@@ -5,9 +5,11 @@ advances it lives in a pluggable engine (:mod:`repro.core.engine`).  The
 ``reference`` engine processes one instruction per iteration — instruction
 fetch (with an inlined direct-mapped L1-I hit check), optional data access
 (with an inlined universal L1-D *load-hit* check), TLB probes on page
-crossings, and cycle accounting into the Fig. 4 stall components — while
-the ``batched`` engine vectorizes the all-hit runs between events and falls
-back to the same scalar handlers for everything else.
+crossings, and cycle accounting into the Fig. 4 stall components.  The
+default ``batched`` engine runs the same body only for *events* (a new
+L1-I line, a data access) and advances the clock by one cycle over every
+other instruction; it accounts write-back store hits inline and calls the
+same handlers for everything else.
 
 Cycle-accounting rules (Sections 2, 6, 8, 9 of the paper):
 
@@ -94,9 +96,10 @@ class MemorySystem:
 
     Args:
         config: the architecture under test.
-        engine: execution strategy for :meth:`run_slice` — ``"reference"``
-            (exact scalar loop) or ``"batched"`` (vectorized hit path,
-            bit-identical statistics; see :mod:`repro.core.engine`).
+        engine: execution strategy for :meth:`run_slice` — ``"batched"``
+            (the default: visits only events) or ``"reference"`` (the
+            per-instruction oracle); bit-identical statistics, see
+            :mod:`repro.core.engine`.
         energy: optional energy accounting — ``None`` (free: no code runs,
             energy fields stay zero), a technology name from
             :data:`repro.energy.ENERGY_TECHNOLOGIES`, or a ready
@@ -199,7 +202,7 @@ class MemorySystem:
 
             self.energy = resolve_accountant(energy, config)
 
-        # ----- Engine (validates the name; may re-represent the tag arrays).
+        # ----- Engine (validates the name).
         self.engine = resolve_engine(engine)(self)
         self.engine_name = engine
 
@@ -303,9 +306,6 @@ class MemorySystem:
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed memory-system snapshot: {exc}") from exc
-        # The engine may keep a derived representation of the tag arrays
-        # (the batched engine uses numpy); let it rebuild.
-        self.engine.on_state_loaded()
 
     def check_invariants(self) -> None:
         """Audit structural invariants of the whole hierarchy.
@@ -415,20 +415,20 @@ class MemorySystem:
 
     def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
                   partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, np_cols=None) -> SliceResult:
+                  start: int, deadline: int, batch=None) -> SliceResult:
         """Execute instructions ``start..`` until the batch ends, a system
         call is executed, or ``deadline`` (absolute cycle) is reached.
 
-        The five columns must be plain Python lists (see
-        ``repro.sched.process.PreparedBatch``), already translated to
-        physical addresses; ``np_cols`` optionally carries the
-        ``(pcs, kinds, addrs, syscalls)`` NumPy columns so the batched
-        engine avoids re-converting.  Execution is delegated to the
-        configured engine (:mod:`repro.core.engine`); every engine
-        produces bit-identical statistics and state.
+        The five columns must be plain Python lists, already translated to
+        physical addresses.  ``batch`` is the
+        :class:`~repro.sched.process.PreparedBatch` they come from, if any:
+        the batched engine keeps its per-batch event index there, so it is
+        built once per batch rather than once per call.  Execution is
+        delegated to the configured engine (:mod:`repro.core.engine`);
+        every engine produces bit-identical statistics and state.
         """
         return self.engine.run_slice(pcs, kinds, addrs, partials, syscalls,
-                                     start, deadline, np_cols=np_cols)
+                                     start, deadline, batch)
 
     # ------------------------------------------------------------- inspection
 

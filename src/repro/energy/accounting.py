@@ -26,7 +26,7 @@ agree on the counters (the lockstep contract) agree on the energy *bit
 for bit*, and :meth:`account` is idempotent — it overwrites rather than
 accumulates, so both engines simply call it once per slice from their
 epilogues.  That single call per slice is the entire runtime cost: the
-batched engine's all-hit fast path accounts energy in bulk by
+instructions the batched engine skips are accounted in bulk by
 construction, and a run without a model never executes any of this.
 """
 

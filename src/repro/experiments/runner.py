@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_ENGINE,
                         help="simulation engine for every sweep point "
                              "(engines are bit-identical; 'batched' "
-                             "vectorizes the hit path)")
+                             "executes only events)")
     parser.add_argument("--energy", choices=_energy_choices(), default=None,
                         help="enable per-event energy accounting under this "
                              "technology for every sweep point (default: "

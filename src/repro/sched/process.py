@@ -30,7 +30,7 @@ class PreparedBatch:
     """One trace batch, physically translated and converted to lists."""
 
     __slots__ = ("pcs", "kinds", "addrs", "partials", "syscalls", "dropped",
-                 "np_cols")
+                 "np_cols", "events")
 
     def __init__(self, pcs: List[int], kinds: List[int], addrs: List[int],
                  partials: List[bool], syscalls: List[bool],
@@ -42,11 +42,14 @@ class PreparedBatch:
         self.syscalls = syscalls
         #: Malformed records dropped during preparation (skip mode only).
         self.dropped = dropped
-        #: Optional ``(pcs, kinds, addrs, syscalls)`` as NumPy arrays —
-        #: the same columns before list conversion.  The batched engine
-        #: builds its per-batch index from these without re-converting;
-        #: the scalar engines ignore them.
+        #: Optional ``(pcs, kinds, syscalls)`` as NumPy arrays — the same
+        #: columns before list conversion.  The batched engine builds its
+        #: event index from these without re-converting, then drops them.
         self.np_cols = np_cols
+        #: The batched engine's event index, built on the batch's first
+        #: call and freed with the batch
+        #: (:func:`repro.core.engine.batched.event_index`).
+        self.events = None
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -94,7 +97,7 @@ class PreparedBatch:
             partials=batch.partial.tolist(),
             syscalls=batch.syscall.tolist(),
             dropped=dropped,
-            np_cols=(pc_phys, batch.kind, addr_phys, batch.syscall),
+            np_cols=(pc_phys, batch.kind, batch.syscall),
         )
 
 
@@ -130,7 +133,9 @@ class Process:
         """
         if self.finished:
             return None, 0
-        if self._batch is None or self._pos >= len(self._batch):
+        # A batch whose records were all corrupt and dropped is empty:
+        # pull the next one.
+        while self._batch is None or self._pos >= len(self._batch):
             snapshot = (self.source.state_dict()
                         if hasattr(self.source, "state_dict") else None)
             raw = self.source.next_batch()
@@ -145,9 +150,6 @@ class Process:
                                                    self.trace_errors)
             self.records_skipped += self._batch.dropped
             self._pos = 0
-            if len(self._batch) == 0:
-                # Every record of the batch was corrupt and dropped.
-                return self.current()
         return self._batch, self._pos
 
     def advance(self, consumed: int) -> None:

@@ -116,7 +116,7 @@ class Scheduler:
                 break
             result = memsys.run_slice(batch.pcs, batch.kinds, batch.addrs,
                                       batch.partials, batch.syscalls,
-                                      pos, deadline, np_cols=batch.np_cols)
+                                      pos, deadline, batch=batch)
             process.advance(result.consumed)
             self.instructions_run += result.consumed
             if auditor is not None:

@@ -5,9 +5,10 @@ engine-lockstep contract *should* extend to energy for free — these tests
 make that checkable rather than assumed, running the fig4/fig5 experiment
 configurations, every write policy and bypass mode, and every energy
 technology under both engines and asserting the complete ``SimStats``
-(energy fields included) is equal field-for-field.  The batched engine's
-all-hit fast path accounts in bulk by construction (the accountant folds
-counters once per slice), which is exactly what these runs exercise.
+(energy fields included) is equal field-for-field.  The instructions
+the batched engine skips are accounted in bulk by construction (the
+accountant folds counters once per slice), which is exactly what these
+runs exercise.
 """
 
 import dataclasses

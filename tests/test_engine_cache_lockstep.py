@@ -2,7 +2,7 @@
 :class:`repro.core.cache.Cache` model.
 
 ``MemorySystem`` inlines its direct-mapped L1 lookups into flat lists
-for speed (and the batched engine vectorizes over those same lists);
+for speed (both engines probe those same lists);
 ``Cache`` is the reference model that behaviour must match.  These
 tests drive a ``run_slice`` with a synthetic access stream while
 mirroring every reference into a shadow ``Cache``, then require the

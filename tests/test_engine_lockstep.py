@@ -8,11 +8,10 @@ multiprogramming levels 1 and 4, short and long time slices — and
 assert the *complete* ``SimStats`` dataclass is equal field-for-field.
 A single diverging stall cycle fails the suite.
 
-A second battery drives ``MemorySystem.run_slice`` directly with
-adversarial hand-built columns (dense index conflicts, partial-word
-stores, syscalls on page crossings) that real synthetic traces rarely
-concentrate, checking the chunk head/repair machinery where it is most
-stressed.
+A second battery runs adversarial profiles (dense index conflicts,
+partial-word stores, syscalls on page crossings) that the calibrated
+suite rarely concentrates.  ``tests/test_engine_slice_edges.py`` drives
+``run_slice`` directly over generated traces and pins the slice edges.
 """
 
 import dataclasses

@@ -1,0 +1,313 @@
+"""Differential slice-edge tests: ``batched`` against ``reference``.
+
+The batched engine executes only *events* (a new L1-I line, a data
+access) and advances the clock over every other instruction in one
+step, so its exactness rests on where a call stops: at the deadline, at
+a system call, or at the batch end, after any number of stalls.  These
+tests drive both engines the way the scheduler does — several prepared
+batches from interleaved processes, resumed mid-batch, slices of 1-50
+cycles — over tiny machines on which nearly every event misses
+somewhere, and compare every ``SliceResult``, the full ``SimStats`` and
+``state_dict()`` after every call.
+
+Generated inputs cover every write policy and bypass mode the
+configuration rules allow, TLB on and off, write-buffer depth 1 and 4,
+and concurrent I-refill.  The cases the skipping logic must get exactly
+right are also pinned by example below.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import (
+    BypassMode,
+    CacheConfig,
+    ConcurrencyConfig,
+    L2Config,
+    SystemConfig,
+    TLBConfig,
+    WriteBufferConfig,
+    WritePolicy,
+)
+from repro.core.engine import REASON_END, REASON_SLICE, REASON_SYSCALL
+from repro.core.hierarchy import MemorySystem
+from repro.params import PAGE_WORDS
+from repro.sched.process import PreparedBatch
+
+ENGINES = ("reference", "batched")
+
+#: (policy, bypass, tlb, buffer depth, concurrent I-refill) for every
+#: combination the configuration rules allow.
+MACHINES = [
+    combo for combo in itertools.product(
+        WritePolicy, BypassMode, (False, True), (1, 4), (False, True))
+    if combo[1] is not BypassMode.DIRTY_BIT
+    or combo[0] is WritePolicy.WRITE_ONLY
+]
+
+
+def machine(policy=WritePolicy.WRITE_BACK, bypass=BypassMode.NONE,
+            tlb=False, depth=4, i_refill=False, dirty_buffer=False,
+            i_line=4) -> SystemConfig:
+    """Four-line L1s, an L2 of a few lines and one- or two-entry TLBs,
+    with short penalties: misses, victims and TLB misses are frequent
+    and a stall fits inside a short slice."""
+    if policy is WritePolicy.WRITE_BACK:
+        buffer = WriteBufferConfig(depth=depth, width_words=4,
+                                   overlap_cycles=2)
+    else:
+        buffer = WriteBufferConfig(depth=depth, width_words=1,
+                                   overlap_cycles=1)
+    if i_refill:
+        l2 = L2Config(size_words=64, line_words=8, access_time=2,
+                      split=True, i_size_words=16, d_size_words=32,
+                      miss_penalty_clean=5, miss_penalty_dirty=9)
+    else:
+        l2 = L2Config(size_words=32, line_words=8, access_time=2,
+                      miss_penalty_clean=5, miss_penalty_dirty=9)
+    return SystemConfig(
+        name="edge",
+        icache=CacheConfig(size_words=4 * i_line, line_words=i_line),
+        dcache=CacheConfig(size_words=16, line_words=4),
+        write_policy=policy,
+        write_buffer=buffer,
+        l2=l2,
+        concurrency=ConcurrencyConfig(i_refill_during_wb_drain=i_refill,
+                                      bypass=bypass,
+                                      l2_dirty_buffer=dirty_buffer),
+        tlb=TLBConfig(itlb_entries=1, dtlb_entries=2, ways=1,
+                      miss_penalty=3, enabled=tlb),
+    )
+
+
+def prepared(pcs, kinds=None, addrs=None, partials=None, syscalls=None,
+             numpy_columns=True) -> PreparedBatch:
+    """A physical-address batch as the scheduler hands it to an engine;
+    with ``numpy_columns`` the event index is built from NumPy columns,
+    otherwise from the lists."""
+    n = len(pcs)
+    kinds = list(kinds) if kinds is not None else [0] * n
+    addrs = list(addrs) if addrs is not None else [0] * n
+    partials = list(partials) if partials is not None else [False] * n
+    syscalls = list(syscalls) if syscalls is not None else [False] * n
+    np_cols = ((np.array(pcs, dtype=np.int64),
+                np.array(kinds, dtype=np.uint8),
+                np.array(syscalls, dtype=bool)) if numpy_columns else None)
+    return PreparedBatch(list(pcs), kinds, addrs, partials, syscalls,
+                         np_cols=np_cols)
+
+
+def state(ms: MemorySystem) -> dict:
+    snapshot = ms.state_dict()
+    del snapshot["engine"]
+    return snapshot
+
+
+class Pair:
+    """One memory system per engine, called and compared in lockstep."""
+
+    def __init__(self, config: SystemConfig):
+        self.systems = [MemorySystem(config, engine=e) for e in ENGINES]
+        self.ref = self.systems[0]
+
+    @property
+    def now(self) -> int:
+        return self.ref.now
+
+    def call(self, batch: PreparedBatch, start: int, deadline: int):
+        results = [ms.run_slice(batch.pcs, batch.kinds, batch.addrs,
+                                batch.partials, batch.syscalls, start,
+                                deadline, batch=batch)
+                   for ms in self.systems]
+        ref, bat = self.systems
+        assert results[1] == results[0], (start, deadline)
+        assert (dataclasses.asdict(bat.stats)
+                == dataclasses.asdict(ref.stats)), (start, deadline)
+        assert state(bat) == state(ref), (start, deadline)
+        return results[0]
+
+
+def schedule(pair: Pair, processes, slices, probe_end=False) -> None:
+    """Round-robin ``processes`` (each a list of batches) as the scheduler
+    does, slice lengths cycling through ``slices``; with ``probe_end``
+    every exhausted batch is also called once at ``start == len``."""
+    cursor = {p: (0, 0) for p in range(len(processes))}
+    ready = deque(cursor)
+    lengths = itertools.cycle(slices)
+    while ready:
+        p = ready.popleft()
+        deadline = pair.now + next(lengths)
+        while True:
+            b, pos = cursor[p]
+            if b == len(processes[p]):
+                break  # terminated
+            batch = processes[p][b]
+            consumed, reason = pair.call(batch, pos, deadline)
+            if reason != REASON_END:
+                cursor[p] = (b, pos + consumed)
+                ready.append(p)
+                break
+            if probe_end:
+                assert pair.call(batch, len(batch), deadline) == (
+                    0, REASON_END)
+            cursor[p] = (b + 1, 0)
+
+
+# -- generated inputs ----------------------------------------------------
+
+#: Word addresses over three pages, a few lines into each.
+addresses = st.builds(lambda page, offset: page * PAGE_WORDS + offset,
+                      st.integers(0, 2), st.integers(0, 23))
+
+
+@st.composite
+def batches(draw):
+    """Mostly sequential code with jumps; loads, full and partial stores;
+    system calls anywhere, including the first and last instruction."""
+    n = draw(st.integers(1, 40))
+    pcs, kinds, addrs, partials, syscalls = [], [], [], [], []
+    pc = draw(addresses)
+    for i in range(n):
+        if i and draw(st.integers(0, 4)) == 0:
+            pc = draw(addresses)
+        elif i:
+            pc += 1
+        kind = draw(st.sampled_from((0, 0, 1, 2)))
+        pcs.append(pc)
+        kinds.append(kind)
+        addrs.append(draw(addresses) if kind else 0)
+        partials.append(kind == 2 and draw(st.booleans()))
+        syscalls.append(draw(st.integers(0, 9)) == 0)
+    return prepared(pcs, kinds, addrs, partials, syscalls,
+                    numpy_columns=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(combo=st.sampled_from(MACHINES), dirty_buffer=st.booleans(),
+       i_line=st.sampled_from((4, 8)),
+       processes=st.lists(st.lists(batches(), min_size=1, max_size=3),
+                          min_size=1, max_size=3),
+       slices=st.lists(st.integers(1, 50), min_size=1, max_size=6),
+       probe_end=st.booleans())
+def test_generated_schedules(combo, dirty_buffer, i_line, processes, slices,
+                             probe_end):
+    policy, bypass, tlb, depth, i_refill = combo
+    config = machine(policy, bypass, tlb, depth, i_refill, dirty_buffer,
+                     i_line)
+    schedule(Pair(config), processes, slices, probe_end)
+
+
+# -- pinned cases ----------------------------------------------------------
+
+
+def sweep(config, batch):
+    """Run ``batch`` once per deadline from 1 to 39 cycles, each time on
+    fresh machines, comparing the engines; yields ``(deadline, result,
+    reference memory system)``."""
+    for deadline in range(1, 40):
+        pair = Pair(config)
+        yield deadline, pair.call(batch, 0, deadline), pair.ref
+
+
+def crossings(config, batch, consumed):
+    """Deadlines at which the call ends after ``consumed`` instructions
+    with the clock past the deadline: the last one stalled across it."""
+    return [(deadline, ms) for deadline, result, ms in sweep(config, batch)
+            if result == (consumed, REASON_SLICE) and ms.now > deadline]
+
+
+class TestDeadlineCrossedByAStall:
+    def test_instruction_miss(self):
+        # pc 4 opens a new, cold line.
+        batch = prepared(range(12))
+        hits = crossings(machine(), batch, consumed=5)
+        assert hits and all(ms.stats.l1i_misses == 2 for _, ms in hits)
+
+    def test_load_miss(self):
+        batch = prepared(range(4), kinds=[0, 0, 1, 0], addrs=[0, 0, 40, 0])
+        hits = crossings(machine(), batch, consumed=3)
+        assert hits and all(ms.stats.l1d_read_misses == 1 for _, ms in hits)
+
+    def test_tlb_miss(self):
+        # The second pass returns to page 0, which the one-entry I-TLB
+        # no longer holds, on a line L1-I still holds.
+        pcs = [4094, 4095, 4096, 4097] * 2
+        hits = crossings(machine(tlb=True), prepared(pcs), consumed=5)
+        assert hits and all(ms.stats.l1i_misses == 2
+                            and ms.itlb.misses == 3 for _, ms in hits)
+
+    def test_write_back_store_hit(self):
+        # The store hits the line the load installed; its second cycle
+        # is the only one past the deadline.
+        batch = prepared(range(4), kinds=[0, 1, 2, 0], addrs=[0, 40, 41, 0])
+        hits = crossings(machine(), batch, consumed=3)
+        assert [ms.now - deadline for deadline, ms in hits] == [1]
+        assert all(ms.stats.stall_l1_writes == 1 for _, ms in hits)
+
+
+@pytest.mark.parametrize("at", (5, 4), ids=("free", "line-change"))
+def test_syscall_ties_with_deadline(at):
+    syscalls = [i == at for i in range(12)]
+    batch = prepared(range(12), syscalls=syscalls)
+    ties = [ms for deadline, result, ms in sweep(machine(), batch)
+            if result == (at + 1, REASON_SYSCALL) and ms.now == deadline]
+    assert len(ties) == 1
+
+
+def test_start_at_batch_end():
+    batch = prepared(range(6), kinds=[0, 2, 0, 1, 0, 0],
+                     addrs=[0, 3, 0, 9, 0, 0])
+    pair = Pair(machine(tlb=True))
+    assert pair.call(batch, 0, 1 << 40) == (6, REASON_END)
+    assert pair.call(batch, 6, pair.now + 5) == (0, REASON_END)
+    assert pair.call(batch, 6, pair.now - 5) == (0, REASON_END)
+
+
+def test_deadline_already_reached():
+    # A call runs at least one instruction, as the reference loop does.
+    batch = prepared(range(8), kinds=[0, 1, 0, 0, 2, 0, 0, 0],
+                     addrs=[0, 5, 0, 0, 6, 0, 0, 0],
+                     syscalls=[i == 6 for i in range(8)])
+    pair = Pair(machine(tlb=True))
+    for start in (0, 1, 3, 4, 6, 7):
+        for behind in (0, 1, 50):
+            reason = REASON_SYSCALL if start == 6 else REASON_SLICE
+            assert pair.call(batch, start, pair.now - behind) == (1, reason)
+
+
+def test_resume_on_a_line_another_process_evicted():
+    config = machine()
+    mine = prepared(range(8))
+    theirs = prepared([16, 17])  # line 4: L1-I index 0, as line 0
+    pair = Pair(config)
+    assert pair.call(mine, 0, pair.now + 1) == (1, REASON_SLICE)
+    pair.call(theirs, 0, 1 << 40)
+    misses = pair.ref.stats.l1i_misses
+    assert pair.call(mine, 1, 1 << 40) == (7, REASON_END)
+    # pc 1 missed again (and pc 4, a new line, for the first time).
+    assert pair.ref.stats.l1i_misses == misses + 2
+
+
+def test_epoch_bump_then_inline_store_hit():
+    # The configuration rules pair the dirty-bit scheme with write-only
+    # only, so its epoch never moves under write-back; forcing the scheme
+    # on shows the inline store hit reads the epoch when it stores.
+    pair = Pair(machine())
+    for ms in pair.systems:
+        ms._bypass = BypassMode.DIRTY_BIT
+        ms._dirty_bit_bypass = True
+    # A store miss and a load miss, each bumping the epoch, then a store
+    # hit on the first store's line.
+    batch = prepared(range(3), kinds=[2, 1, 2], addrs=[40, 20, 41])
+    assert pair.call(batch, 0, 1 << 40) == (3, REASON_END)
+    ref = pair.ref
+    assert ref._dirty_epoch == 3
+    assert ref._ddirty[10 & ref._d_mask] == 3

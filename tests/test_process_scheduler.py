@@ -55,6 +55,20 @@ class TestProcess:
         batch2, pos = process.current()
         assert pos == 0 and batch2 is not batch
 
+    def test_long_run_of_fully_dropped_batches(self):
+        # Skip mode drops every record of each corrupt batch; current()
+        # must pull past thousands of empty batches without recursing.
+        corrupt = [make_batch(pcs=[1, 2, 3, 4], kinds=[7] * 4)
+                   for _ in range(5_000)]
+        process = Process(pid=1, name="p1",
+                          source=BatchSource(corrupt + [make_batch(pcs=[5])]),
+                          page_table=PageTable(), trace_errors="skip")
+        batch, pos = process.current()
+        assert (len(batch), pos) == (1, 0)
+        assert process.records_skipped == 20_000
+        process.advance(1)
+        assert process.current() == (None, 0)
+
     def test_negative_advance_rejected(self):
         process = make_process(1, [make_batch(pcs=[1])])
         with pytest.raises(SchedulingError):

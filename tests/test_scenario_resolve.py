@@ -32,7 +32,7 @@ class TestResolve:
         resolved = resolve_scenario(write(tmp_path, "s.toml", MINIMAL))
         assert resolved.machine == base_architecture()
         assert resolved.scale.instructions_per_benchmark == 400_000
-        assert resolved.engine == "reference"
+        assert resolved.engine == "batched"
         assert resolved.energy is None
         assert resolved.experiment is None
         assert resolved.axes == {}
