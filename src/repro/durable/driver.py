@@ -1,8 +1,9 @@
 """DurableRun: the coordinator-side driver over one run journal.
 
-This is the piece the farm's :func:`~repro.farm.points.run_points` and the
-grid's :class:`~repro.grid.GridDispatcher` share.  It owns the WAL
-ordering rules so no caller can get them wrong:
+Its one caller is the farm's :func:`~repro.farm.points.run_points`, which
+drives it the same way whichever executor (the local pool or a
+:class:`~repro.grid.GridDispatcher`) runs the misses.  It owns the WAL
+ordering rules so no executor can get them wrong:
 
 * **recovery** (:meth:`begin`) replays the journal, re-validates every
   ``point_done`` against the content-addressed cache (a done record whose
@@ -76,7 +77,6 @@ class DurableRun:
         self.journal: Optional[RunJournal] = None
         self.state = None
         self.leases = LeaseTable(self.settings)
-        self.specs: Sequence[Any] = ()
         self._keys: List[str] = []
         if registry is None:
             from repro.obs.metrics import Registry
@@ -108,7 +108,6 @@ class DurableRun:
         cache.  Everything else — fresh points, orphans, demoted done
         records — is plain *todo* for the caller, in input order.
         """
-        self.specs = specs
         self._keys = [spec.key() for spec in specs]
         labels = [spec.label for spec in specs]
         self.journal = resolve_journal(self._journal_arg, self._keys)
@@ -207,10 +206,6 @@ class DurableRun:
                 deadline_unix=round(time.time() + self.settings.lease_s, 6))
             self.state.apply(record)
             self.leases.renewed(index)
-
-    def expired(self) -> List[int]:
-        """Indices whose lease ran out with no heartbeat — *stuck*."""
-        return self.leases.expired_now()
 
     def reclaim(self, index: int, reason: str = "lease_expired") -> None:
         """The watchdog declared ``index`` stuck; journal the reclaim.

@@ -253,8 +253,8 @@ def _experiment_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One whole experiment as a farm task (runs in a pool worker).
 
     The worker opens its own ``jobs=1`` farm session so its sweep points
-    hit the shared on-disk cache; the telemetry summary rides back to the
-    parent for aggregation.
+    hit the shared on-disk cache; the telemetry summary and the metrics
+    registry snapshot ride back to the parent for aggregation.
     """
     scale = ExperimentScale(**payload["scale"])
     started = time.time()
@@ -269,6 +269,7 @@ def _experiment_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         "report": report,
         "elapsed": time.time() - started,
         "telemetry": ctx.telemetry.summary(),
+        "obs": ctx.telemetry.registry.snapshot(),
     }
 
 
@@ -481,6 +482,7 @@ def _run(args: argparse.Namespace, telemetry: RunTelemetry) -> int:
                 elapsed[experiment_id] = value["elapsed"]
                 telemetry.record_task(experiment_id, value["elapsed"],
                                       value["telemetry"])
+                telemetry.registry.merge(value["obs"])
 
             try:
                 run_tasks(_experiment_task, payloads, jobs=jobs,

@@ -50,9 +50,9 @@ class FarmContext:
     #: Write-ahead run journal: a :class:`repro.durable.RunJournal`, a
     #: journal file path, or a journal *directory* (each sweep inside the
     #: session then gets its own content-addressed journal file, which is
-    #: what makes auto-resume work).  ``None`` = journaling off, with the
-    #: exact pre-durable code path.  Typed loosely so ``repro.farm``
-    #: never imports ``repro.durable`` at module load.
+    #: what makes auto-resume work).  ``None`` = journaling off (the one
+    #: sweep-point path runs with no journal hooks).  Typed loosely so
+    #: ``repro.farm`` never imports ``repro.durable`` at module load.
     journal: Optional[Any] = None
     #: Optional :class:`repro.durable.DurableSettings` for the session.
     durable: Optional[Any] = None
@@ -106,7 +106,8 @@ def farm_session(jobs: int = 1,
             :class:`repro.grid.GridDispatcher` over those nodes executes
             every uncached point in the session (with local in-process
             fallback), and its health poller is stopped when the session
-            closes.
+            closes.  The session's cache, journal and telemetry still
+            wrap every point (see :func:`repro.farm.points.run_points`).
         grid_settings: optional :class:`repro.grid.GridSettings`
             overriding the dispatcher's failure policy.
         journal: write-ahead run journal (path, directory, or
@@ -135,8 +136,7 @@ def farm_session(jobs: int = 1,
     if nodes:
         from repro.grid import GridDispatcher  # deferred: optional layer
 
-        dispatcher = GridDispatcher(nodes, settings=grid_settings,
-                                    cache=cache, telemetry=telemetry)
+        dispatcher = GridDispatcher(nodes, settings=grid_settings)
     ctx = FarmContext(jobs=jobs, cache=cache, telemetry=telemetry,
                       task_timeout=task_timeout, retries=retries,
                       engine=engine, energy=energy, dispatcher=dispatcher,

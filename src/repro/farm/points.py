@@ -7,10 +7,12 @@ from it via :mod:`repro.core.serialization`.  Because worker and key share
 one description, a cached result is by construction the result of the
 keyed computation.
 
-:func:`run_points` is the farm's main entry: cache-probe every point,
-execute the misses through :func:`repro.farm.pool.run_tasks`, store and
-narrate each result, and return stats **in input order** — callers cannot
-observe whether a point came from silicon or disk.
+:func:`run_points` is the farm's main entry and the one sweep-point path:
+cache-probe every point, execute the misses through the local pool
+(:func:`repro.farm.pool.run_tasks`) or a grid dispatcher, store, journal
+and narrate each result, and return stats **in input order** — callers
+cannot observe whether a point came from silicon or disk, nor from which
+executor.
 """
 
 from __future__ import annotations
@@ -146,6 +148,18 @@ def execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     return result
 
 
+def cache_meta(spec: PointSpec, stats: SimStats, wall_s: float,
+               source: Optional[str] = None) -> Dict[str, Any]:
+    """The metadata stored beside a point's cache entry; ``source`` names
+    a producer other than the local farm."""
+    meta = {"label": spec.label, "config": spec.config.name,
+            "instructions": stats.instructions, "wall_s": round(wall_s, 3),
+            "created_unix": int(time.time())}
+    if source is not None:
+        meta["source"] = source
+    return meta
+
+
 def run_points(specs: Sequence[PointSpec],
                jobs: int = 1,
                cache: Optional[ResultCache] = None,
@@ -157,7 +171,14 @@ def run_points(specs: Sequence[PointSpec],
                dispatcher=None,
                journal=None,
                durable=None) -> List[SimStats]:
-    """Execute every point (cache first, then the pool); input order out.
+    """Execute every point (cache first, then an executor); input order out.
+
+    The misses go to the local pool or a grid dispatcher through the same
+    hooks: ``on_start`` claims a point before its work starts,
+    ``on_heartbeat`` renews its lease, ``on_retry`` journals an abandoned
+    attempt (the grid, which retries internally, reports only a lost
+    point) and ``on_result`` stores a result in the cache, *then*
+    journals it done, then records it.
 
     Args:
         specs: the points to produce results for.
@@ -170,11 +191,9 @@ def run_points(specs: Sequence[PointSpec],
             input order (the legacy ``progress`` hook of ``run_sweep``).
         stop_event: optional cancellation token forwarded to the pool
             (see :func:`repro.farm.pool.run_tasks`).
-        dispatcher: a :class:`repro.grid.GridDispatcher`; when set, the
-            whole call delegates to it (the dispatcher honors the same
-            cache/telemetry/ordering contract, against its own session
-            handles) and every other execution knob is ignored — except
-            ``journal``/``durable``, which are forwarded.
+        dispatcher: a :class:`repro.grid.GridDispatcher` to run the
+            misses instead of the local pool (``jobs``, ``timeout``,
+            ``retries`` and ``stop_event`` are then ignored).
         journal: a :class:`repro.durable.RunJournal`, journal file path,
             or journal directory; when set, the whole sweep runs under a
             write-ahead journal (see :mod:`repro.durable`) and is
@@ -183,96 +202,34 @@ def run_points(specs: Sequence[PointSpec],
         durable: optional :class:`repro.durable.DurableSettings`
             overriding lease/heartbeat/retry-budget timing.
     """
-    if dispatcher is not None:
-        return dispatcher.run_points(specs, on_point=on_point,
-                                     journal=journal, durable=durable)
+    run = None
+    heartbeat_s = lease_s = None
     if journal is not None:
-        return _run_points_durable(specs, jobs, cache, telemetry, timeout,
-                                   on_point, stop_event, journal, durable)
-    results: List[Optional[SimStats]] = [None] * len(specs)
-    todo: List[int] = []
-    keys: List[Optional[str]] = [None] * len(specs)
-    for i, spec in enumerate(specs):
-        if on_point is not None:
-            on_point(spec.label)
-        if cache is not None:
-            keys[i] = spec.key()
-            hit = cache.get(keys[i])
-            if hit is not None:
-                results[i] = hit
-                if telemetry is not None:
-                    telemetry.record_point(spec.label, hit.instructions,
-                                           0.0, cached=True)
-                continue
-        todo.append(i)
+        from repro.durable import DurableRun, DurableSettings
 
-    def finish(j: int, value: Dict[str, Any]) -> None:
-        i = todo[j]
-        stats = SimStats.from_dict(value["stats"])
-        results[i] = stats
-        if cache is not None:
-            key = keys[i] if keys[i] is not None else specs[i].key()
-            cache.put(key, stats, meta={
-                "label": specs[i].label,
-                "config": specs[i].config.name,
-                "instructions": stats.instructions,
-                "wall_s": round(value["wall_s"], 3),
-                "created_unix": int(time.time()),
-            })
-        if telemetry is not None:
-            telemetry.record_point(specs[i].label, stats.instructions,
-                                   value["wall_s"], cached=False)
-            if value.get("obs"):
-                telemetry.registry.merge(value["obs"])
-
-    run_tasks(execute_point,
-              [specs[i].payload() for i in todo],
-              jobs=jobs,
-              timeout=timeout,
-              retries=retries,
-              labels=[specs[i].label for i in todo],
-              on_result=finish,
-              stop_event=stop_event)
-    return results  # type: ignore[return-value]
-
-
-def _retry_reason(what: str) -> str:
-    return "lease_expired" if "lease expired" in what else "worker_crashed"
-
-
-def _run_points_durable(specs: Sequence[PointSpec], jobs, cache, telemetry,
-                        timeout, on_point, stop_event, journal,
-                        durable) -> List[SimStats]:
-    """The journaled twin of :func:`run_points`'s local path.
-
-    Same contract (cache first, input order out, callers cannot tell
-    silicon from disk) plus the WAL: recovery replays ``point_done``
-    records validated against the cache, every execution attempt is
-    journaled as a lease before it starts, every stored result is
-    journaled after the cache holds it, and the pool's heartbeat/lease
-    machinery feeds the journal's watchdog counters.  The per-point
-    retry budget comes from ``durable.max_point_retries`` and is counted
-    *across resumes* — the pool's own retry knob is slaved to it.
-    """
-    from repro.durable import DurableRun, DurableSettings
-
-    settings = durable if durable is not None else DurableSettings()
-    run = DurableRun(journal, cache, settings,
-                     registry=telemetry.registry if telemetry else None)
+        settings = durable if durable is not None else DurableSettings()
+        run = DurableRun(journal, cache, settings,
+                         registry=telemetry.registry if telemetry else None)
+        # The journal counts the retry budget across resumes, and forked
+        # workers prove liveness to its leases.
+        retries = settings.max_point_retries
+        if jobs > 1:
+            heartbeat_s, lease_s = settings.heartbeat_s, settings.lease_s
     try:
-        recovered = run.begin(specs)
+        recovered = run.begin(specs) if run is not None else {}
         results: List[Optional[SimStats]] = [None] * len(specs)
+        keys: List[Optional[str]] = [None] * len(specs)
         todo: List[int] = []
         for i, spec in enumerate(specs):
             if on_point is not None:
                 on_point(spec.label)
             hit = recovered.get(i)
-            if hit is None and i not in run.state.done:
-                # A cache entry with no done record is the signature of a
-                # crash between cache.put and the journal append — the
-                # result is durable, only the record is missing.
-                hit = cache.get(spec.key())
-                if hit is not None:
+            if hit is None and cache is not None:
+                keys[i] = spec.key()
+                hit = cache.get(keys[i])
+                if hit is not None and run is not None:
+                    # A cache entry with no done record: a crash landed
+                    # between cache.put and the journal append.
                     run.done(i, hit)
             if hit is not None:
                 results[i] = hit
@@ -282,49 +239,46 @@ def _run_points_durable(specs: Sequence[PointSpec], jobs, cache, telemetry,
                 continue
             todo.append(i)
 
-        parallel = jobs > 1
-
-        def on_start(j: int) -> None:
-            run.claim(todo[j])
-
-        def on_heartbeat(j: int) -> None:
-            run.heartbeat(todo[j])
-
-        def on_retry(j: int, what: str) -> None:
-            run.reclaim(todo[j], reason=_retry_reason(what))
-
-        def finish(j: int, value: Dict[str, Any]) -> None:
+        def on_result(j: int, value: Dict[str, Any]) -> None:
             i = todo[j]
             stats = SimStats.from_dict(value["stats"])
             results[i] = stats
-            cache.put(specs[i].key(), stats, meta={
-                "label": specs[i].label,
-                "config": specs[i].config.name,
-                "instructions": stats.instructions,
-                "wall_s": round(value["wall_s"], 3),
-                "created_unix": int(time.time()),
-            })
-            run.done(i, stats)   # after the put: done asserts durability
+            if cache is not None:
+                cache.put(keys[i], stats,
+                          meta=cache_meta(specs[i], stats, value["wall_s"],
+                                          value.get("source")))
+            if run is not None:
+                run.done(i, stats)   # after the put: done asserts durability
             if telemetry is not None:
                 telemetry.record_point(specs[i].label, stats.instructions,
                                        value["wall_s"], cached=False)
                 if value.get("obs"):
                     telemetry.registry.merge(value["obs"])
 
-        run_tasks(execute_point,
-                  [specs[i].payload() for i in todo],
-                  jobs=jobs,
-                  timeout=timeout,
-                  retries=settings.max_point_retries,
-                  labels=[specs[i].label for i in todo],
-                  on_result=finish,
-                  stop_event=stop_event,
-                  heartbeat_s=settings.heartbeat_s if parallel else None,
-                  lease_s=settings.lease_s if parallel else None,
-                  on_heartbeat=on_heartbeat if parallel else None,
-                  on_start=on_start,
-                  on_retry=on_retry)
-        run.seal()
+        hooks: Dict[str, Any] = {"on_result": on_result}
+        if run is not None:
+            def on_retry(j: int, what: str) -> None:
+                if dispatcher is not None:
+                    run.fail(todo[j], what)   # lost by the grid for good
+                else:
+                    run.reclaim(todo[j], reason="lease_expired"
+                                if "lease expired" in what
+                                else "worker_crashed")
+
+            hooks.update(on_start=lambda j: run.claim(todo[j]),
+                         on_heartbeat=lambda j: run.heartbeat(todo[j]),
+                         on_retry=on_retry)
+        if dispatcher is not None:
+            dispatcher.run_points([specs[i] for i in todo], **hooks)
+        else:
+            run_tasks(execute_point, [specs[i].payload() for i in todo],
+                      jobs=jobs, timeout=timeout, retries=retries,
+                      labels=[specs[i].label for i in todo],
+                      stop_event=stop_event, heartbeat_s=heartbeat_s,
+                      lease_s=lease_s, **hooks)
+        if run is not None:
+            run.seal()
         return results  # type: ignore[return-value]
     finally:
-        run.close()
+        if run is not None:
+            run.close()

@@ -4,9 +4,11 @@ The farm parallelizes on one box; the grid scales *out*: a
 :class:`~repro.grid.dispatcher.GridDispatcher` schedules
 :class:`~repro.farm.points.PointSpec`s across a pool of
 ``repro.serve`` backends over the validated ``/v1/simulate`` wire
-protocol, with the content-addressed result cache as the shared store —
-one front door, N backends, bit-identical to a serial
-``run_sweep`` either way.
+protocol — one front door, N backends, bit-identical to a serial
+``run_sweep`` either way.  It is an executor only:
+:func:`~repro.farm.points.run_points` keeps the content-addressed result
+cache, the run journal and telemetry around it, exactly as around the
+local pool.
 
 Robustness is the headline, not an afterthought:
 

@@ -312,7 +312,6 @@ def run_grid_chaos(settings: Optional[GridChaosSettings] = None,
             values = dispatcher.metrics.snapshot()[
                 "grid_points_total"]["values"]
             report.sources = {
-                "cached": values.get('["cached"]', 0),
                 "remote": values.get('["remote"]', 0),
                 "local": values.get('["local"]', 0),
             }

@@ -1,10 +1,13 @@
 """The distributed dispatcher: sweep points over a pool of serve nodes.
 
-:class:`GridDispatcher` implements the farm's ``run_points`` contract —
-cache probe first, execute the misses, results in input order, callers
-cannot tell where a number came from — but the misses go over the wire
-to ``repro.serve`` backends instead of into local forks.  Everything
-else is the robustness machinery that makes that safe:
+:class:`GridDispatcher` is the grid executor of
+:func:`repro.farm.points.run_points`: it runs the points it is given over
+the wire on ``repro.serve`` backends instead of in local forks, and
+returns their results in input order.  The cache, the run journal and
+telemetry stay with ``run_points``, which reaches them through the same
+hooks the local pool takes (``on_start``, ``on_heartbeat``, ``on_retry``,
+``on_result``).  Everything here is the robustness machinery that makes
+remote execution safe:
 
 * **placement** — the :class:`~repro.grid.nodes.NodeRegistry` picks the
   least-loaded healthy node; per-node circuit breakers (a shared
@@ -52,9 +55,7 @@ import repro.obs as obs
 from repro.core.serialization import config_to_dict, profile_to_dict
 from repro.core.stats import SimStats
 from repro.errors import ConfigurationError, GridError, ServeError
-from repro.farm.cache import ResultCache
 from repro.farm.points import PointSpec, execute_point
-from repro.farm.telemetry import RunTelemetry
 from repro.grid.nodes import GridNode, NodeRegistry
 from repro.obs.metrics import Registry
 from repro.serve.protocol import stats_digest
@@ -144,8 +145,7 @@ class GridSettings:
 
 
 class _Task:
-    """One cache-missed point's dispatch state (guarded by the
-    dispatcher's lock)."""
+    """One point's dispatch state (guarded by the dispatcher's lock)."""
 
     def __init__(self, index: int, spec: PointSpec):
         self.index = index
@@ -161,8 +161,6 @@ class _Task:
         self.last_dispatch: Optional[float] = None
         self.done = False
         self.result: Optional[SimStats] = None
-        self.result_wall_s = 0.0
-        self.local = False           # resolved by local fallback
         self.permanent_error: Optional[str] = None
 
 
@@ -190,22 +188,14 @@ def _wire_body(spec: PointSpec) -> Dict[str, Any]:
 
 
 class GridDispatcher:
-    """Fault-tolerant point execution over a pool of serve backends.
-
-    Mirrors :func:`repro.farm.points.run_points` (cache, telemetry,
-    input-order results) so the ambient farm session can swap it in
-    transparently; see the module docstring for the failure policy.
-    """
+    """Fault-tolerant point execution over a pool of serve backends;
+    see the module docstring for the failure policy."""
 
     def __init__(self, nodes: Sequence[str],
                  settings: Optional[GridSettings] = None,
-                 cache: Optional[ResultCache] = None,
-                 telemetry: Optional[RunTelemetry] = None,
                  client_factory=None,
                  metrics: Optional[Registry] = None):
         self.settings = settings or GridSettings()
-        self.cache = cache
-        self.telemetry = telemetry
         self.metrics = metrics if metrics is not None else Registry()
         self.registry = NodeRegistry(
             nodes,
@@ -222,7 +212,7 @@ class GridDispatcher:
         self._m_points = self.metrics.counter(
             "grid_points_total", "points resolved, by source",
             labels=("source",))
-        for source in ("cached", "remote", "local"):
+        for source in ("remote", "local"):
             self._m_points.labels(source)
         self._m_hedges = self.metrics.counter(
             "grid_hedges_total", "straggler hedge dispatches")
@@ -231,11 +221,11 @@ class GridDispatcher:
             "duplicate completions discarded by reconciliation")
         self._attempt_latencies: List[float] = []
         self._lock = threading.Lock()
-        # Active DurableRun for the current run_points call (None when
-        # journaling is off); its own lock serializes worker-thread
-        # done/fail transitions against the supervisor's renewals.
-        self._durable = None
-        self._durable_lock = threading.Lock()
+        # The caller's on_result/on_retry hooks for the current run_points
+        # call; their own lock serializes worker-thread completions
+        # against the supervisor's heartbeats.
+        self._on_result = self._on_retry = None
+        self._hook_lock = threading.Lock()
         self._started = False
         # Worker threads start with a fresh contextvar context, so the
         # caller's ambient trace is captured once per run_points and
@@ -270,75 +260,36 @@ class GridDispatcher:
     # ------------------------------------------------------------ main entry
 
     def run_points(self, specs: Sequence[PointSpec],
-                   on_point=None, journal=None,
-                   durable=None) -> List[SimStats]:
-        """Execute every point (cache first, then the pool); input order
-        out — the distributed twin of :func:`repro.farm.points.run_points`.
+                   on_start=None, on_heartbeat=None, on_retry=None,
+                   on_result=None) -> List[SimStats]:
+        """Execute every point on the pool; results in input order.
 
         Never loses a point while ``local_fallback`` is on: any point the
         pool cannot produce is simulated in-process.  Raises
         :class:`~repro.errors.GridError` only when fallback is disabled
         and a point exhausted every option.
 
-        With ``journal=`` the sweep runs under a write-ahead journal
-        (:mod:`repro.durable`): recovery skips cache-validated
-        ``point_done`` records, every todo point is leased before its
-        first dispatch, the supervisor renews leases while attempts are
-        in flight (hedging remains the slow-straggler answer; the lease
-        covers coordinator death), and completions are journaled *after*
-        the cache holds them.  Requires the dispatcher's cache.
+        The hooks carry :func:`repro.farm.pool.run_tasks`'s names and are
+        called under one lock, with the point's index in ``specs``:
+
+        * ``on_start(index)`` once per point, before its first dispatch;
+        * ``on_heartbeat(index)`` every scheduler tick while the point is
+          unresolved (hedging stays the answer to slow stragglers);
+        * ``on_retry(index, what)`` when the point is lost for good —
+          re-dispatches and hedges stay inside the dispatcher;
+        * ``on_result(index, value)`` once, when the point resolves:
+          ``value`` has the validated ``stats`` snapshot, ``wall_s`` and
+          ``source`` (``"grid"``, or ``"grid-local"`` plus the local
+          run's ``obs`` after a fallback).
         """
-        run = None
-        if journal is not None:
-            from repro.durable import DurableRun
-
-            run = DurableRun(journal, self.cache, durable,
-                             registry=self.metrics)
-        try:
-            return self._run_points(specs, on_point, run)
-        finally:
-            if run is not None:
-                run.close()
-                self._durable = None
-
-    def _run_points(self, specs: Sequence[PointSpec], on_point,
-                    run) -> List[SimStats]:
-        results: List[Optional[SimStats]] = [None] * len(specs)
-        recovered = run.begin(specs) if run is not None else {}
-        self._durable = run
-        tasks: List[_Task] = []
-        for i, spec in enumerate(specs):
-            if on_point is not None:
-                on_point(spec.label)
-            hit = recovered.get(i)
-            if hit is None and self.cache is not None:
-                hit = self.cache.get(spec.key())
-                if hit is not None and run is not None:
-                    # Durable result with no done record (crash between
-                    # cache.put and the journal append): record it now.
-                    run.done(i, hit)
-            if hit is not None:
-                results[i] = hit
-                self._m_points.labels("cached").inc()
-                if self.telemetry is not None:
-                    self.telemetry.record_point(
-                        spec.label, hit.instructions, 0.0, cached=True)
-                continue
-            tasks.append(_Task(i, spec))
+        tasks = [_Task(i, spec) for i, spec in enumerate(specs)]
         if not tasks:
-            if run is not None:
-                run.seal()
-            return results  # type: ignore[return-value]
-        if run is not None:
-            # Lease every todo point up front — the claim is the record
-            # that lets a successor reclaim-and-redo after we die.  The
-            # budget check inside claim() is what stops a sweep that
-            # kills its coordinator deterministically.
-            for task in tasks:
-                run.claim(task.index)
-
+            return []
+        for task in tasks:
+            self._call(on_start, task.index)
         self.start()
         self._trace = obs.current_trace()
+        self._on_result, self._on_retry = on_result, on_retry
         queue: "Queue[Optional[_Task]]" = Queue()
         for task in tasks:
             queue.put(task)
@@ -365,13 +316,14 @@ class GridDispatcher:
         for thread in threads:
             thread.start()
         try:
-            self._supervise(tasks, queue, done_event)
+            self._supervise(tasks, queue, done_event, on_heartbeat)
         finally:
             done_event.set()
             for _ in threads:
                 queue.put(None)
             for thread in threads:
                 thread.join(timeout=5.0)
+            self._on_result = self._on_retry = None
 
         for task in tasks:
             if task.result is None:
@@ -380,28 +332,27 @@ class GridDispatcher:
                     or f"point {task.spec.label!r} was lost by the grid "
                        "(this is a bug: fallback should have caught it)",
                     label=task.spec.label)
-            results[task.index] = task.result
-        if run is not None:
-            run.seal()
-        return results  # type: ignore[return-value]
+        return [task.result for task in tasks]
+
+    def _call(self, hook, *args) -> None:
+        if hook is not None:
+            with self._hook_lock:
+                hook(*args)
 
     # ------------------------------------------------------------ scheduling
 
     def _supervise(self, tasks: List[_Task],
                    queue: "Queue[Optional[_Task]]",
-                   done_event: threading.Event) -> None:
+                   done_event: threading.Event, on_heartbeat) -> None:
         """Wait for completion, hedging stragglers as they appear."""
         while not done_event.wait(_TICK):
-            run = self._durable
-            if run is not None:
-                # The coordinator is alive and still working these
-                # points: extend their on-disk leases (rate-limited by
-                # the driver).  Stragglers stay the hedging loop's
-                # problem — a lease only expires when *we* die.
-                with self._durable_lock:
+            if on_heartbeat is not None:
+                # Unresolved points are in flight or queued, not abandoned
+                # (a slow one is the hedging loop's problem).
+                with self._hook_lock:
                     for task in tasks:
                         if not task.done:
-                            run.heartbeat(task.index)
+                            on_heartbeat(task.index)
             threshold = self._hedge_threshold()
             if threshold is None:
                 continue
@@ -473,7 +424,10 @@ class GridDispatcher:
         if node is None and task.active_urls:
             node = self.registry.acquire()
         if node is None:
-            self._no_backend(task, task_finished)
+            self._run_local(
+                task, task_finished, "no_backends",
+                f"no usable backend for point {task.spec.label!r} and "
+                "local fallback is disabled")
             return
         with self._lock:
             if task.done:       # a hedge twin won while we were placing
@@ -521,27 +475,15 @@ class GridDispatcher:
                 for record in response["trace"].get("spans", []):
                     if isinstance(record, dict):
                         trace.add_record(record)
-            self._reconcile(task, node, stats,
-                            float(response.get("wall_s", 0.0)),
-                            task_finished)
+            self._reconcile(task, node, stats, {
+                "stats": response["stats"],
+                "wall_s": float(response.get("wall_s", 0.0)),
+                "source": "grid"}, task_finished)
             return
 
         # Failure path: an invalid payload is as damning as a refused
         # connection — the node produced garbage.
         self.registry.note_failure(node)
-        if permanent is not None:
-            # The request is condemned, not just this node: no re-queue.
-            with self._lock:
-                if task.done:
-                    return
-                task.active -= 1
-                task.active_urls.discard(node.url)
-            if self.settings.local_fallback:
-                self._run_local(task, task_finished,
-                                reason="request_condemned")
-            else:
-                self._resolve_permanent(task, permanent, task_finished)
-            return
         with self._lock:
             if task.done:
                 return
@@ -550,17 +492,24 @@ class GridDispatcher:
             task.last_failed_url = node.url
             retry = task.attempts < self.settings.max_remote_attempts
             last_hope = task.active == 0
-        if retry:
+        if permanent is not None:
+            # The request is condemned, not just this node: no re-queue.
+            self._run_local(task, task_finished, "request_condemned",
+                            permanent)
+        elif retry:
             queue.put(task)
         elif last_hope:
-            self._run_local(task, task_finished, reason="retries_exhausted")
+            self._run_local(
+                task, task_finished, "retries_exhausted",
+                f"point {task.spec.label!r} exhausted its remote attempts "
+                "and local fallback is disabled")
         # else: a hedge twin is still in flight; if it also fails it will
         # reach this branch with active == 0 and fall back locally.
 
     # ---------------------------------------------------------- reconciling
 
     def _reconcile(self, task: _Task, node: GridNode, stats: SimStats,
-                   wall_s: float, task_finished) -> None:
+                   value: Dict[str, Any], task_finished) -> None:
         """First-valid-wins: exactly one completion resolves the point.
 
         Determinism note: the simulator guarantees every valid completion
@@ -576,22 +525,9 @@ class GridDispatcher:
                 return
             task.done = True
             task.result = stats
-            task.result_wall_s = wall_s
             task_finished()
         self._m_points.labels("remote").inc()
-        self._store(task, stats, wall_s, source="grid")
-        self._durable_done(task, stats)
-        if self.telemetry is not None:
-            self.telemetry.record_point(task.spec.label, stats.instructions,
-                                        wall_s, cached=False)
-
-    def _durable_done(self, task: _Task, stats: SimStats) -> None:
-        """Journal a completion (after :meth:`_store`: the ``point_done``
-        record asserts the result is already durable in the cache)."""
-        run = self._durable
-        if run is not None:
-            with self._durable_lock:
-                run.done(task.index, stats)
+        self._call(self._on_result, task.index, value)
 
     def _validate(self, task: _Task,
                   response: Dict[str, Any]) -> Optional[SimStats]:
@@ -622,24 +558,14 @@ class GridDispatcher:
 
     # ------------------------------------------------------------- fallback
 
-    def _no_backend(self, task: _Task, task_finished) -> None:
-        """No usable node: the graceful-degradation path."""
-        if self.settings.local_fallback:
-            self._run_local(task, task_finished, reason="no_backends")
-            return
-        self._resolve_permanent(
-            task,
-            f"no usable backend for point {task.spec.label!r} and local "
-            "fallback is disabled", task_finished)
-
-    def _run_local(self, task: _Task, task_finished, reason: str) -> None:
-        """Execute the point in-process — same ``execute_point`` the farm
-        uses, so the result is the result."""
+    def _run_local(self, task: _Task, task_finished, reason: str,
+                   error: str) -> None:
+        """The graceful-degradation path: execute the point in-process —
+        same ``execute_point`` the farm uses, so the result is the result
+        — or, with local fallback disabled, resolve it as lost with
+        ``error``."""
         if not self.settings.local_fallback:
-            self._resolve_permanent(
-                task,
-                f"point {task.spec.label!r} exhausted its remote attempts "
-                "and local fallback is disabled", task_finished)
+            self._resolve_permanent(task, error, task_finished)
             return
         with self._lock:
             if task.done:
@@ -661,7 +587,6 @@ class GridDispatcher:
                     f"{type(exc).__name__}: {exc}", task_finished)
                 return
         stats = SimStats.from_dict(value["stats"])
-        wall_s = float(value["wall_s"])
         if trace is not None:
             for record in value.get("trace_spans", ()):
                 if isinstance(record, dict):
@@ -672,17 +597,10 @@ class GridDispatcher:
                 return
             task.done = True
             task.result = stats
-            task.result_wall_s = wall_s
-            task.local = True
             task_finished()
         self._m_points.labels("local").inc()
-        self._store(task, stats, wall_s, source="grid-local")
-        self._durable_done(task, stats)
-        if self.telemetry is not None:
-            self.telemetry.record_point(task.spec.label, stats.instructions,
-                                        wall_s, cached=False)
-            if value.get("obs"):
-                self.telemetry.registry.merge(value["obs"])
+        value["source"] = "grid-local"
+        self._call(self._on_result, task.index, value)
 
     def _resolve_permanent(self, task: _Task, message: str,
                            task_finished) -> None:
@@ -692,20 +610,4 @@ class GridDispatcher:
             task.done = True
             task.permanent_error = message
             task_finished()
-        run = self._durable
-        if run is not None:
-            with self._durable_lock:
-                run.fail(task.index, message)
-
-    def _store(self, task: _Task, stats: SimStats, wall_s: float,
-               source: str) -> None:
-        if self.cache is None:
-            return
-        self.cache.put(task.key, stats, meta={
-            "label": task.spec.label,
-            "config": task.spec.config.name,
-            "instructions": stats.instructions,
-            "wall_s": round(wall_s, 3),
-            "created_unix": int(time.time()),
-            "source": source,
-        })
+        self._call(self._on_retry, task.index, message)

@@ -24,6 +24,12 @@ The contract it asserts, request by request:
    completes within its grace period and leaves no live worker
    processes behind.
 
+Two aggregate checks ride on top: some hopeless request comes back 504,
+and (fork isolation) some request is shed with 429.  Before the storm the
+harness creates both preconditions by construction: a hopeless request
+admitted by the idle server, and a burst of more than ``queue_depth +
+workers`` uncached requests while forced stalls pin the executor.
+
 :func:`run_chaos` returns a :class:`ChaosReport`; ``report.passed`` is
 the single bit CI cares about.
 """
@@ -131,14 +137,16 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _chaos_requests(settings: ChaosSettings) -> List[Dict[str, Any]]:
-    """The request bodies clients draw from: one config, ``points``
-    distinct workload sizes (distinct content addresses)."""
+def _chaos_requests(settings: ChaosSettings,
+                    count: int) -> List[Dict[str, Any]]:
+    """``count`` request bodies: one config, distinct workload sizes
+    (distinct content addresses).  The clients draw from the first
+    ``points``; the rest are sent once each, so they are never cached."""
     config = base_architecture()
     from repro.core.serialization import config_to_dict, profile_to_dict
 
     bodies = []
-    for i in range(settings.points):
+    for i in range(count):
         instructions = settings.instructions + 500 * i
         profiles = default_suite(instructions)[:settings.level]
         bodies.append({
@@ -218,6 +226,50 @@ class _Saboteur(threading.Thread):
                 continue  # entry vanished or shrank mid-flip: fine
 
 
+def _send(client: ServeClient, body: Dict[str, Any],
+          truth: Optional[Dict[str, int]], name: str, budget_s: float,
+          report: ChaosReport, lock: threading.Lock) -> None:
+    """Send one request and classify its outcome into the report;
+    ``truth=None`` marks a hopeless request."""
+    hopeless = truth is None
+    with lock:
+        report.requests += 1
+        if hopeless:
+            report.hopeless_sent += 1
+    try:
+        result = client.simulate(body, budget_s=budget_s)
+    except ServeError as exc:
+        with lock:
+            if exc.status == 429:
+                report.shed += 1
+            elif exc.status == 504:
+                report.deadline_expired += 1
+            elif exc.status == 503:
+                report.unavailable += 1
+            elif exc.status == 500:
+                report.server_error += 1
+            elif exc.status == 0:
+                report.transport_errors += 1
+                report.gave_up += 1
+            else:
+                report.violations.append(
+                    f"unclassified failure status {exc.status}: {exc}")
+        return
+    with lock:
+        if hopeless:
+            report.violations.append(
+                "hopeless request (deadline far below simulation time) "
+                "returned 200 — deadline not enforced")
+            return
+        report.ok += 1
+        if result.get("cached"):
+            report.ok_cached += 1
+        if result.get("stats") != truth:
+            report.violations.append(
+                f"{name}: 200 response diverged from ground "
+                f"truth (cached={result.get('cached')})")
+
+
 def _client_loop(client: ServeClient, bodies: List[Dict[str, Any]],
                  truths: List[Dict[str, int]], hopeless: Dict[str, Any],
                  hopeless_every: int, stop_at: float,
@@ -228,46 +280,14 @@ def _client_loop(client: ServeClient, bodies: List[Dict[str, Any]],
         sent += 1
         is_hopeless = hopeless_every > 0 and sent % hopeless_every == 0
         index = rng.randrange(len(bodies))
-        body = dict(hopeless) if is_hopeless else dict(bodies[index])
-        with lock:
-            report.requests += 1
-            if is_hopeless:
-                report.hopeless_sent += 1
-        try:
+        if is_hopeless:
             # Hopeless requests get a short budget: every attempt is a
             # guaranteed 504, so retrying them at length proves nothing.
-            result = client.simulate(
-                body, budget_s=1.0 if is_hopeless else 10.0)
-        except ServeError as exc:
-            with lock:
-                if exc.status == 429:
-                    report.shed += 1
-                elif exc.status == 504:
-                    report.deadline_expired += 1
-                elif exc.status == 503:
-                    report.unavailable += 1
-                elif exc.status == 500:
-                    report.server_error += 1
-                elif exc.status == 0:
-                    report.transport_errors += 1
-                    report.gave_up += 1
-                else:
-                    report.violations.append(
-                        f"unclassified failure status {exc.status}: {exc}")
-            continue
-        with lock:
-            if is_hopeless:
-                report.violations.append(
-                    "hopeless request (deadline far below simulation time) "
-                    "returned 200 — deadline not enforced")
-                continue
-            report.ok += 1
-            if result.get("cached"):
-                report.ok_cached += 1
-            if result.get("stats") != truths[index]:
-                report.violations.append(
-                    f"point {index}: 200 response diverged from ground "
-                    f"truth (cached={result.get('cached')})")
+            _send(client, dict(hopeless), None, "hopeless request", 1.0,
+                  report, lock)
+        else:
+            _send(client, dict(bodies[index]), truths[index],
+                  f"point {index}", 10.0, report, lock)
 
 
 def run_chaos(settings: Optional[ChaosSettings] = None,
@@ -278,7 +298,10 @@ def run_chaos(settings: Optional[ChaosSettings] = None,
     report = ChaosReport()
     lock = threading.Lock()
 
-    bodies = _chaos_requests(settings)
+    # The clients' points, then a burst of twice what the server holds.
+    bodies = _chaos_requests(
+        settings, settings.points + 2 * (settings.queue_depth
+                                         + settings.workers))
     truths = _ground_truth(settings, bodies)
     hopeless = _hopeless_request(settings)
 
@@ -307,14 +330,36 @@ def run_chaos(settings: Optional[ChaosSettings] = None,
 
     saboteur = _Saboteur(cache_dir, settings.corrupt_every_s, settings.seed)
     previous_faults = os.environ.get(WORKER_FAULT_ENV)
-    os.environ[WORKER_FAULT_ENV] = worker_fault_spec(
-        crash=settings.worker_crash_p,
-        stall=settings.worker_stall_p,
-        stall_s=settings.worker_stall_s)
     try:
+        # A hopeless request to the idle, fault-free server is admitted
+        # (the queue is empty) and cannot finish: its one answer is 504.
+        single_shot = RetryPolicy(max_attempts=1)
+        os.environ.pop(WORKER_FAULT_ENV, None)
+        _send(ServeClient(base_url, retry=single_shot), dict(hopeless), None,
+              "hopeless request", settings.deadline_s, report, lock)
         saboteur.start()
-        stop_at = time.monotonic() + settings.duration_s
+        if server.settings.effective_isolation() == "fork":
+            # Every burst worker stalls, so the executor holds one burst
+            # request while the others arrive: more of them than the
+            # queue and executors hold must be shed.
+            os.environ[WORKER_FAULT_ENV] = worker_fault_spec(
+                stall=1.0, stall_s=settings.worker_stall_s)
+            burst = [threading.Thread(
+                target=_send, name=f"chaos-burst-{k}", daemon=True,
+                args=(ServeClient(base_url, retry=single_shot), bodies[k],
+                      truths[k], f"burst point {k}", settings.deadline_s,
+                      report, lock))
+                for k in range(settings.points, len(bodies))]
+            for thread in burst:
+                thread.start()
+            for thread in burst:
+                thread.join(timeout=settings.deadline_s + 5.0)
+        os.environ[WORKER_FAULT_ENV] = worker_fault_spec(
+            crash=settings.worker_crash_p,
+            stall=settings.worker_stall_p,
+            stall_s=settings.worker_stall_s)
         threads = []
+        stop_at = time.monotonic() + settings.duration_s
         for i in range(settings.clients):
             client = ServeClient(
                 base_url,
@@ -325,7 +370,8 @@ def run_chaos(settings: Optional[ChaosSettings] = None,
                 rng=random.Random(settings.seed + i))
             thread = threading.Thread(
                 target=_client_loop,
-                args=(client, bodies, truths, hopeless,
+                args=(client, bodies[:settings.points],
+                      truths[:settings.points], hopeless,
                       settings.hopeless_every, stop_at,
                       random.Random(1000 + settings.seed + i), report, lock),
                 name=f"chaos-client-{i}", daemon=True)
@@ -375,8 +421,8 @@ def run_chaos(settings: Optional[ChaosSettings] = None,
         report.violations.append(
             f"{report.hopeless_sent} hopeless request(s) sent but no 504 "
             f"ever came back — deadlines are not being enforced")
-    # Under fork isolation the injected stalls pin the single executor,
-    # so a full-length storm must fill the queue and shed at least once.
+    # Under fork isolation the burst overfilled the queue while stalls
+    # pinned the executor, so a server that bounds admission shed.
     if (report.metrics.get("isolation") == "fork"
             and settings.duration_s >= 4.0 and report.shed == 0):
         report.violations.append(

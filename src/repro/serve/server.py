@@ -58,7 +58,7 @@ from repro.errors import (
     ServeError,
 )
 from repro.farm.cache import ResultCache
-from repro.farm.points import PointSpec, execute_point
+from repro.farm.points import PointSpec, cache_meta, execute_point
 from repro.farm.pool import fork_available, run_tasks
 from repro.farm.telemetry import RunTelemetry
 from repro.obs.metrics import (
@@ -599,14 +599,8 @@ class SimServer:
         self.telemetry.record_point(job.spec.label, stats.instructions,
                                     wall_s, cached=False)
         if self.cache is not None:
-            self.cache.put(job.key, stats, meta={
-                "label": job.spec.label,
-                "config": job.spec.config.name,
-                "instructions": stats.instructions,
-                "wall_s": round(wall_s, 3),
-                "created_unix": int(time.time()),
-                "source": "repro-serve",
-            })
+            self.cache.put(job.key, stats, meta=cache_meta(
+                job.spec, stats, wall_s, source="repro-serve"))
         job.finish(200, render_result(job.spec, stats, job.key,
                                       cached=False,
                                       wall_s=time.monotonic() - started))

@@ -141,6 +141,20 @@ class TestRunnerParallel:
         assert manifest["summary"]["points"] > 0
         assert ResultCache(cache_dir).stats()["entries"] > 0
 
+    def test_workers_counters_reach_the_manifest_registry(self, tmp_path,
+                                                          capsys):
+        assert experiments_main(
+            ["fig5", "fig6", *RUN_FLAGS, "--no-cache", "--jobs", "2",
+             "--manifest", str(tmp_path / "m.json")]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        summary, obs = manifest["summary"], manifest["obs"]
+        assert summary["points"] > 0
+        assert obs["farm_points_total"]["values"] == {
+            '["simulated"]': summary["points"]}
+        assert sum(obs["farm_instructions_total"]["values"].values()) \
+            == summary["instructions"]
+
     def test_invalid_jobs_rejected(self, capsys):
         assert experiments_main(["fig4", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err

@@ -1,18 +1,22 @@
 """The grid dispatcher against scriptable fake backends: bit-identical
-results, retries, hedged re-dispatch reconciliation, and the
-local-fallback guarantee that no point is ever lost."""
+results, retries, hedged re-dispatch reconciliation, the local-fallback
+guarantee that no point is ever lost, and ``run_points``' cache, journal
+and telemetry around grid-executed points."""
 
 import json
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.core.config import base_architecture
+from repro.durable.journal import read_records, replay_records
 from repro.errors import GridError, ServeError
 from repro.farm.cache import ResultCache
 from repro.farm.points import PointSpec, run_points
+from repro.farm.telemetry import RunTelemetry
 from repro.grid.dispatcher import GridDispatcher, GridSettings
 from repro.serve.protocol import parse_simulate_request
 from repro.trace.benchmarks import default_suite
@@ -110,21 +114,111 @@ class TestHappyPath:
             from repro.core.stats import SimStats
 
             cache.put(spec.key(), SimStats.from_dict(stats_dict))
-        grid = GridDispatcher(["http://a"], cache=cache,
-                              client_factory=FakeServeClient)
+        grid = GridDispatcher(["http://a"], client_factory=FakeServeClient)
         with grid:
-            got = grid.run_points(wanted)
+            got = run_points(wanted, cache=cache, dispatcher=grid)
         assert [s.to_dict() for s in got] == truth
         assert FakeServeClient.calls == {}          # nothing dispatched
 
     def test_results_land_in_the_cache(self, tmp_path):
         wanted = specs(1)
         cache = ResultCache(tmp_path / "cache")
-        grid = GridDispatcher(["http://a"], cache=cache,
-                              client_factory=FakeServeClient)
+        grid = GridDispatcher(["http://a"], client_factory=FakeServeClient)
         with grid:
-            got = grid.run_points(wanted)
+            got = run_points(wanted, cache=cache, dispatcher=grid)
         assert cache.get(wanted[0].key()).to_dict() == got[0].to_dict()
+
+
+def journal_records(journal_dir):
+    wals = sorted(journal_dir.glob("*.wal"))
+    assert len(wals) == 1
+    records, torn = read_records(wals[0])
+    assert torn == 0
+    return records
+
+
+def count(records, rec):
+    return Counter(r["index"] for r in records if r["rec"] == rec)
+
+
+class TestSweepPath:
+    """run_points owns the cache, journal and telemetry of grid points;
+    the dispatcher (built without any of them) only runs the misses."""
+
+    def test_cache_and_telemetry_wrap_grid_points(self, tmp_path):
+        wanted = specs(3)
+        truth = serial(wanted)
+        cache = ResultCache(tmp_path / "cache")
+        telemetry = RunTelemetry(stream=None)
+        with dispatcher(["http://a", "http://b"]) as grid:
+            got = run_points(wanted, cache=cache, telemetry=telemetry,
+                             dispatcher=grid)
+            assert [s.to_dict() for s in got] == truth
+            assert sum(len(c) for c in FakeServeClient.calls.values()) == 3
+            metas = sorted((meta for _, meta in cache.entries()),
+                           key=lambda meta: meta["label"])
+            assert [m["label"] for m in metas] == ["p0", "p1", "p2"]
+            assert {m["source"] for m in metas} == {"grid"}
+            for spec, stats in zip(wanted, truth):
+                assert cache.get(spec.key()).to_dict() == stats
+            points = telemetry.registry.counter(
+                "farm_points_total", labels=("source",))
+            assert points.value_of("simulated") == 3
+
+            FakeServeClient.calls = {}
+            again = run_points(wanted, cache=cache, telemetry=telemetry,
+                               dispatcher=grid)
+        assert [s.to_dict() for s in again] == truth
+        assert FakeServeClient.calls == {}          # nothing dispatched
+        assert points.value_of("cached") == 3
+        assert grid._m_points.value_of("remote") == 3
+
+    def test_journaled_grid_sweep_seals_and_replays(self, tmp_path):
+        wanted = specs(3)
+        truth = serial(wanted)
+        cache = ResultCache(tmp_path / "cache")
+        telemetry = RunTelemetry(stream=None)
+        with dispatcher(["http://a", "http://b"]) as grid:
+            got = run_points(wanted, cache=cache, telemetry=telemetry,
+                             dispatcher=grid, journal=tmp_path / "j")
+            assert [s.to_dict() for s in got] == truth
+            records = journal_records(tmp_path / "j")
+            assert count(records, "point_claimed") == {0: 1, 1: 1, 2: 1}
+            assert count(records, "point_done") == {0: 1, 1: 1, 2: 1}
+            assert replay_records(records).sealed
+
+            FakeServeClient.calls = {}
+            again = run_points(wanted, cache=cache, telemetry=telemetry,
+                               dispatcher=grid, journal=tmp_path / "j")
+        assert [s.to_dict() for s in again] == truth
+        assert FakeServeClient.calls == {}          # nothing dispatched
+        rerun = journal_records(tmp_path / "j")[len(records):]
+        assert [r["rec"] for r in rerun] == ["run_resumed"]
+        assert rerun[0]["replayed"] == 3
+        # The durable counters land in the caller's telemetry registry.
+        replayed = telemetry.registry.counter(
+            "durable_replayed_points_total")
+        assert replayed.value == 3
+
+    def test_lost_point_is_journaled_failed_and_unsealed(self, tmp_path):
+        wanted = specs(1)
+
+        def refuse(body):
+            raise ServeError("connection refused", status=0)
+
+        FakeServeClient.behaviors["http://a"] = refuse
+        FakeServeClient.behaviors["http://b"] = refuse
+        with dispatcher(["http://a", "http://b"], quarantine_after=1,
+                        max_remote_attempts=1,
+                        local_fallback=False) as grid:
+            with pytest.raises(GridError):
+                run_points(wanted, cache=ResultCache(tmp_path / "cache"),
+                           dispatcher=grid, journal=tmp_path / "j")
+        records = journal_records(tmp_path / "j")
+        assert count(records, "point_claimed") == {0: 1}
+        assert count(records, "point_failed") == {0: 1}
+        assert not count(records, "point_done")
+        assert not replay_records(records).sealed
 
 
 class TestRetries:
