@@ -29,9 +29,7 @@ def test_simulator_throughput(benchmark):
 
     def run():
         memsys = MemorySystem(base_architecture())
-        memsys.run_slice(prepared.pcs, prepared.kinds, prepared.addrs,
-                         prepared.partials, prepared.syscalls, 0, 1 << 60,
-                         batch=prepared)
+        memsys.run_slice(prepared, 0, 1 << 60)
         return memsys.stats.instructions
 
     executed = benchmark.pedantic(run, rounds=3, iterations=1)

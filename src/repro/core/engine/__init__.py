@@ -24,12 +24,13 @@ model run under interchangeable execution strategies:
 The protocol between the two sides is deliberately narrow:
 
 * an engine is constructed with the :class:`MemorySystem` it drives;
-* ``run_slice(pcs, kinds, addrs, partials, syscalls, start, deadline,
-  batch=None)`` executes instructions and returns a
-  :class:`SliceResult`.  ``batch`` is the prepared batch the columns
-  come from, if any; an engine may keep per-batch data on it (the
-  batched engine's event index), freed with the batch.  Engines hold no
-  other state between calls, so a checkpoint restore needs no hook.
+* ``run_slice(batch, start, deadline)`` executes instructions of a
+  :class:`~repro.sched.process.PreparedBatch` and returns a
+  :class:`SliceResult`.  The batch's columns are NumPy arrays; an engine
+  converts to Python values only the part one call can reach, and may
+  keep per-batch data on the batch (the batched engine's event index),
+  freed with it.  Engines hold no other state between calls, so a
+  checkpoint restore needs no hook.
 
 Policy and refill/timing handlers live in :mod:`repro.core.engine.policies`
 and :mod:`repro.core.engine.timing`; dispatch is resolved **once at
@@ -39,12 +40,13 @@ handler pair, which the memory system binds as methods), never per access.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.hierarchy import MemorySystem
+    from repro.sched.process import PreparedBatch
 
 #: Reasons a slice of execution stopped.
 REASON_END = "end"          # batch exhausted
@@ -79,9 +81,8 @@ class Engine:
     def __init__(self, ms: "MemorySystem"):
         self.ms = ms
 
-    def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
-                  partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, batch=None) -> SliceResult:
+    def run_slice(self, batch: PreparedBatch, start: int,
+                  deadline: int) -> SliceResult:
         raise NotImplementedError
 
 

@@ -9,15 +9,19 @@ The event index
 ---------------
 
 An instruction is an event when its L1-I line differs from the previous
-instruction's, or when it accesses data.  :func:`event_index` returns
-the event positions as an int32 array, and the system-call positions.
-The index depends only on the batch and the L1-I line size, so it is
-built on the first call that runs the batch, kept on the
-:class:`~repro.sched.process.PreparedBatch` in place of its NumPy
-columns (which are dropped), and freed with the batch.  Callers that
-pass bare columns get an index built for that call.  Each call turns
-into a list only the events it can reach: at one cycle per instruction,
-none past ``start + deadline - now``.
+instruction's, or when it accesses data.  :func:`event_index` compacts
+the batch's columns to its events, as NumPy arrays: their positions
+(int32), each event's L1-I line, kind, address and partial flag, and
+the system-call positions.  The index depends only on the batch and the
+L1-I line size, so it is built on the first call that runs the batch,
+kept on the :class:`~repro.sched.process.PreparedBatch` next to its
+columns, rebuilt only for a different line size, and freed with the
+batch.  Each call finds the slice of the index it can reach (at one
+cycle per instruction, none past ``start + deadline - now``) and zips
+memoryviews of it, which yield one event at a time: a call converts only
+the events it runs.  Every value the loop passes on is a Python ``int``
+or ``bool``: a NumPy scalar would leak into statistics, obs events and
+``state_dict()``.
 
 Why skipping is exact
 ---------------------
@@ -29,7 +33,8 @@ Why skipping is exact
   I-TLB page check therefore sits under the line-change test.
 * The first instruction of every call is always an event: another
   process may have evicted its line, or moved the TLB's last page,
-  since this batch last ran.
+  since this batch last ran.  When the index does not list it, it is
+  prepended as a kind-0 instruction: every data access is listed.
 * A free instruction touches no state, so the only question is where
   the call stops.  The clock after a free step at position ``q`` is
   ``q + c``, and ``c`` moves only when an event stalls.  The reference
@@ -38,7 +43,7 @@ Why skipping is exact
   it is below the deadline, and after the last one the call takes free
   steps up to where they reach the deadline, the next system call or
   the batch end, whichever comes first.  A call with
-  ``start < len(pcs)`` always runs at least one instruction, as
+  ``start < len(batch)`` always runs at least one instruction, as
   ``reference`` does.
 
 Events run the reference loop's code.  Misses and stores go through the
@@ -54,7 +59,7 @@ checkpoints are bit-identical to ``reference`` (``tests/test_engine_*``,
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List
+from itertools import chain
 
 import numpy as np
 
@@ -71,20 +76,25 @@ from repro.params import PAGE_WORDS, log2i
 _PAGE_SHIFT = log2i(PAGE_WORDS)
 
 
-def event_index(pcs, kinds, syscalls, il_shift: int) -> tuple:
-    """``(il_shift, events, syscall positions)`` for one batch.
+def event_index(batch, il_shift: int) -> tuple:
+    """The event index of a :class:`~repro.sched.process.PreparedBatch`.
 
-    ``events`` is a sorted int32 array of the positions whose L1-I line
-    (``pc >> il_shift``) differs from the previous position's or that
-    access data.  The columns may be lists or arrays.
+    Returns ``(il_shift, positions, lines, kinds, addrs, partials,
+    system-call positions)``, all but the first NumPy arrays.
+    ``positions`` is a sorted int32 array of the positions whose L1-I
+    line (``pc >> il_shift``) differs from the previous position's or
+    that access data; ``lines``, ``kinds``, ``addrs`` and ``partials``
+    hold each event's L1-I line and data access.
     """
-    lines = np.asarray(pcs, dtype=np.int64) >> il_shift
-    event = np.asarray(kinds) != 0
+    lines = batch.pc >> il_shift
+    event = batch.kind != 0
     if lines.size:
         event[0] = True
         event[1:] |= lines[1:] != lines[:-1]
-    return (il_shift, np.flatnonzero(event).astype(np.int32),
-            np.flatnonzero(syscalls).tolist())
+    positions = np.flatnonzero(event)
+    return (il_shift, positions.astype(np.int32), lines[positions],
+            batch.kind[positions], batch.addr[positions],
+            batch.partial[positions], np.flatnonzero(batch.syscall))
 
 
 class BatchedEngine(Engine):
@@ -97,44 +107,47 @@ class BatchedEngine(Engine):
         self._wb_store_hits = (
             ms.config.write_policy is WritePolicy.WRITE_BACK)
 
-    def _index(self, pcs, kinds, syscalls, batch) -> tuple:
-        il_shift = self.ms._il_shift
-        if batch is None:
-            return event_index(pcs, kinds, syscalls, il_shift)
-        index = batch.events
-        if index is None or index[0] != il_shift:
-            columns = batch.np_cols or (pcs, kinds, syscalls)
-            index = batch.events = event_index(*columns, il_shift)
-            batch.np_cols = None
-        return index
-
-    def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
-                  partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, batch=None) -> SliceResult:
+    def run_slice(self, batch, start: int, deadline: int) -> SliceResult:
         ms = self.ms
         st = ms.stats
         now = ms.now
         last_ipage = ms._last_ipage
         last_dpage = ms._last_dpage
-        n = len(pcs)
+        n = len(batch)
         end = start
         reason = REASON_END
         if start < n:
-            _, ev, sys_pos = self._index(pcs, kinds, syscalls, batch)
-            j = bisect_left(sys_pos, start)
-            sys_at = sys_pos[j] if j < len(sys_pos) else n
+            il_shift = ms._il_shift
+            if batch.events is None or batch.events[0] != il_shift:
+                batch.events = event_index(batch, il_shift)
+            _, ev, ev_lines, ev_kinds, ev_addrs, ev_partials, sys_pos = (
+                batch.events)
+            j = sys_pos.searchsorted(start)
+            sys_at = int(sys_pos[j]) if j < len(sys_pos) else n
             last = sys_at if sys_at < n else n - 1
             # The call runs at least one instruction, so at least one
             # cycle; at one cycle each, none runs past ``reach``.
             cutoff = deadline if deadline > now else now + 1
             reach = start + cutoff - now - 1
-            events = ev[ev.searchsorted(start, "right"):ev.searchsorted(
-                reach if reach < last else last, "right")].tolist()
-            events.insert(0, start)
-            events.append(reach + 1)  # always beyond the deadline
+            # int32 queries: a Python int would make NumPy cast the
+            # whole index to int64.
+            lo, hi = ev.searchsorted(np.array(
+                (start, (reach if reach < last else last) + 1),
+                np.int32)).tolist()
+            # Memoryviews yield Python ints and bools, one per step, so
+            # the loop converts only the events it reaches.
+            positions = memoryview(ev[lo:hi])
+            rows = zip(positions, memoryview(ev_lines[lo:hi]),
+                       memoryview(ev_kinds[lo:hi]),
+                       memoryview(ev_addrs[lo:hi]),
+                       memoryview(ev_partials[lo:hi]))
+            if lo == hi or positions[0] != start:
+                # Not an event, so it accesses no data.
+                rows = chain((
+                    (start, int(batch.pc[start]) >> il_shift, 0, 0, False),),
+                    rows)
 
             itags = ms._itags
-            il_shift = ms._il_shift
             ip_shift = _PAGE_SHIFT - il_shift
             i_mask = ms._i_mask
             dtags = ms._dtags
@@ -158,10 +171,9 @@ class BatchedEngine(Engine):
             # The clock after a free step at position q is q + c; only a
             # stall moves c.
             c = now + 1 - start
-            for i in events:
+            for i, iline, kind, addr, partial in rows:
                 if i + c > cutoff:
                     break  # the deadline falls before i
-                iline = pcs[i] >> il_shift
                 if iline != iline_prev:
                     iline_prev = iline
                     if tlb_on:
@@ -173,9 +185,7 @@ class BatchedEngine(Engine):
                                 st.stall_tlb += tlb_penalty
                     if itags[iline & i_mask] != iline:
                         c = ifetch_miss(i + c, iline) - i
-                kind = kinds[i]
                 if kind:
-                    addr = addrs[i]
                     if tlb_on:
                         page = addr >> _PAGE_SHIFT
                         if page != last_dpage:
@@ -199,13 +209,16 @@ class BatchedEngine(Engine):
                             write_hits += 1
                             c += 1
                         else:
-                            c = store(i + c, addr, partials[i]) - i
+                            c = store(i + c, addr, partial) - i
+            else:
+                i = reach + 1  # every reachable event ran
             # The last instruction run: where free steps after the last
             # event reach the deadline, the system call or the batch end.
             end = cutoff - c
             if end > last:
                 end = last
-            ran = events[bisect_left(events, i) - 1]
+            k = bisect_left(positions, i)
+            ran = positions[k - 1] if k else start
             if end < ran:
                 end = ran
             now = end + c

@@ -6,12 +6,12 @@ direct-mapped L1-I hit check), optional data access (inlined universal
 L1-D load-hit check), TLB probes on page crossings, and cycle accounting
 into the Fig. 4 stall components.  Misses and stores dispatch through the
 policy and timing handlers bound on the memory system at construction.
-It ignores ``batch``.
+Each call converts to lists only the window of the batch it can reach: it
+spends at least one cycle per instruction, so no more than
+``max(1, deadline - now)`` instructions.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 from repro.core.engine import (
     REASON_END,
@@ -30,12 +30,16 @@ class ReferenceEngine(Engine):
 
     name = "reference"
 
-    def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
-                  partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, batch=None) -> SliceResult:
+    def run_slice(self, batch, start: int, deadline: int) -> SliceResult:
         ms = self.ms
         now = ms.now
         st = ms.stats
+        window = slice(start, start + max(1, deadline - now))
+        pcs = batch.pc[window].tolist()
+        kinds = batch.kind[window].tolist()
+        addrs = batch.addr[window].tolist()
+        partials = batch.partial[window].tolist()
+        syscalls = batch.syscall[window].tolist()
 
         itags = ms._itags
         il_shift = ms._il_shift
@@ -61,7 +65,7 @@ class ReferenceEngine(Engine):
         loads = 0
         stores = 0
         n = len(pcs)
-        i = start
+        i = 0
         reason = REASON_END
         while i < n:
             pc = pcs[i]
@@ -105,7 +109,7 @@ class ReferenceEngine(Engine):
                 reason = REASON_SLICE
                 break
 
-        consumed = i - start
+        consumed = i
         ms.now = now
         ms._last_ipage = last_ipage
         ms._last_dpage = last_dpage

@@ -49,7 +49,7 @@ standalone.
 from __future__ import annotations
 
 from types import MethodType
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.core.cache import INVALID
 from repro.core.config import BypassMode, SystemConfig, WritePolicy
@@ -68,6 +68,9 @@ from repro.core.stats import SimStats
 from repro.core.write_buffer import WriteBuffer
 from repro.mmu.tlb import TLB
 from repro.params import PAGE_WORDS, log2i
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sched.process import PreparedBatch
 
 _PAGE_SHIFT = log2i(PAGE_WORDS)
 
@@ -413,22 +416,23 @@ class MemorySystem:
 
     # --------------------------------------------------------------- hot loop
 
-    def run_slice(self, pcs: List[int], kinds: List[int], addrs: List[int],
-                  partials: List[bool], syscalls: List[bool],
-                  start: int, deadline: int, batch=None) -> SliceResult:
-        """Execute instructions ``start..`` until the batch ends, a system
-        call is executed, or ``deadline`` (absolute cycle) is reached.
+    def run_slice(self, batch: PreparedBatch, start: int,
+                  deadline: int) -> SliceResult:
+        """Execute instructions ``start..`` of ``batch`` until it ends, a
+        system call is executed, or ``deadline`` (absolute cycle) is
+        reached.
 
-        The five columns must be plain Python lists, already translated to
-        physical addresses.  ``batch`` is the
-        :class:`~repro.sched.process.PreparedBatch` they come from, if any:
-        the batched engine keeps its per-batch event index there, so it is
-        built once per batch rather than once per call.  Execution is
-        delegated to the configured engine (:mod:`repro.core.engine`);
-        every engine produces bit-identical statistics and state.
+        ``batch`` is a :class:`~repro.sched.process.PreparedBatch`: five
+        NumPy columns, already translated to physical addresses.  The
+        engine converts to Python values only the part of it this call
+        can reach, and the batched engine keeps its event index on the
+        batch, so the index is built once per batch rather than once per
+        call.
+        Execution is delegated to the configured engine
+        (:mod:`repro.core.engine`); every engine produces bit-identical
+        statistics and state.
         """
-        return self.engine.run_slice(pcs, kinds, addrs, partials, syscalls,
-                                     start, deadline, batch)
+        return self.engine.run_slice(batch, start, deadline)
 
     # ------------------------------------------------------------- inspection
 

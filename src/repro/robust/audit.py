@@ -88,20 +88,19 @@ class InvariantAuditor:
         ``pos`` that the timing model just executed."""
         if self._mirror is None or consumed <= 0:
             return
-        kinds = batch.kinds
-        addrs = batch.addrs
-        partials = batch.partials
+        window = slice(pos, pos + consumed)
         mirror = self._mirror
         recent = self._recent
-        for i in range(pos, pos + consumed):
-            kind = kinds[i]
+        for kind, addr, partial in zip(batch.kind[window].tolist(),
+                                       batch.addr[window].tolist(),
+                                       batch.partial[window].tolist()):
             if kind == KIND_LOAD:
-                mirror.load(addrs[i])
-                recent.append(addrs[i])
+                mirror.load(addr)
+                recent.append(addr)
                 self.accesses_mirrored += 1
             elif kind == KIND_STORE:
-                mirror.store(addrs[i], 0, partials[i])
-                recent.append(addrs[i])
+                mirror.store(addr, 0, partial)
+                recent.append(addr)
                 self.accesses_mirrored += 1
 
     def end_slice(self) -> None:

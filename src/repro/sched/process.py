@@ -3,8 +3,9 @@
 The paper's simulator multiplexes per-benchmark trace pipes through file
 descriptors; here each :class:`Process` pulls batches from its trace source,
 translates them to physical addresses through the shared page table (page
-coloring preserves cache index bits), and hands the simulator plain Python
-lists — the fastest thing to iterate in the hot loop.
+coloring preserves cache index bits), and hands the simulator the columns
+as NumPy arrays.  An engine converts to Python values only the part of a
+batch that one call can reach.
 
 Every batch is validated before it reaches the hot loop: a corrupt trace
 record (unknown access kind, negative address, mismatched column lengths)
@@ -15,7 +16,7 @@ silently executed, since the hot loop would misaccount it as a store.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,37 +28,31 @@ from repro.trace.stream import TraceSource
 
 
 class PreparedBatch:
-    """One trace batch, physically translated and converted to lists."""
+    """One trace batch, physically translated, as five NumPy columns."""
 
-    __slots__ = ("pcs", "kinds", "addrs", "partials", "syscalls", "dropped",
-                 "np_cols", "events")
+    __slots__ = ("pc", "kind", "addr", "partial", "syscall", "dropped",
+                 "events")
 
-    def __init__(self, pcs: List[int], kinds: List[int], addrs: List[int],
-                 partials: List[bool], syscalls: List[bool],
-                 dropped: int = 0, np_cols=None):
-        self.pcs = pcs
-        self.kinds = kinds
-        self.addrs = addrs
-        self.partials = partials
-        self.syscalls = syscalls
+    def __init__(self, pc, kind, addr, partial, syscall, dropped: int = 0):
+        self.pc = np.ascontiguousarray(pc, dtype=np.int64)
+        self.kind = np.ascontiguousarray(kind, dtype=np.uint8)
+        self.addr = np.ascontiguousarray(addr, dtype=np.int64)
+        self.partial = np.ascontiguousarray(partial, dtype=bool)
+        self.syscall = np.ascontiguousarray(syscall, dtype=bool)
         #: Malformed records dropped during preparation (skip mode only).
         self.dropped = dropped
-        #: Optional ``(pcs, kinds, syscalls)`` as NumPy arrays — the same
-        #: columns before list conversion.  The batched engine builds its
-        #: event index from these without re-converting, then drops them.
-        self.np_cols = np_cols
         #: The batched engine's event index, built on the batch's first
         #: call and freed with the batch
         #: (:func:`repro.core.engine.batched.event_index`).
         self.events = None
 
     def __len__(self) -> int:
-        return len(self.pcs)
+        return len(self.pc)
 
     @staticmethod
     def from_batch(batch: TraceBatch, pid: int, page_table: PageTable,
                    trace_errors: str = "raise") -> "PreparedBatch":
-        """Translate a virtual-address batch into physical lists.
+        """Translate a virtual-address batch into physical columns.
 
         Args:
             batch: the raw virtual-address batch.
@@ -88,17 +83,10 @@ class PreparedBatch:
             if bad_rows:
                 dropped += bad_rows
                 batch = batch[~bad]
-        pc_phys = page_table.translate_batch(pid, batch.pc)
-        addr_phys = page_table.translate_batch(pid, batch.addr)
-        return PreparedBatch(
-            pcs=pc_phys.tolist(),
-            kinds=batch.kind.tolist(),
-            addrs=addr_phys.tolist(),
-            partials=batch.partial.tolist(),
-            syscalls=batch.syscall.tolist(),
-            dropped=dropped,
-            np_cols=(pc_phys, batch.kind, batch.syscall),
-        )
+        return PreparedBatch(page_table.translate_batch(pid, batch.pc),
+                             batch.kind,
+                             page_table.translate_batch(pid, batch.addr),
+                             batch.partial, batch.syscall, dropped)
 
 
 class Process:

@@ -114,9 +114,7 @@ class Scheduler:
             if batch is None:
                 reason = "terminated"
                 break
-            result = memsys.run_slice(batch.pcs, batch.kinds, batch.addrs,
-                                      batch.partials, batch.syscalls,
-                                      pos, deadline, batch=batch)
+            result = memsys.run_slice(batch, pos, deadline)
             process.advance(result.consumed)
             self.instructions_run += result.consumed
             if auditor is not None:

@@ -8,8 +8,9 @@ instruction fetches, and data-reference instructions contribute one data
 address each.
 
 Batches are columnar (numpy arrays) so that trace generation and
-virtual-to-physical translation can be vectorized; the simulator's hot loop
-converts columns to plain Python lists once per batch.
+virtual-to-physical translation can be vectorized.  They stay columnar up to
+the engine, which converts to plain Python values only the records one call
+can reach.
 """
 
 from __future__ import annotations

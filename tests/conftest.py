@@ -17,6 +17,7 @@ from repro.core.config import (
     WritePolicy,
 )
 from repro.core.hierarchy import MemorySystem
+from repro.sched.process import PreparedBatch
 from repro.trace.record import KIND_LOAD, KIND_NONE, KIND_STORE, TraceBatch
 
 #: An op is (pc, kind, addr); optional 4th element marks a partial store.
@@ -71,8 +72,8 @@ def run_ops(memsys: MemorySystem, ops: Iterable[Op]) -> int:
         partials.append(partial)
     syscalls = [False] * len(pcs)
     before = memsys.now
-    result = memsys.run_slice(pcs, kinds, addrs, partials, syscalls,
-                              0, 1 << 60)
+    result = memsys.run_slice(
+        PreparedBatch(pcs, kinds, addrs, partials, syscalls), 0, 1 << 60)
     assert result.consumed == len(pcs)
     return memsys.now - before
 

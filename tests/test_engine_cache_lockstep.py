@@ -35,6 +35,7 @@ from repro.core.engine import ENGINE_NAMES
 from repro.core.hierarchy import MemorySystem
 from repro.core.simulator import Simulation
 from repro.obs.tracing import read_events
+from repro.sched.process import PreparedBatch
 from repro.trace.benchmarks import default_suite
 
 N = 6_000
@@ -96,9 +97,7 @@ def shadow_replay(config, pcs, kinds, addrs):
 
 def run_memsys(config, engine, columns):
     ms = MemorySystem(config, engine=engine)
-    pcs, kinds, addrs, partials, syscalls = columns
-    ms.run_slice(pcs, kinds, addrs, partials, syscalls,
-                 start=0, deadline=DEADLINE)
+    ms.run_slice(PreparedBatch(*columns), start=0, deadline=DEADLINE)
     return ms
 
 

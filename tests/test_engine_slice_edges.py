@@ -12,8 +12,10 @@ somewhere, and compare every ``SliceResult``, the full ``SimStats`` and
 
 Generated inputs cover every write policy and bypass mode the
 configuration rules allow, TLB on and off, write-buffer depth 1 and 4,
-and concurrent I-refill.  The cases the skipping logic must get exactly
-right are also pinned by example below.
+concurrent I-refill, 4- and 8-word L1-I lines, and a direct-mapped or
+2-way L2 (an associative half goes through ``Cache.access``).  The
+cases the skipping logic must get exactly right are also pinned by
+example below.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import dataclasses
 import itertools
 from collections import deque
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,7 +57,7 @@ MACHINES = [
 
 def machine(policy=WritePolicy.WRITE_BACK, bypass=BypassMode.NONE,
             tlb=False, depth=4, i_refill=False, dirty_buffer=False,
-            i_line=4) -> SystemConfig:
+            i_line=4, l2_ways=1) -> SystemConfig:
     """Four-line L1s, an L2 of a few lines and one- or two-entry TLBs,
     with short penalties: misses, victims and TLB misses are frequent
     and a stall fits inside a short slice."""
@@ -67,12 +68,14 @@ def machine(policy=WritePolicy.WRITE_BACK, bypass=BypassMode.NONE,
         buffer = WriteBufferConfig(depth=depth, width_words=1,
                                    overlap_cycles=1)
     if i_refill:
-        l2 = L2Config(size_words=64, line_words=8, access_time=2,
-                      split=True, i_size_words=16, d_size_words=32,
-                      miss_penalty_clean=5, miss_penalty_dirty=9)
+        l2 = L2Config(size_words=64, line_words=8, ways=l2_ways,
+                      access_time=2, split=True, i_size_words=16,
+                      d_size_words=32, miss_penalty_clean=5,
+                      miss_penalty_dirty=9)
     else:
-        l2 = L2Config(size_words=32, line_words=8, access_time=2,
-                      miss_penalty_clean=5, miss_penalty_dirty=9)
+        l2 = L2Config(size_words=32, line_words=8, ways=l2_ways,
+                      access_time=2, miss_penalty_clean=5,
+                      miss_penalty_dirty=9)
     return SystemConfig(
         name="edge",
         icache=CacheConfig(size_words=4 * i_line, line_words=i_line),
@@ -88,21 +91,15 @@ def machine(policy=WritePolicy.WRITE_BACK, bypass=BypassMode.NONE,
     )
 
 
-def prepared(pcs, kinds=None, addrs=None, partials=None, syscalls=None,
-             numpy_columns=True) -> PreparedBatch:
-    """A physical-address batch as the scheduler hands it to an engine;
-    with ``numpy_columns`` the event index is built from NumPy columns,
-    otherwise from the lists."""
+def prepared(pcs, kinds=None, addrs=None, partials=None,
+             syscalls=None) -> PreparedBatch:
+    """A physical-address batch as the scheduler hands it to an engine."""
     n = len(pcs)
-    kinds = list(kinds) if kinds is not None else [0] * n
-    addrs = list(addrs) if addrs is not None else [0] * n
-    partials = list(partials) if partials is not None else [False] * n
-    syscalls = list(syscalls) if syscalls is not None else [False] * n
-    np_cols = ((np.array(pcs, dtype=np.int64),
-                np.array(kinds, dtype=np.uint8),
-                np.array(syscalls, dtype=bool)) if numpy_columns else None)
-    return PreparedBatch(list(pcs), kinds, addrs, partials, syscalls,
-                         np_cols=np_cols)
+    return PreparedBatch(pcs,
+                         kinds if kinds is not None else [0] * n,
+                         addrs if addrs is not None else [0] * n,
+                         partials if partials is not None else [False] * n,
+                         syscalls if syscalls is not None else [False] * n)
 
 
 def state(ms: MemorySystem) -> dict:
@@ -123,9 +120,7 @@ class Pair:
         return self.ref.now
 
     def call(self, batch: PreparedBatch, start: int, deadline: int):
-        results = [ms.run_slice(batch.pcs, batch.kinds, batch.addrs,
-                                batch.partials, batch.syscalls, start,
-                                deadline, batch=batch)
+        results = [ms.run_slice(batch, start, deadline)
                    for ms in self.systems]
         ref, bat = self.systems
         assert results[1] == results[0], (start, deadline)
@@ -186,22 +181,21 @@ def batches(draw):
         addrs.append(draw(addresses) if kind else 0)
         partials.append(kind == 2 and draw(st.booleans()))
         syscalls.append(draw(st.integers(0, 9)) == 0)
-    return prepared(pcs, kinds, addrs, partials, syscalls,
-                    numpy_columns=draw(st.booleans()))
+    return prepared(pcs, kinds, addrs, partials, syscalls)
 
 
 @settings(max_examples=150, deadline=None)
 @given(combo=st.sampled_from(MACHINES), dirty_buffer=st.booleans(),
-       i_line=st.sampled_from((4, 8)),
+       i_line=st.sampled_from((4, 8)), l2_ways=st.sampled_from((1, 2)),
        processes=st.lists(st.lists(batches(), min_size=1, max_size=3),
                           min_size=1, max_size=3),
        slices=st.lists(st.integers(1, 50), min_size=1, max_size=6),
        probe_end=st.booleans())
-def test_generated_schedules(combo, dirty_buffer, i_line, processes, slices,
-                             probe_end):
+def test_generated_schedules(combo, dirty_buffer, i_line, l2_ways,
+                             processes, slices, probe_end):
     policy, bypass, tlb, depth, i_refill = combo
     config = machine(policy, bypass, tlb, depth, i_refill, dirty_buffer,
-                     i_line)
+                     i_line, l2_ways)
     schedule(Pair(config), processes, slices, probe_end)
 
 
@@ -311,3 +305,26 @@ def test_epoch_bump_then_inline_store_hit():
     ref = pair.ref
     assert ref._dirty_epoch == 3
     assert ref._ddirty[10 & ref._d_mask] == 3
+
+
+def test_one_batch_alternates_l1i_line_sizes():
+    # The batch keeps one event index, for one L1-I line size; a machine
+    # with another line size rebuilds it.  Machines with 4- and 8-word
+    # lines take turns on one batch, a few cycles a call.
+    n = 48
+    batch = prepared(list(range(24)) + list(range(64, 88)),
+                     kinds=[1 if i % 6 == 3 else 2 if i % 10 == 7 else 0
+                            for i in range(n)],
+                     addrs=[(i * 5) % 64 for i in range(n)])
+    pairs = {2: Pair(machine(i_line=4)), 3: Pair(machine(i_line=8))}
+    pos = dict.fromkeys(pairs, 0)
+    calls = 0
+    while any(p < n for p in pos.values()):
+        for il_shift, pair in pairs.items():
+            if pos[il_shift] < n:
+                consumed, _ = pair.call(batch, pos[il_shift], pair.now + 7)
+                pos[il_shift] += consumed
+                assert batch.events[0] == il_shift
+                calls += 1
+    assert calls > 10
+    assert pairs[2].ref.stats.l1i_misses != pairs[3].ref.stats.l1i_misses

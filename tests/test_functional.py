@@ -17,6 +17,7 @@ from repro.core.config import (
     WritePolicy,
 )
 from repro.core.functional import FunctionalMemorySystem, _memory_default
+from repro.sched.process import PreparedBatch
 
 from conftest import tiny_config
 
@@ -136,13 +137,15 @@ class TestCrossModelEquivalence:
             touched.add(addr)
             if op == 0:
                 functional.load(addr)
-                timing.run_slice([0], [1], [addr], [False], [False],
-                                 0, 1 << 60)
+                timing.run_slice(
+                    PreparedBatch([0], [1], [addr], [False], [False]),
+                    0, 1 << 60)
             else:
                 partial = op == 2
                 functional.store(addr, 1, partial=partial)
-                timing.run_slice([0], [2], [addr], [partial], [False],
-                                 0, 1 << 60)
+                timing.run_slice(
+                    PreparedBatch([0], [2], [addr], [partial], [False]),
+                    0, 1 << 60)
         for addr in touched:
             t_state = timing.l1d_line_state(addr)
             f_state = functional.l1d_line_state(addr)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.config import WritePolicy
 from repro.core.hierarchy import MemorySystem
+from repro.sched.process import PreparedBatch
 
 from conftest import instr, load, run_ops, store, tiny_config
 
@@ -144,8 +145,9 @@ class TestSliceMechanics:
         pcs = [0] * 100
         kinds = [0] * 100
         addrs = [0] * 100
-        result = ms.run_slice(pcs, kinds, addrs, [False] * 100,
-                              [False] * 100, 0, ms.now + 153)
+        result = ms.run_slice(
+            PreparedBatch(pcs, kinds, addrs, [False] * 100, [False] * 100),
+            0, ms.now + 153)
         # The first instruction costs 150 cycles; a couple more fit.
         assert result.reason == "slice"
         assert 1 <= result.consumed < 100
@@ -153,16 +155,18 @@ class TestSliceMechanics:
     def test_syscall_stops_after_instruction(self):
         ms = fresh()
         syscalls = [False, True, False]
-        result = ms.run_slice([0, 1, 2], [0] * 3, [0] * 3, [False] * 3,
-                              syscalls, 0, 1 << 60)
+        result = ms.run_slice(
+            PreparedBatch([0, 1, 2], [0] * 3, [0] * 3, [False] * 3, syscalls),
+            0, 1 << 60)
         assert result.reason == "syscall"
         assert result.consumed == 2
         assert ms.stats.syscalls == 1
 
     def test_resume_from_offset(self):
         ms = fresh()
-        result = ms.run_slice([0, 1, 2], [0] * 3, [0] * 3, [False] * 3,
-                              [False] * 3, 2, 1 << 60)
+        result = ms.run_slice(
+            PreparedBatch([0, 1, 2], [0] * 3, [0] * 3, [False] * 3,
+                          [False] * 3), 2, 1 << 60)
         assert result.consumed == 1
         assert ms.stats.instructions == 1
 

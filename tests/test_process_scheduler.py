@@ -1,14 +1,19 @@
 """Unit tests for processes and the round-robin scheduler."""
 
+import gc
+
+import numpy as np
 import pytest
 
-from repro.core.config import WritePolicy
+from repro.core.config import WritePolicy, base_architecture
 from repro.core.hierarchy import MemorySystem
 from repro.errors import SchedulingError
 from repro.mmu.page_table import PageTable
 from repro.sched.process import PreparedBatch, Process
 from repro.sched.scheduler import Scheduler
+from repro.trace.benchmarks import default_suite
 from repro.trace.stream import BatchSource
+from repro.trace.synthetic import SyntheticBenchmark
 
 from conftest import make_batch, tiny_config
 
@@ -23,16 +28,39 @@ class TestPreparedBatch:
         table = PageTable()
         batch = make_batch(pcs=[5, 4096 + 7], kinds=[1, 2], addrs=[9, 11])
         prepared = PreparedBatch.from_batch(batch, pid=3, page_table=table)
-        assert prepared.pcs[0] % 4096 == 5
-        assert prepared.pcs[1] % 4096 == 7
-        assert prepared.addrs[0] % 4096 == 9
+        assert prepared.pc[0] % 4096 == 5
+        assert prepared.pc[1] % 4096 == 7
+        assert prepared.addr[0] % 4096 == 9
         assert len(prepared) == 2
 
-    def test_lists_not_numpy(self):
-        table = PageTable()
-        prepared = PreparedBatch.from_batch(make_batch(pcs=[1]), 1, table)
-        assert isinstance(prepared.pcs, list)
-        assert isinstance(prepared.pcs[0], int)
+    def test_columns_are_numpy(self):
+        process = make_process(1, [make_batch(pcs=[1, 2, 3],
+                                              kinds=[0, 1, 2],
+                                              addrs=[0, 5, 6])])
+        batch, _ = process.current()
+        columns = (batch.pc, batch.kind, batch.addr, batch.partial,
+                   batch.syscall)
+        assert all(isinstance(column, np.ndarray)
+                   and column.flags.c_contiguous and len(column) == 3
+                   for column in columns)
+        assert [column.dtype for column in columns] == [
+            np.int64, np.uint8, np.int64, np.bool_, np.bool_]
+        assert sum(column.nbytes for column in columns) == 19 * 3
+
+    def test_batched_call_converts_no_full_batch(self):
+        # A batch of an odd length that nothing else in the process has.
+        source = SyntheticBenchmark(default_suite()[0], batch_size=5003)
+        batch, pos = make_process(1, [source.next_batch()]).current()
+        n = len(batch)
+        assert n == 5003
+        memsys = MemorySystem(base_architecture(), engine="batched")
+        memsys.run_slice(batch, pos, memsys.now + 4000)
+        il_shift, *arrays = batch.events
+        assert il_shift == memsys._il_shift
+        assert all(isinstance(array, np.ndarray) for array in arrays)
+        gc.collect()
+        assert not [obj for obj in gc.get_objects()
+                    if isinstance(obj, list) and len(obj) == n]
 
 
 class TestProcess:

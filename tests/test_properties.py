@@ -20,6 +20,7 @@ from repro.core.write_buffer import WriteBuffer
 from repro.mmu.page_table import PageTable
 from repro.mmu.tlb import TLB
 from repro.params import PAGE_WORDS
+from repro.sched.process import PreparedBatch
 from repro.trace.record import KIND_LOAD, KIND_NONE, KIND_STORE, TraceBatch
 from repro.trace.tracefile import export_din, import_din
 
@@ -229,8 +230,9 @@ class TestHierarchyEquivalence:
             if not hit:
                 expected_misses += 1
         n = len(ops)
-        ms.run_slice([0] * n, [k for k, _ in ops], [a for _, a in ops],
-                     [False] * n, [False] * n, 0, 1 << 60)
+        ms.run_slice(PreparedBatch([0] * n, [k for k, _ in ops],
+                                   [a for _, a in ops], [False] * n,
+                                   [False] * n), 0, 1 << 60)
         observed = ms.stats.l1d_read_misses + ms.stats.l1d_write_misses
         assert observed == expected_misses
 
@@ -239,7 +241,8 @@ class TestHierarchyEquivalence:
     def test_cycles_at_least_instructions(self, ops):
         ms = MemorySystem(tiny_config(WritePolicy.WRITE_ONLY))
         n = len(ops)
-        ms.run_slice([0] * n, [k for k, _ in ops], [a for _, a in ops],
-                     [False] * n, [False] * n, 0, 1 << 60)
+        ms.run_slice(PreparedBatch([0] * n, [k for k, _ in ops],
+                                   [a for _, a in ops], [False] * n,
+                                   [False] * n), 0, 1 << 60)
         assert ms.stats.cycles >= ms.stats.instructions
         assert ms.stats.memory_stall_cycles >= 0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import TLBConfig, WriteBufferConfig, WritePolicy
 from repro.core.hierarchy import MemorySystem
+from repro.sched.process import PreparedBatch
 
 from conftest import tiny_config
 
@@ -31,7 +32,8 @@ def run_cycles(config, ops) -> int:
     kinds = [k for k, _, _ in ops]
     addrs = [a for _, a, _ in ops]
     n = len(ops)
-    ms.run_slice(pcs, kinds, addrs, [False] * n, [False] * n, 0, 1 << 60)
+    ms.run_slice(PreparedBatch(pcs, kinds, addrs, [False] * n, [False] * n),
+                 0, 1 << 60)
     return ms.now
 
 
@@ -79,9 +81,9 @@ class TestMonotonicity:
         kinds = [k for k, _, _ in ops]
         addrs = [a for _, a, _ in ops]
         n = len(ops)
+        batch = PreparedBatch(pcs, kinds, addrs, [False] * n, [False] * n)
         for ms in (slow, fast):
-            ms.run_slice(pcs, kinds, addrs, [False] * n, [False] * n,
-                         0, 1 << 60)
+            ms.run_slice(batch, 0, 1 << 60)
         assert slow.stats.l1i_misses == fast.stats.l1i_misses
         assert slow.stats.l1d_read_misses == fast.stats.l1d_read_misses
         assert slow.stats.l1d_write_misses == fast.stats.l1d_write_misses
