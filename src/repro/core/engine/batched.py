@@ -47,13 +47,29 @@ Why skipping is exact
   ``reference`` does.
 
 Events run the reference loop's code.  Misses and stores go through the
-same bound handlers, with one exception: a write-back store hit is
-accounted inline (it sets the line's dirty mark and costs one extra
-cycle).  It reads ``ms._dirty_epoch`` at the moment of the store,
-because handlers may bump the epoch, and it emits no obs event, as
-``store_write_back`` emits none.  Statistics, obs event streams and
-checkpoints are bit-identical to ``reference`` (``tests/test_engine_*``,
-``tests/test_golden_miss_path.py``).
+same bound handlers, with two exceptions, the common store hits, which
+are accounted inline:
+
+* A write-back store hit sets the line's dirty mark and costs one extra
+  cycle, as ``store_write_back``'s hit branch does.
+* A write-through store hit (write-miss-invalidate, write-only,
+  subblock) whose L2-D line is in a direct-mapped half and that finds
+  room in the write buffer once finished drains retire.  It does what
+  ``push_write``'s direct-mapped hit, ``WriteBuffer.push`` without a
+  stall and the policy's hit branch do, and costs no extra cycle.  The
+  checks run in that order: L1-D tag, L2-D tag, retire, room.  Retiring
+  is the only change made before the path commits, and the handler's
+  own ``expire`` at the same cycle is then a no-op, so a fallback to
+  ``ms._store`` stays exact.  Its counters (L2 write accesses, L2-D
+  hits, buffer pushes, retirements and peak occupancy) are kept in
+  locals and flushed at the end of the call, before the energy fold;
+  faults and audits run only between calls.
+
+Both read ``ms._dirty_epoch`` at the moment of the store, because
+handlers may bump the epoch, and neither emits an obs event, as none of
+the code they mirror does on these paths.  Statistics, obs event
+streams and checkpoints are bit-identical to ``reference``
+(``tests/test_engine_*``, ``tests/test_golden_miss_path.py``).
 """
 
 from __future__ import annotations
@@ -104,8 +120,9 @@ class BatchedEngine(Engine):
 
     def __init__(self, ms):
         super().__init__(ms)
-        self._wb_store_hits = (
-            ms.config.write_policy is WritePolicy.WRITE_BACK)
+        policy = ms.config.write_policy
+        self._wb_store_hits = policy is WritePolicy.WRITE_BACK
+        self._subblock = policy is WritePolicy.SUBBLOCK
 
     def run_slice(self, batch, start: int, deadline: int) -> SliceResult:
         ms = self.ms
@@ -165,8 +182,26 @@ class BatchedEngine(Engine):
             load_miss = ms._load_miss
             store = ms._store
             wb_store_hits = self._wb_store_hits
+            # A write-through store hit needs a direct-mapped L2-D half.
+            # Resolved per call: a test may clear the tags after
+            # construction to force ``Cache.access``.
+            l2d_tags = ms._l2d_tags
+            wt_store_hits = not wb_store_hits and l2d_tags is not None
+            if wt_store_hits:
+                subblock = self._subblock
+                d_l2_delta = ms._d_l2_delta
+                l2d_mask = ms._l2d_mask
+                l2d_dirty = ms._l2d_dirty
+                wb = ms.wb
+                entries = wb._entries
+                append = entries.append
+                popleft = entries.popleft
+                depth = wb.depth
+                word_cost = ms._wb_word_cost
+                step = max(1, word_cost - wb.overlap_cycles)
+                max_occupancy = wb.max_occupancy
 
-            loads = stores = write_hits = 0
+            loads = stores = write_hits = wt_hits = retired = 0
             iline_prev = None  # the call's first instruction is an event
             # The clock after a free step at position q is q + c; only a
             # stall moves c.
@@ -204,12 +239,41 @@ class BatchedEngine(Engine):
                             c = load_miss(i + c, dline, index) - i
                     else:
                         stores += 1
-                        if wb_store_hits and dtags[index] == dline:
-                            ddirty[index] = ms._dirty_epoch
-                            write_hits += 1
-                            c += 1
-                        else:
-                            c = store(i + c, addr, partial) - i
+                        if dtags[index] == dline:
+                            if wb_store_hits:
+                                ddirty[index] = ms._dirty_epoch
+                                write_hits += 1
+                                c += 1
+                                continue
+                            if wt_store_hits:
+                                line2 = dline >> d_l2_delta
+                                index2 = line2 & l2d_mask
+                                if l2d_tags[index2] == line2:
+                                    t = i + c
+                                    while entries and entries[0][1] <= t:
+                                        popleft()
+                                        retired += 1
+                                    occupancy = len(entries)
+                                    if occupancy < depth:
+                                        # push_write's direct-mapped hit,
+                                        # WriteBuffer.push without a stall
+                                        # and the policy's hit branch;
+                                        # keep them in step.
+                                        l2d_dirty[index2] = True
+                                        done = wb._last_completion + step
+                                        if done < t + word_cost:
+                                            done = t + word_cost
+                                        wb._last_completion = done
+                                        append((dline, done))
+                                        wt_hits += 1
+                                        if occupancy >= max_occupancy:
+                                            max_occupancy = occupancy + 1
+                                        if subblock and not partial:
+                                            dvalid[index] |= 1 << (
+                                                addr & dline_mask)
+                                        ddirty[index] = ms._dirty_epoch
+                                        continue
+                        c = store(i + c, addr, partial) - i
             else:
                 i = reach + 1  # every reachable event ran
             # The last instruction run: where free steps after the last
@@ -230,6 +294,13 @@ class BatchedEngine(Engine):
             st.stall_l1_writes += write_hits
             st.loads += loads
             st.stores += stores
+            if wt_store_hits:
+                st.l2_write_accesses += wt_hits
+                ms._l2d.hits += wt_hits
+                wb.pushes += wt_hits
+                wb.retired += retired
+                if max_occupancy > wb.max_occupancy:
+                    wb.max_occupancy = max_occupancy
 
         consumed = end - start
         ms.now = now

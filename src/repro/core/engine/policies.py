@@ -3,8 +3,12 @@
 One function pair per :class:`~repro.core.config.WritePolicy` — a store
 handler and a load-miss handler — extracted from ``MemorySystem`` so the
 reference and batched engines execute the *same* code on every event.
-The one exception is a write-back store hit, which the batched engine
-accounts inline, exactly as :func:`store_write_back`'s hit branch does.
+The exceptions are the common store hits, which the batched engine
+accounts inline: a write-back hit, exactly as :func:`store_write_back`'s
+hit branch does, and a write-through hit whose L2-D line is in a
+direct-mapped half and that finds room in the write buffer, exactly as
+the write-through handlers' hit branches do after :func:`push_write`.
+Each mirrored branch is marked "keep in step".
 :func:`resolve_policy` maps a policy to its pair once; the memory system
 binds the pair as methods at construction, so the hot loops pay a plain
 attribute call, never a per-access branch chain.
@@ -118,6 +122,8 @@ def store_invalidate(ms, now: int, addr: int, partial: bool) -> int:
     index = dline & ms._d_mask
     now = push_write(ms, now, dline, ms._wb_word_cost)
     if ms._dtags[index] == dline:
+        # The batched engine inlines this branch, with push_write's
+        # direct-mapped hit, when the buffer has room; keep them in step.
         ms._ddirty[index] = ms._dirty_epoch
         return now
     # The parallel data write corrupted the resident line; a second cycle
@@ -139,6 +145,8 @@ def store_write_only(ms, now: int, addr: int, partial: bool) -> int:
     index = dline & ms._d_mask
     now = push_write(ms, now, dline, ms._wb_word_cost)
     if ms._dtags[index] == dline:
+        # The batched engine inlines this branch, with push_write's
+        # direct-mapped hit, when the buffer has room; keep them in step.
         ms._ddirty[index] = ms._dirty_epoch
         return now
     # Write miss: update the tag, mark the line write-only (second cycle).
@@ -162,6 +170,8 @@ def store_subblock(ms, now: int, addr: int, partial: bool) -> int:
     index = dline & ms._d_mask
     now = push_write(ms, now, dline, ms._wb_word_cost)
     if ms._dtags[index] == dline:
+        # The batched engine inlines this branch, with push_write's
+        # direct-mapped hit, when the buffer has room; keep them in step.
         if not partial:
             ms._dvalid[index] |= 1 << (addr & ms._dline_mask)
         ms._ddirty[index] = ms._dirty_epoch

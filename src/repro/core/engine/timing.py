@@ -9,7 +9,9 @@ binds :func:`ifetch_miss` as a method at construction.
 
 The miss path is flat: an L1 miss or a store costs one handler call
 (``ms._ifetch_miss``, ``ms._load_miss`` or ``ms._store``) plus only the
-timing steps it needs, each one call deep —
+timing steps it needs, each one call deep.  The batched engine makes no
+call for the common store hits (see :mod:`repro.core.engine.batched`);
+every other store goes through ``ms._store`` —
 
 * :func:`wb_consistency_wait`, the read-miss write-buffer discipline;
 * :func:`l2_data_refill`, an L1-D refill from L2-D, including the L2 miss
@@ -18,8 +20,10 @@ timing steps it needs, each one call deep —
   allocating (and dirtying) its L2-D line.
 
 Besides these six callables, the miss path calls only the
-:class:`~repro.core.write_buffer.WriteBuffer` methods, which alone own
-drain timing.  L2 probes and fills read and write a direct-mapped half's
+:class:`~repro.core.write_buffer.WriteBuffer` methods, which own drain
+timing; the batched engine's inline write-through store hit is the one
+other place that enqueues a drain, a copy of :meth:`WriteBuffer.push`'s
+non-full case.  L2 probes and fills read and write a direct-mapped half's
 ``_tags``/``_dirty`` lists (referenced from the memory system) in place,
 as the L1 hit path does for L1, and allocate nothing; an associative half
 goes through :meth:`repro.core.cache.Cache.access`, the reference model
@@ -173,6 +177,10 @@ def push_write(ms, now: int, dline: int, cost: int) -> int:
     enqueue time, while the entry's drain timing is left to the write
     buffer (DESIGN §6).  A drain that misses in L2 costs the L2 miss
     penalty on top of ``cost``.
+
+    The batched engine inlines a word's direct-mapped L2-D hit with room
+    in the buffer, together with :meth:`WriteBuffer.push`; keep them in
+    step.
     """
     st = ms.stats
     st.l2_write_accesses += 1

@@ -8,8 +8,10 @@ fetch (with an inlined direct-mapped L1-I hit check), optional data access
 crossings, and cycle accounting into the Fig. 4 stall components.  The
 default ``batched`` engine runs the same body only for *events* (a new
 L1-I line, a data access) and advances the clock by one cycle over every
-other instruction; it accounts write-back store hits inline and calls the
-same handlers for everything else.
+other instruction.  It accounts the common store hits inline (a
+write-back hit; a write-through hit whose line is in a direct-mapped L2-D
+half and that finds room in the write buffer) and calls the same handlers
+for everything else.
 
 Cycle-accounting rules (Sections 2, 6, 8, 9 of the paper):
 
@@ -38,7 +40,8 @@ steps the event needs (``wb_consistency_wait``, ``l2_data_refill``,
 lists directly, through references this class takes at construction.
 These six callables, plus the write buffer's own methods, are the only
 calls on the miss path, and the boundaries the benchmark's traced run
-measures.
+measures.  A store hit the batched engine finishes inline calls none of
+them.
 
 The L1 hit paths are inlined and the L1 caches are restricted to
 direct-mapped organizations — exactly the design space the machine can build

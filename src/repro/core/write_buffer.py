@@ -75,6 +75,10 @@ class WriteBuffer:
 
         The stall (wait for the head entry to retire) is the caller's to
         account (the paper's "WB" component).
+
+        The batched engine inlines the non-full case for a write-through
+        store hit, with its counters flushed at the end of each engine
+        call; keep the two in step.
         """
         self.expire(now)
         stall = 0

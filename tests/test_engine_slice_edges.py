@@ -11,11 +11,14 @@ somewhere, and compare every ``SliceResult``, the full ``SimStats`` and
 ``state_dict()`` after every call.
 
 Generated inputs cover every write policy and bypass mode the
-configuration rules allow, TLB on and off, write-buffer depth 1 and 4,
-concurrent I-refill, 4- and 8-word L1-I lines, and a direct-mapped or
-2-way L2 (an associative half goes through ``Cache.access``).  The
-cases the skipping logic must get exactly right are also pinned by
-example below.
+configuration rules allow, TLB on and off, write-buffer depth 1, 2 and
+4, concurrent I-refill, 4- and 8-word L1-I lines, and a direct-mapped or
+2-way L2 (an associative half goes through ``Cache.access``).  Most
+stores reuse the line of the previous data access, so write-through
+store hits reach the batched engine's inline path and fall back to the
+handler when the buffer is full.  The cases the skipping logic and the
+inline store hits must get exactly right are also pinned by example
+below.
 """
 
 from __future__ import annotations
@@ -45,14 +48,21 @@ from repro.sched.process import PreparedBatch
 
 ENGINES = ("reference", "batched")
 
+WRITE_THROUGH = (WritePolicy.WRITE_MISS_INVALIDATE, WritePolicy.WRITE_ONLY,
+                 WritePolicy.SUBBLOCK)
+
 #: (policy, bypass, tlb, buffer depth, concurrent I-refill) for every
 #: combination the configuration rules allow.
 MACHINES = [
     combo for combo in itertools.product(
-        WritePolicy, BypassMode, (False, True), (1, 4), (False, True))
+        WritePolicy, BypassMode, (False, True), (1, 2, 4), (False, True))
     if combo[1] is not BypassMode.DIRTY_BIT
     or combo[0] is WritePolicy.WRITE_ONLY
 ]
+
+
+#: Words per L1-D line of :func:`machine`.
+D_LINE = 4
 
 
 def machine(policy=WritePolicy.WRITE_BACK, bypass=BypassMode.NONE,
@@ -79,7 +89,7 @@ def machine(policy=WritePolicy.WRITE_BACK, bypass=BypassMode.NONE,
     return SystemConfig(
         name="edge",
         icache=CacheConfig(size_words=4 * i_line, line_words=i_line),
-        dcache=CacheConfig(size_words=16, line_words=4),
+        dcache=CacheConfig(size_words=16, line_words=D_LINE),
         write_policy=policy,
         write_buffer=buffer,
         l2=l2,
@@ -113,7 +123,7 @@ class Pair:
 
     def __init__(self, config: SystemConfig):
         self.systems = [MemorySystem(config, engine=e) for e in ENGINES]
-        self.ref = self.systems[0]
+        self.ref, self.bat = self.systems
 
     @property
     def now(self) -> int:
@@ -122,12 +132,26 @@ class Pair:
     def call(self, batch: PreparedBatch, start: int, deadline: int):
         results = [ms.run_slice(batch, start, deadline)
                    for ms in self.systems]
-        ref, bat = self.systems
+        ref, bat = self.ref, self.bat
         assert results[1] == results[0], (start, deadline)
         assert (dataclasses.asdict(bat.stats)
                 == dataclasses.asdict(ref.stats)), (start, deadline)
         assert state(bat) == state(ref), (start, deadline)
         return results[0]
+
+
+def store_calls(ms: MemorySystem) -> list:
+    """Wrap ``ms._store`` so that each handler call appends its address
+    to the returned list."""
+    calls = []
+    handler = ms._store
+
+    def store(now, addr, partial):
+        calls.append(addr)
+        return handler(now, addr, partial)
+
+    ms._store = store
+    return calls
 
 
 def schedule(pair: Pair, processes, slices, probe_end=False) -> None:
@@ -166,19 +190,32 @@ addresses = st.builds(lambda page, offset: page * PAGE_WORDS + offset,
 @st.composite
 def batches(draw):
     """Mostly sequential code with jumps; loads, full and partial stores;
-    system calls anywhere, including the first and last instruction."""
+    system calls anywhere, including the first and last instruction.
+    Three stores in four write into the line of the previous data
+    access, so they tend to hit in L1-D and L2-D and, back to back, to
+    fill the write buffer."""
     n = draw(st.integers(1, 40))
     pcs, kinds, addrs, partials, syscalls = [], [], [], [], []
+    last = None  # the previous data access's address
     pc = draw(addresses)
     for i in range(n):
         if i and draw(st.integers(0, 4)) == 0:
             pc = draw(addresses)
         elif i:
             pc += 1
-        kind = draw(st.sampled_from((0, 0, 1, 2)))
+        kind = draw(st.sampled_from((0, 0, 1, 2, 2)))
+        if kind == 2 and last is not None and draw(st.integers(0, 3)):
+            addr = (last // D_LINE * D_LINE
+                    + draw(st.integers(0, D_LINE - 1)))
+        elif kind:
+            addr = draw(addresses)
+        else:
+            addr = 0
+        if kind:
+            last = addr
         pcs.append(pc)
         kinds.append(kind)
-        addrs.append(draw(addresses) if kind else 0)
+        addrs.append(addr)
         partials.append(kind == 2 and draw(st.booleans()))
         syscalls.append(draw(st.integers(0, 9)) == 0)
     return prepared(pcs, kinds, addrs, partials, syscalls)
@@ -246,6 +283,19 @@ class TestDeadlineCrossedByAStall:
         assert [ms.now - deadline for deadline, ms in hits] == [1]
         assert all(ms.stats.stall_l1_writes == 1 for _, ms in hits)
 
+    @pytest.mark.parametrize("policy", WRITE_THROUGH)
+    def test_store_into_a_full_buffer(self, policy):
+        # Word 76 shares line 10's L2 set but not its L1-D set, so the
+        # store to 41 hits in L1-D only and its drain misses in L2.  The
+        # store to 42 hits in both but finds the one-entry buffer full,
+        # and its wait for that drain crosses the deadline.
+        batch = prepared(range(5), kinds=[1, 1, 2, 2, 0],
+                         addrs=[40, 76, 41, 42, 0])
+        hits = crossings(machine(policy, depth=1), batch, consumed=4)
+        assert [ms.now - deadline for deadline, ms in hits] == [
+            6, 5, 4, 3, 2, 1]
+        assert all(ms.stats.stall_wb == 6 for _, ms in hits)
+
 
 @pytest.mark.parametrize("at", (5, 4), ids=("free", "line-change"))
 def test_syscall_ties_with_deadline(at):
@@ -305,6 +355,70 @@ def test_epoch_bump_then_inline_store_hit():
     ref = pair.ref
     assert ref._dirty_epoch == 3
     assert ref._ddirty[10 & ref._d_mask] == 3
+
+
+@pytest.mark.parametrize("policy", WRITE_THROUGH)
+def test_write_through_store_hit_calls_no_handler(policy):
+    # The load installs line 10 in L1-D and L2-D; the store hits both
+    # and finds the buffer empty.
+    pair = Pair(machine(policy))
+    calls = store_calls(pair.bat)
+    batch = prepared(range(2), kinds=[1, 2], addrs=[40, 41])
+    assert pair.call(batch, 0, 1 << 40) == (2, REASON_END)
+    assert calls == []
+    ref = pair.ref
+    assert ref.wb.pushes == 1 and ref.stats.l2_write_accesses == 1
+    assert ref.stats.l2_write_misses == 0
+
+
+@pytest.mark.parametrize("policy", WRITE_THROUGH)
+@pytest.mark.parametrize("gap", (1, 0), ids=("retires", "full"))
+def test_drain_completing_at_the_store(policy, gap):
+    # The first store's drain completes two cycles after it.  One
+    # instruction later, the second store finds it completing in its own
+    # cycle: the entry retires and the store stays inline.  Back to
+    # back, the one-entry buffer is full and the handler waits a cycle.
+    kinds = [1, 2] + [0] * gap + [2]
+    addrs = [40, 41] + [0] * gap + [42]
+    pair = Pair(machine(policy, depth=1))
+    calls = store_calls(pair.bat)
+    batch = prepared(range(len(kinds)), kinds=kinds, addrs=addrs)
+    assert pair.call(batch, 0, 1 << 40) == (len(kinds), REASON_END)
+    ref = pair.ref
+    assert ref.stats.stall_wb == 1 - gap
+    assert calls == ([] if gap else [42])
+    assert ref.wb.retired == 1 and ref.wb.max_occupancy == 1
+
+
+def test_subblock_partial_store_hit_next_to_a_full_word_one():
+    # A partial-word write miss installs line 10 with no valid word.  A
+    # full-word store hit validates word 41; a partial one beside it
+    # leaves word 42 invalid, so loading 41 hits and loading 42 misses.
+    pair = Pair(machine(WritePolicy.SUBBLOCK))
+    calls = store_calls(pair.bat)
+    stores = prepared(range(3), kinds=[2, 2, 2], addrs=[40, 41, 42],
+                      partials=[True, False, True])
+    assert pair.call(stores, 0, 1 << 40) == (3, REASON_END)
+    assert calls == [40]
+    assert pair.ref.l1d_line_state(41)["valid_mask"] == 0b0010
+    misses = pair.ref.stats.l1d_read_misses
+    loads = prepared(range(4, 6), kinds=[1, 1], addrs=[41, 42])
+    assert pair.call(loads, 0, 1 << 40) == (2, REASON_END)
+    assert pair.ref.stats.l1d_read_misses == misses + 1
+
+
+@pytest.mark.parametrize("policy", WRITE_THROUGH)
+def test_store_hit_whose_l2d_line_was_evicted(policy):
+    # Loading word 76 evicts line 10's L2 line (the unified L2 has four
+    # 8-word lines) but not its L1-D line: the store hits in L1-D only,
+    # so the handler runs, and its drain misses in L2.
+    pair = Pair(machine(policy))
+    calls = store_calls(pair.bat)
+    batch = prepared(range(3), kinds=[1, 1, 2], addrs=[40, 76, 41])
+    assert pair.call(batch, 0, 1 << 40) == (3, REASON_END)
+    assert calls == [41]
+    assert pair.ref.stats.l2_write_misses == 1
+    assert pair.ref.l1d_line_state(41)["present"]
 
 
 def test_one_batch_alternates_l1i_line_sizes():

@@ -1,13 +1,16 @@
 """EXPERIMENTS.md cites the committed reports, cell for cell.
 
-The ``scaling`` and ``pareto`` sections quote ``results/scaling.txt``
-and ``results/pareto.txt``.  These tests parse the markdown tables and
-the numbers in the findings and check each against the report, so a
-regenerated report and the document cannot drift apart.
+The ``scaling``, ``pareto``, Fig. 5 and write-path ablation sections
+quote ``results/scaling.txt``, ``pareto.txt``, ``fig5.txt`` (with
+``fig4.txt``), ``wbdepth.txt``, ``wboverlap.txt`` and ``coloring.txt``.
+These tests parse the markdown tables and the numbers in the findings
+and check each against the report, so a regenerated report and the
+document cannot drift apart.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -17,7 +20,7 @@ DOC = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
 
 def section(experiment_id: str) -> str:
     """The text of the section whose heading names ``experiment_id``."""
-    start = DOC.index(f"(`{experiment_id}`)\n")
+    start = re.search(rf"^## .*`{experiment_id}`", DOC, re.M).start()
     end = DOC.find("\n## ", start)
     return DOC[start:end]
 
@@ -45,6 +48,19 @@ def report(experiment_id: str) -> tuple:
     findings = dict(line.strip().split(" = ")
                     for line in lines[start + 1:] if line.startswith("  "))
     return rows, findings, lines
+
+
+def numbers(text: str) -> set:
+    """Every number written in ``text`` as a word of its own."""
+    return set(re.findall(r"\b\d+(?:\.\d+)?\b", text))
+
+
+def columns(experiment_id: str, *names: str) -> dict:
+    """``{first cell: {name: value}}`` of a report whose first column is
+    a number, with ``names`` naming the columns after it."""
+    rows, _, _ = report(experiment_id)
+    return {int(row[0]): dict(zip(names, map(float, row[1:])))
+            for row in rows}
 
 
 def instructions(cell: str) -> int:
@@ -119,3 +135,94 @@ def test_pareto_findings_match_report():
     assert "dominated at every point" in text
     assert (f"pays {round(min(extra))}–{round(max(extra))} pJ/instr more"
             in text)
+
+
+WRITE_THROUGH = ("write-miss-invalidate", "write-only", "subblock")
+
+
+def test_fig5_claims_match_report():
+    policies = ("write-back",) + WRITE_THROUGH
+    cpi = columns("fig5", *policies)
+    _, findings, lines = report("fig5")
+    assert lines[1].split()[-4:] == list(policies)
+    rows = markdown_rows(section("fig5"))
+    text = " ".join(" ".join(cells[2] for cells in rows).split())
+    cited = set()
+
+    def cites(claim: str) -> None:
+        assert claim in text
+        cited.update(numbers(claim))
+
+    fast = [a for a in cpi if a <= 8]
+    assert all(cpi[a][p] < cpi[a]["write-back"]
+               for a in fast for p in WRITE_THROUGH)
+    cites(f"beats write-back at every access time up to {max(fast)} "
+          f"cycles")
+    slow = max(cpi)
+    assert all(cpi[slow]["write-back"] < cpi[slow][p] for p in WRITE_THROUGH)
+    cites(f"write-back beats all three at {slow} cycles")
+    crossover = float(findings["crossover_interpolated"])
+    cites(f"crossover is **{crossover:.1f} cycles**")
+    gap = abs(cpi[8]["write-back"] - cpi[8]["write-only"])
+    cites(f"at 8 cycles the two policies sit within "
+          f"{math.ceil(gap * 1000) / 1000:.3f} CPI")
+    delta = findings["write_only_minus_subblock_at_4c"]
+    assert f"{cpi[4]['write-only'] - cpi[4]['subblock']:.4f}" == delta
+    cites(f"Δ = {delta} CPI at 4 cycles")
+    assert all(cpi[a]["write-only"] < cpi[a]["write-miss-invalidate"]
+               for a in cpi)
+    cites("write-only beats invalidate at every access time")
+    # Write-back's write-hit loss is Fig. 4's "L1 writes" component.
+    _, _, fig4 = report("fig4")
+    l1_writes = next(float(line.split()[-1]) for line in fig4
+                     if line.strip().startswith("L1 writes "))
+    cites(f"{l1_writes:.3f} CPI")
+    assert numbers(text) <= cited
+
+
+def test_ablations_table_matches_reports():
+    rows = {cells[0]: cells[1] for cells in markdown_rows(section("wbdepth"))}
+    assert len(rows) == 3
+    cited = set()
+
+    depth = rows["write-buffer depth (write-only policy)"]
+    cpi = {d: row["CPI"] for d, row in columns("wbdepth", "CPI").items()}
+    _, findings, _ = report("wbdepth")
+    gains = {}
+    for a, b, saved in re.findall(
+            r"(\d+)→(\d+)(?: entries)?(?: saves)? (\d+\.\d+)", depth):
+        gains[int(a), int(b)] = saved
+        assert saved == f"{cpi[int(a)] - cpi[int(b)]:.4f}", (a, b)
+        cited.update((a, b, saved))
+    assert gains[1, 8] == findings["gain_1_to_8"]
+    assert gains[8, 16] == findings["gain_8_to_16"]
+    steps = list(zip(sorted(cpi), sorted(cpi)[1:]))
+    assert set(steps[:-1]) <= set(gains)
+    # The knee: the first depth past which doubling saves under 0.001.
+    knee = next(a for a, b in steps if cpi[a] - cpi[b] < 0.001)
+    assert f"The knee is earlier, at {knee}:" in depth
+    cited.add(str(knee))
+
+    overlap = rows["drain latency overlap 0→2 cycles"]
+    cpi = {o: row["CPI"]
+           for o, row in columns("wboverlap", "CPI").items()}
+    _, findings, _ = report("wboverlap")
+    saved = f"{cpi[0] - cpi[2]:.4f}"
+    assert saved == findings["gain_0_to_2"]
+    assert f"saves {saved} CPI" in overlap
+    cited.update(("0", "2", saved))
+
+    coloring = rows["page coloring vs. random frames"]
+    _, findings, lines = report("coloring")
+    # Right-aligned labels: the longest row starts in column 0.
+    (col_cpi, col_miss), (rnd_cpi, rnd_miss) = (
+        line.split()[-2:] for line in lines[3:lines.index("findings:")])
+    assert (col_cpi, rnd_cpi) == (findings["coloring_cpi"],
+                                  findings["random_cpi"])
+    claim = (f"coloring: CPI {col_cpi} / L2 miss {col_miss}; "
+             f"random: {rnd_cpi} / {rnd_miss}")
+    assert claim in coloring
+    cited.update(numbers(claim))
+
+    assert numbers(" ".join(" ".join(cells) for cells in rows.items())
+                   ) <= cited
