@@ -10,10 +10,11 @@ model run under interchangeable execution strategies:
     (:class:`repro.core.engine.batched.BatchedEngine`): NumPy finds, once
     per prepared batch, the instructions that open a new L1-I line or
     access data, and every other instruction advances the clock by one
-    cycle without being executed.  Bit-identical to ``reference`` by
-    construction (every architectural mutation goes through the same
-    shared policy/timing handlers) and by test
-    (``tests/test_engine_lockstep.py``,
+    cycle without being executed.  A long call also skips the events
+    that an earlier access in the same call proves L1 hits.
+    Bit-identical to ``reference`` by construction (every architectural
+    mutation goes through the same shared policy/timing handlers) and by
+    test (``tests/test_engine_lockstep.py``,
     ``tests/test_engine_slice_edges.py``).
 
 ``reference``

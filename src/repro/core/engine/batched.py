@@ -3,25 +3,53 @@
 Most instructions hit everywhere and cost exactly one cycle.  This
 engine finds, once per prepared batch and with NumPy, the instructions
 that might not, and its loop executes only those *events*; every other
-instruction is a free step that advances the clock by one.
+instruction is a free step that advances the clock by one.  A call that
+can reach a long stretch of the batch also drops the events that the
+batch alone proves are L1 hits.
 
 The event index
 ---------------
 
 An instruction is an event when its L1-I line differs from the previous
-instruction's, or when it accesses data.  :func:`event_index` compacts
-the batch's columns to its events, as NumPy arrays: their positions
-(int32), each event's L1-I line, kind, address and partial flag, and
-the system-call positions.  The index depends only on the batch and the
-L1-I line size, so it is built on the first call that runs the batch,
-kept on the :class:`~repro.sched.process.PreparedBatch` next to its
-columns, rebuilt only for a different line size, and freed with the
-batch.  Each call finds the slice of the index it can reach (at one
-cycle per instruction, none past ``start + deadline - now``) and zips
-memoryviews of it, which yield one event at a time: a call converts only
-the events it runs.  Every value the loop passes on is a Python ``int``
-or ``bool``: a NumPy scalar would leak into statistics, obs events and
+instruction's, or when it accesses data.  An :class:`EventIndex`
+compacts the batch's columns to its events, as NumPy arrays: their
+positions (int32), each event's L1-I line, kind, address and partial
+flag, and the system-call positions.  Its key is the machine's L1
+geometry and write policy.  It is built on the first call that runs the
+batch, kept on the :class:`~repro.sched.process.PreparedBatch` next to
+its columns, rebuilt only for another key, and freed with the batch.
+Each call finds the slice of the index it can reach (at one cycle per
+instruction, none past ``start + deadline - now``) and zips memoryviews
+of it, which yield one event at a time: a call converts only the events
+it runs.  Every value the loop passes on is a Python ``int`` or
+``bool``: a NumPy scalar would leak into statistics, obs events and
 ``state_dict()``.
+
+Provable hits
+-------------
+
+Both L1s are direct-mapped, so an access hits when the latest earlier
+access to its set touched its line.  Per event, the index also holds a
+*threshold*, built on the first call that filters: the position of the
+latest earlier access, in the batch, that proves the event an L1 hit,
+or -1.  That access ``q`` is the latest earlier one to the same set, and
+
+* a line change (kind 0, or the L1-I side of a data access) is proven
+  when ``q`` fetched the same L1-I line and the line before it is on
+  the same page, so no I-TLB probe happens (an L1-I access is a run of
+  one line, and its position the run's last);
+* a load is proven when ``q`` touched the same L1-D line, was a load
+  under the write-through policies and a load of the same word under
+  subblock placement, and the data access before it is on the same
+  page, so no D-TLB probe happens;
+* a store is never proven.
+
+An event that is both a line change and a load needs both sides, so its
+threshold is the smaller.  A call skips the events whose threshold is
+at least ``start``: their ``q`` ran in the same call.  It filters only
+when the slice it can reach holds more than :data:`FILTER_MIN_EVENTS`
+events, since the compare and compress cost more than they save on
+short slices.
 
 Why skipping is exact
 ---------------------
@@ -34,10 +62,24 @@ Why skipping is exact
 * The first instruction of every call is always an event: another
   process may have evicted its line, or moved the TLB's last page,
   since this batch last ran.  When the index does not list it, it is
-  prepended as a kind-0 instruction: every data access is listed.
+  prepended as a kind-0 instruction: every data access is listed.  When
+  it is listed, no access at or after ``start`` precedes it, so it is
+  never skipped.
+* ``ifetch_miss`` writes only at its own index, and the policy handlers
+  write L1-D tag, valid and write-only state only at the accessed
+  index, whose victim they evict.  So a set holds what its latest
+  access ``q`` left there.  Under write-back every resident line
+  is fully valid, so a store at ``q`` proves a later load hits too; a
+  write-through store may invalidate the line, mark it write-only or
+  leave valid bits clear, so there ``q`` must be a load.  Faults and
+  audits run only between calls, before ``q``.
+* A hit costs no extra cycle, changes no state (its page is the last
+  one probed) and emits no obs event, so a skipped event is a free
+  step; only ``st.loads`` counts it, and a filtering call counts its
+  loads from the index.
 * A free instruction touches no state, so the only question is where
-  the call stops.  The clock after a free step at position ``q`` is
-  ``q + c``, and ``c`` moves only when an event stalls.  The reference
+  the call stops.  The clock after a free step at position ``i`` is
+  ``i + c``, and ``c`` moves only when an event stalls.  The reference
   loop tests ``now >= deadline`` after every instruction, and a system
   call wins a tie with it.  So an event runs only if the clock before
   it is below the deadline, and after the last one the call takes free
@@ -92,25 +134,108 @@ from repro.params import PAGE_WORDS, log2i
 _PAGE_SHIFT = log2i(PAGE_WORDS)
 
 
-def event_index(batch, il_shift: int) -> tuple:
-    """The event index of a :class:`~repro.sched.process.PreparedBatch`.
+#: A call skips provable hits only when the slice it can reach holds
+#: more than this many events.  Filtering costs a compare and a
+#: five-column compress of that slice, plus the batch's thresholds on
+#: its first filtering call.  With every call filtering, ``short_slice``
+#: (2,000-cycle slices: 5,871 calls reaching 966 events each on average,
+#: most never run) lost 11% of its ``sim_instr_per_s`` and gained 1.8 MB
+#: of peak RSS (3 alternating pairs on a 2-vCPU host).  At this size it
+#: never filters, while 106 of ``paper_l8``'s 107 calls do.
+FILTER_MIN_EVENTS = 2048
 
-    Returns ``(il_shift, positions, lines, kinds, addrs, partials,
-    system-call positions)``, all but the first NumPy arrays.
+#: The threshold of an event no earlier access proves an L1 hit.
+_UNPROVEN = -1
+
+
+def _repeats(sets, values) -> tuple:
+    """``(p, q)``, index arrays over a sequence of accesses to
+    direct-mapped sets: access ``q`` is the latest one before ``p`` to
+    ``p``'s set, and both have the same value (a line, or a word of one)."""
+    # An L1 is at most a page, so it has at most 4,096 sets: uint16 keys
+    # take NumPy's radix sort.  In set order an access follows the latest
+    # earlier access to its set, and equal values share a set.
+    order = np.argsort(sets.astype(np.uint16), kind="stable")
+    ordered = values[order]
+    same = ordered[1:] == ordered[:-1]
+    return order[1:][same], order[:-1][same]
+
+
+class EventIndex:
+    """The events of a :class:`~repro.sched.process.PreparedBatch`.
+
+    ``key`` is ``(il_shift, i_mask, dl_shift, d_mask, write policy)``.
     ``positions`` is a sorted int32 array of the positions whose L1-I
     line (``pc >> il_shift``) differs from the previous position's or
     that access data; ``lines``, ``kinds``, ``addrs`` and ``partials``
-    hold each event's L1-I line and data access.
+    hold each event's L1-I line and data access, and ``syscalls`` the
+    batch's system-call positions.
     """
-    lines = batch.pc >> il_shift
-    event = batch.kind != 0
-    if lines.size:
-        event[0] = True
-        event[1:] |= lines[1:] != lines[:-1]
-    positions = np.flatnonzero(event)
-    return (il_shift, positions.astype(np.int32), lines[positions],
-            batch.kind[positions], batch.addr[positions],
-            batch.partial[positions], np.flatnonzero(batch.syscall))
+
+    __slots__ = ("key", "positions", "lines", "kinds", "addrs", "partials",
+                 "syscalls", "_thresholds")
+
+    def __init__(self, batch, key: tuple):
+        lines = batch.pc >> key[0]
+        event = batch.kind != 0
+        if lines.size:
+            event[0] = True
+            event[1:] |= lines[1:] != lines[:-1]
+        positions = np.flatnonzero(event)
+        self.key = key
+        self.positions = positions.astype(np.int32)
+        self.lines = lines[positions]
+        self.kinds = batch.kind[positions]
+        self.addrs = batch.addr[positions]
+        self.partials = batch.partial[positions]
+        self.syscalls = np.flatnonzero(batch.syscall)
+        self._thresholds = None
+
+    def thresholds(self) -> np.ndarray:
+        """Per event, the position of the latest earlier access in the
+        batch that proves it an L1 hit, or -1 (int32, built on first
+        use; see the module docstring)."""
+        if self._thresholds is None:
+            self._thresholds = self._build_thresholds()
+        return self._thresholds
+
+    def _build_thresholds(self) -> np.ndarray:
+        il_shift, i_mask, dl_shift, d_mask, policy = self.key
+        positions = self.positions
+        lines = self.lines
+        # Every event starts a run of one line or accesses data, so one
+        # of the two sides below lowers this bound.
+        thresholds = np.full(len(positions), np.iinfo(np.int32).max,
+                             np.int32)
+        # L1-I side: a run of one line is one access to its set.  Run q
+        # ends one position before run q + 1 starts; since q < p, run
+        # p - 1 exists and holds the line before p.
+        change = np.empty(len(lines), bool)
+        change[:1] = True
+        change[1:] = lines[1:] != lines[:-1]
+        runs = np.flatnonzero(change)
+        run_lines = lines[runs]
+        p, q = _repeats(run_lines & i_mask, run_lines)
+        pages = run_lines >> (_PAGE_SHIFT - il_shift)
+        found = np.full(len(runs), _UNPROVEN, np.int32)
+        found[p] = np.where(pages[p] == pages[p - 1],
+                            positions[runs[q + 1]] - 1, _UNPROVEN)
+        thresholds[runs] = found
+        # L1-D side: every data access is one; only a load is proven.
+        data = np.flatnonzero(self.kinds != 0)
+        kinds = self.kinds[data]
+        addrs = self.addrs[data]
+        dlines = addrs >> dl_shift
+        p, q = _repeats(dlines & d_mask, addrs
+                        if policy is WritePolicy.SUBBLOCK else dlines)
+        pages = addrs >> _PAGE_SHIFT
+        kept = (kinds[p] == 1) & (pages[p] == pages[p - 1])
+        if policy is not WritePolicy.WRITE_BACK:
+            kept &= kinds[q] == 1
+        found = np.full(len(data), _UNPROVEN, np.int32)
+        found[p] = np.where(kept, positions[data[q]], _UNPROVEN)
+        thresholds[data] = np.minimum(thresholds[data], found)
+        return thresholds
 
 
 class BatchedEngine(Engine):
@@ -123,6 +248,8 @@ class BatchedEngine(Engine):
         policy = ms.config.write_policy
         self._wb_store_hits = policy is WritePolicy.WRITE_BACK
         self._subblock = policy is WritePolicy.SUBBLOCK
+        self._key = (ms._il_shift, ms._i_mask, ms._dl_shift, ms._d_mask,
+                     policy)
 
     def run_slice(self, batch, start: int, deadline: int) -> SliceResult:
         ms = self.ms
@@ -135,10 +262,11 @@ class BatchedEngine(Engine):
         reason = REASON_END
         if start < n:
             il_shift = ms._il_shift
-            if batch.events is None or batch.events[0] != il_shift:
-                batch.events = event_index(batch, il_shift)
-            _, ev, ev_lines, ev_kinds, ev_addrs, ev_partials, sys_pos = (
-                batch.events)
+            events = batch.events
+            if events is None or events.key != self._key:
+                events = batch.events = EventIndex(batch, self._key)
+            ev = events.positions
+            sys_pos = events.syscalls
             j = sys_pos.searchsorted(start)
             sys_at = int(sys_pos[j]) if j < len(sys_pos) else n
             last = sys_at if sys_at < n else n - 1
@@ -151,14 +279,20 @@ class BatchedEngine(Engine):
             lo, hi = ev.searchsorted(np.array(
                 (start, (reach if reach < last else last) + 1),
                 np.int32)).tolist()
+            columns = [column[lo:hi] for column in (
+                ev, events.lines, events.kinds, events.addrs,
+                events.partials)]
+            filtered = hi - lo > FILTER_MIN_EVENTS
+            if filtered:
+                # Skip the events an access earlier in this call proves
+                # L1 hits.
+                run = events.thresholds()[lo:hi] < start
+                columns = [column[run] for column in columns]
             # Memoryviews yield Python ints and bools, one per step, so
             # the loop converts only the events it reaches.
-            positions = memoryview(ev[lo:hi])
-            rows = zip(positions, memoryview(ev_lines[lo:hi]),
-                       memoryview(ev_kinds[lo:hi]),
-                       memoryview(ev_addrs[lo:hi]),
-                       memoryview(ev_partials[lo:hi]))
-            if lo == hi or positions[0] != start:
+            positions, *rest = map(memoryview, columns)
+            rows = zip(positions, *rest)
+            if not positions or positions[0] != start:
                 # Not an event, so it accesses no data.
                 rows = chain((
                     (start, int(batch.pc[start]) >> il_shift, 0, 0, False),),
@@ -203,7 +337,7 @@ class BatchedEngine(Engine):
 
             loads = stores = write_hits = wt_hits = retired = 0
             iline_prev = None  # the call's first instruction is an event
-            # The clock after a free step at position q is q + c; only a
+            # The clock after a free step at position i is i + c; only a
             # stall moves c.
             c = now + 1 - start
             for i, iline, kind, addr, partial in rows:
@@ -290,6 +424,10 @@ class BatchedEngine(Engine):
                 reason = REASON_SYSCALL
             elif now >= deadline:
                 reason = REASON_SLICE
+            if filtered:
+                # A skipped load still counts: count every load up to end.
+                m = ev.searchsorted(np.int32(end), "right")
+                loads = int(np.count_nonzero(events.kinds[lo:m] == 1))
             end += 1
             st.stall_l1_writes += write_hits
             st.loads += loads

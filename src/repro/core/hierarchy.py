@@ -8,7 +8,9 @@ fetch (with an inlined direct-mapped L1-I hit check), optional data access
 crossings, and cycle accounting into the Fig. 4 stall components.  The
 default ``batched`` engine runs the same body only for *events* (a new
 L1-I line, a data access) and advances the clock by one cycle over every
-other instruction.  It accounts the common store hits inline (a
+other instruction; a call that can reach a long stretch of the batch also
+skips the events the batch itself proves L1 hits (the L1s are
+direct-mapped).  It accounts the common store hits inline (a
 write-back hit; a write-through hit whose line is in a direct-mapped L2-D
 half and that finds room in the write buffer) and calls the same handlers
 for everything else.

@@ -42,8 +42,9 @@ class PreparedBatch:
         #: Malformed records dropped during preparation (skip mode only).
         self.dropped = dropped
         #: The batched engine's event index, built on the batch's first
-        #: call and freed with the batch
-        #: (:func:`repro.core.engine.batched.event_index`).
+        #: call, with per-event hit thresholds added on its first call
+        #: that filters, and freed with the batch
+        #: (:class:`repro.core.engine.batched.EventIndex`).
         self.events = None
 
     def __len__(self) -> int:

@@ -122,6 +122,14 @@ class TestSchedulingShapes:
     def test_slice_longer_than_batch(self, suite):
         assert_identical(base_architecture(), suite[:1], time_slice=90_000)
 
+    def test_long_slices_skip_provable_hits(self):
+        # 100K-cycle slices reach more than FILTER_MIN_EVENTS events, so
+        # most batched calls skip the hits their own accesses prove; a
+        # process resumes on lines the other three evicted.
+        suite = default_suite(instructions_per_benchmark=100_000)
+        assert_identical(base_architecture(), suite[:4], level=4,
+                         time_slice=100_000)
+
     @pytest.mark.parametrize("policy", ALL_POLICIES,
                              ids=lambda p: p.value)
     def test_policies_multiprogrammed(self, suite, policy):

@@ -438,7 +438,7 @@ def test_one_batch_alternates_l1i_line_sizes():
             if pos[il_shift] < n:
                 consumed, _ = pair.call(batch, pos[il_shift], pair.now + 7)
                 pos[il_shift] += consumed
-                assert batch.events[0] == il_shift
+                assert batch.events.key[0] == il_shift
                 calls += 1
     assert calls > 10
     assert pairs[2].ref.stats.l1i_misses != pairs[3].ref.stats.l1i_misses

@@ -1,17 +1,20 @@
 """EXPERIMENTS.md cites the committed reports, cell for cell.
 
-The ``scaling``, ``pareto``, Fig. 5 and write-path ablation sections
-quote ``results/scaling.txt``, ``pareto.txt``, ``fig5.txt`` (with
-``fig4.txt``), ``wbdepth.txt``, ``wboverlap.txt`` and ``coloring.txt``.
-These tests parse the markdown tables and the numbers in the findings
-and check each against the report, so a regenerated report and the
-document cannot drift apart.
+The Fig. 4, Fig. 5, Fig. 9, Fig. 10, Fig. 11, ``scaling``, ``pareto``
+and write-path ablation sections quote ``results/fig4.txt``,
+``fig5.txt``, ``fig9.txt``, ``fig10.txt``, ``fig11.txt``,
+``scaling.txt``, ``pareto.txt``, ``wbdepth.txt``, ``wboverlap.txt`` and
+``coloring.txt``.  These tests parse the markdown tables and the numbers
+in the findings and check each against the report, so a regenerated
+report and the document cannot drift apart.  Where a test checks a
+column, every number written in it must be one the test checked.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +64,37 @@ def columns(experiment_id: str, *names: str) -> dict:
     rows, _, _ = report(experiment_id)
     return {int(row[0]): dict(zip(names, map(float, row[1:])))
             for row in rows}
+
+
+def labelled(experiment_id: str) -> dict:
+    """``{label: [value, ...]}`` of a report whose first column is a
+    right-aligned label: a row's values are its trailing numbers."""
+    _, _, lines = report(experiment_id)
+    rule = next(i for i, line in enumerate(lines) if set(line) == {"-"})
+    table = {}
+    for line in lines[rule + 1:]:
+        if line.endswith(":"):
+            break
+        words = line.split()
+        k = len(words)
+        while re.fullmatch(r"-?\d+(?:\.\d+)?", words[k - 1]):
+            k -= 1
+        table[" ".join(words[:k])] = words[k:]
+    return table
+
+
+def rounded(value, places: int) -> str:
+    """A report's printed number rounded half up to ``places`` decimals,
+    as the document writes it."""
+    return str(Decimal(value).quantize(Decimal(1).scaleb(-places),
+                                       ROUND_HALF_UP))
+
+
+def measured(experiment_id: str) -> dict:
+    """``{first cell: third cell}`` of a section's table, with every
+    emphasis mark removed."""
+    return {cells[0]: cells[2].replace("*", "")
+            for cells in markdown_rows(section(experiment_id))}
 
 
 def instructions(cell: str) -> int:
@@ -226,3 +260,91 @@ def test_ablations_table_matches_reports():
 
     assert numbers(" ".join(" ".join(cells) for cells in rows.items())
                    ) <= cited
+
+
+def test_fig4_stack_matches_report():
+    cpi = {label: values[0] for label, values in labelled("fig4").items()}
+    _, findings, _ = report("fig4")
+    cells = measured("fig4")
+    cited = set()
+
+    def cites(component: str, claim: str) -> None:
+        assert cells[component].startswith(claim), component
+        cited.update(numbers(claim))
+
+    for component in ("base (1 + CPU stalls)", "L1-I miss", "L1-D miss",
+                      "L1 writes", "WB", "total CPI"):
+        cites(component, rounded(cpi[component], 3))
+    cites("L2-I miss + L2-D miss", f"{rounded(cpi['L2-I miss'], 3)} + "
+                                   f"{rounded(cpi['L2-D miss'], 3)}")
+    memory = Decimal(findings["memory_cpi"])
+    paper = {cells[0]: cells[1] for cells in markdown_rows(section("fig4"))}
+    ratio = memory / Decimal(paper["memory CPI"].lstrip("~"))
+    cites("memory CPI", f"{rounded(memory, 3)} ✔ (≈{rounded(ratio, 1)}×)")
+    fraction = Decimal(findings["write_loss_fraction"]) * 100
+    cites("writes as fraction of memory loss", f"{rounded(fraction, 1)} %")
+    assert numbers(" ".join(cells.values())) <= cited
+
+
+def test_fig9_table_matches_report():
+    table = labelled("fig9")
+    _, findings, _ = report("fig9")
+    split, fetch8, swap = measured("fig9").values()
+    claim = (f"{rounded(findings['split_memory_improvement_pct'], 1)} % "
+             f"({rounded(table['base'][1], 3)}→"
+             f"{rounded(table['split L2 (32KW 2-cyc L2-I)'][1], 3)})")
+    assert split.startswith(claim)
+    cited = numbers(claim)
+    claim = f"−{rounded(findings['fetch8_cpi_gain'], 3)} CPI"
+    assert fetch8.startswith(claim)
+    cited |= numbers(claim)
+    claim = f"+{rounded(findings['swap_penalty_pct'], 0)} % memory CPI"
+    assert swap.startswith(claim)
+    cited |= numbers(claim)
+    assert numbers(" ".join((split, fetch8, swap))) <= cited
+
+
+def test_fig10_table_matches_report():
+    _, findings, _ = report("fig10")
+    fig9 = labelled("fig9")
+    assert labelled("fig10")["section-8 design"] == fig9[
+        "+ 8W L1 fetch/line"]
+    cells = measured("fig10")
+    fraction = Decimal(findings["dirty_bit_fraction_of_associative"]) * 100
+    optimizations = (Decimal(fig9["base"][0])
+                     - Decimal(fig9["+ 8W L1 fetch/line"][0]))
+    claims = {
+        "L1-I refill concurrent with WB drain": findings["i_refill_gain"],
+        "loads pass stores — dirty-bit scheme":
+            findings["dwb_bypass_gain_dirty_bit"],
+        "dirty-bit as fraction of associative matching":
+            f"{rounded(fraction, 1)} %",
+        "L2-D dirty buffer": findings["l2_dirty_buffer_gain"],
+        "total": f"{rounded(findings['total_gain'], 3)}, vs "
+                 f"{rounded(optimizations, 3)} from Fig. 9's optimizations",
+    }
+    assert set(cells) == set(claims)
+    cited = set()
+    for mechanism, claim in claims.items():
+        assert cells[mechanism].startswith(claim), mechanism
+        cited |= numbers(claim)
+    assert numbers(" ".join(cells.values())) <= cited
+
+
+def test_fig11_table_matches_report():
+    _, findings, _ = report("fig11")
+    cells = measured("fig11")
+    claims = {
+        "memory-system improvement, base → optimized":
+            f"{rounded(findings['memory_improvement_pct'], 1)} % ✔ "
+            "direction (smaller magnitude, tracking the Fig. 9 gap",
+        "total improvement":
+            f"{rounded(findings['total_improvement_pct'], 1)} % ✔",
+        "no cycle-time increase": "by construction",
+    }
+    assert set(cells) == set(claims)
+    cited = set()
+    for claim_id, claim in claims.items():
+        assert cells[claim_id].startswith(claim), claim_id
+        cited |= numbers(claim)
+    assert numbers(" ".join(cells.values())) <= cited

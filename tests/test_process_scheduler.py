@@ -55,9 +55,11 @@ class TestPreparedBatch:
         assert n == 5003
         memsys = MemorySystem(base_architecture(), engine="batched")
         memsys.run_slice(batch, pos, memsys.now + 4000)
-        il_shift, *arrays = batch.events
-        assert il_shift == memsys._il_shift
-        assert all(isinstance(array, np.ndarray) for array in arrays)
+        index = batch.events
+        assert index.key[0] == memsys._il_shift
+        assert all(isinstance(array, np.ndarray) for array in (
+            index.positions, index.lines, index.kinds, index.addrs,
+            index.partials, index.syscalls))
         gc.collect()
         assert not [obj for obj in gc.get_objects()
                     if isinstance(obj, list) and len(obj) == n]
