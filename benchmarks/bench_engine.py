@@ -8,8 +8,8 @@ tracing disabled (the default):
   nearly every instruction hits everywhere.  This is the workload the
   ≥3× engine-level target and the CI floor apply to.  The event-indexed
   batched engine skips most of its events here as provable L1 hits and
-  reaches about 4.8× (3.9–4.7× in smoke runs; the floor is 3× either
-  way).
+  finishes the misses that hit in L2 in its own loop, reaching about
+  5.5× (4.8× in a smoke run; the floor is 3× either way).
 * ``paper_suite`` — the repo's calibrated Table 1 suite at level 1,
   miss rates in the paper's ranges; reported for honesty (the batched
   engine must never *lose* here).

@@ -88,9 +88,13 @@ Why skipping is exact
   ``start < len(batch)`` always runs at least one instruction, as
   ``reference`` does.
 
-Events run the reference loop's code.  Misses and stores go through the
-same bound handlers, with two exceptions, the common store hits, which
-are accounted inline:
+Inline stores and misses
+------------------------
+
+Events run the reference loop's code.  The common cases of the miss and
+store handlers are finished inline, with no call; everything else calls
+the same bound handlers (``ms._ifetch_miss``, ``ms._load_miss``,
+``ms._store``).  The inline paths are:
 
 * A write-back store hit sets the line's dirty mark and costs one extra
   cycle, as ``store_write_back``'s hit branch does.
@@ -102,14 +106,40 @@ are accounted inline:
   checks run in that order: L1-D tag, L2-D tag, retire, room.  Retiring
   is the only change made before the path commits, and the handler's
   own ``expire`` at the same cycle is then a no-op, so a fallback to
-  ``ms._store`` stays exact.  Its counters (L2 write accesses, L2-D
-  hits, buffer pushes, retirements and peak occupancy) are kept in
-  locals and flushed at the end of the call, before the energy fold;
-  faults and audits run only between calls.
+  ``ms._store`` stays exact.
+* An L1 miss whose refill hits a direct-mapped L2 half, while obs is
+  off: an L1-I miss, an L1-D load miss under any policy, or a
+  write-back store miss, the last two only under the baseline buffer
+  discipline (no bypass).  The path first reads: the refill's L2 line
+  is resident and, under write-back, so is a dirty victim's L2-D line.
+  Then it commits in the handler's order: the wait for the buffer to
+  drain (``WriteBuffer.wait_empty``; the L1-I side only when it waits
+  for the buffer), the victim's push into the then empty buffer
+  (``push_write``'s direct-mapped hit, ``WriteBuffer.push`` without a
+  stall), the refill cycles and the L1 install.
 
-Both read ``ms._dirty_epoch`` at the moment of the store, because
-handlers may bump the epoch, and neither emits an obs event, as none of
-the code they mirror does on these paths.  Statistics, obs event
+Their counters (misses, L2 accesses and hits, refill and buffer stalls,
+L2 write accesses, buffer pushes, retirements and peak occupancy) are
+kept in locals and flushed at the end of the call, before the energy
+fold.  Why the inline misses are exact:
+
+* The probes only read, and the wait touches only the buffer, because
+  L2 is updated when a write enters the buffer (DESIGN §6).  So a probe
+  made before the wait sees what the handler's probe sees after it.
+* A victim whose L2 line hits changes no L2 tag, only its dirty bit, so
+  the refill still hits.  A victim that would evict the refill's line
+  misses, and the whole miss falls back to the handler.
+* The baseline wait empties the buffer, so the victim's push never
+  stalls.
+* An L2-hit miss emits no obs event except those gated on
+  ``_obs.enabled``, and that flag sends every miss of the call to the
+  handlers, which emit them.
+* Faults are injected and audits run only between calls, so nothing
+  sees a counter before it is flushed.
+
+The inline paths read ``ms._dirty_epoch`` when they mark or test a
+line, because handlers may bump the epoch.  Each mirrored handler
+branch is marked "keep in step" on both sides.  Statistics, obs event
 streams and checkpoints are bit-identical to ``reference``
 (``tests/test_engine_*``, ``tests/test_golden_miss_path.py``).
 """
@@ -121,7 +151,8 @@ from itertools import chain
 
 import numpy as np
 
-from repro.core.config import WritePolicy
+from repro.core.cache import INVALID
+from repro.core.config import BypassMode, WritePolicy
 from repro.core.engine import (
     REASON_END,
     REASON_SLICE,
@@ -129,6 +160,7 @@ from repro.core.engine import (
     Engine,
     SliceResult,
 )
+from repro.obs import runtime as _obs
 from repro.params import PAGE_WORDS, log2i
 
 _PAGE_SHIFT = log2i(PAGE_WORDS)
@@ -246,7 +278,7 @@ class BatchedEngine(Engine):
     def __init__(self, ms):
         super().__init__(ms)
         policy = ms.config.write_policy
-        self._wb_store_hits = policy is WritePolicy.WRITE_BACK
+        self._write_back = policy is WritePolicy.WRITE_BACK
         self._subblock = policy is WritePolicy.SUBBLOCK
         self._key = (ms._il_shift, ms._i_mask, ms._dl_shift, ms._d_mask,
                      policy)
@@ -308,6 +340,7 @@ class BatchedEngine(Engine):
             dl_shift = ms._dl_shift
             d_mask = ms._d_mask
             dline_mask = ms._dline_mask
+            d_full_valid = ms._d_full_valid
             tlb_on = ms._tlb_enabled
             itlb_access = ms.itlb.access
             dtlb_access = ms.dtlb.access
@@ -315,27 +348,41 @@ class BatchedEngine(Engine):
             ifetch_miss = ms._ifetch_miss
             load_miss = ms._load_miss
             store = ms._store
-            wb_store_hits = self._wb_store_hits
-            # A write-through store hit needs a direct-mapped L2-D half.
-            # Resolved per call: a test may clear the tags after
-            # construction to force ``Cache.access``.
+            write_back = self._write_back
+            subblock = self._subblock
+            # The inline paths need direct-mapped L2 halves, and an inline
+            # miss needs obs off: the handlers emit its events.  Resolved
+            # per call: a test may clear the tags or switch the bypass
+            # after construction.
+            l2i_tags = ms._l2i_tags
             l2d_tags = ms._l2d_tags
-            wt_store_hits = not wb_store_hits and l2d_tags is not None
-            if wt_store_hits:
-                subblock = self._subblock
-                d_l2_delta = ms._d_l2_delta
-                l2d_mask = ms._l2d_mask
-                l2d_dirty = ms._l2d_dirty
-                wb = ms.wb
-                entries = wb._entries
-                append = entries.append
-                popleft = entries.popleft
-                depth = wb.depth
-                word_cost = ms._wb_word_cost
-                step = max(1, word_cost - wb.overlap_cycles)
-                max_occupancy = wb.max_occupancy
+            obs_off = not _obs.enabled
+            i_inline = obs_off and l2i_tags is not None
+            d_inline = (obs_off and l2d_tags is not None
+                        and ms._bypass is BypassMode.NONE)
+            wt_store_hits = not write_back and l2d_tags is not None
+            i_waits = ms._i_waits_for_wb
+            i_l2_delta = ms._i_l2_delta
+            l2i_mask = ms._l2i_mask
+            i_refill = ms._i_refill_cycles
+            d_l2_delta = ms._d_l2_delta
+            l2d_mask = ms._l2d_mask
+            l2d_dirty = ms._l2d_dirty
+            d_refill = ms._d_refill_cycles
+            wb = ms.wb
+            entries = wb._entries
+            append = entries.append
+            popleft = entries.popleft
+            depth = wb.depth
+            word_cost = ms._wb_word_cost
+            step = max(1, word_cost - wb.overlap_cycles)
+            victim_cost = ms._wb_victim_cost
+            victim_step = max(1, victim_cost - wb.overlap_cycles)
+            max_occupancy = wb.max_occupancy
 
             loads = stores = write_hits = wt_hits = retired = 0
+            i_misses = read_misses = wo_misses = write_misses = 0
+            victims = stall_wb = 0
             iline_prev = None  # the call's first instruction is an event
             # The clock after a free step at position i is i + c; only a
             # stall moves c.
@@ -353,61 +400,126 @@ class BatchedEngine(Engine):
                                 c += tlb_penalty
                                 st.stall_tlb += tlb_penalty
                     if itags[iline & i_mask] != iline:
-                        c = ifetch_miss(i + c, iline) - i
-                if kind:
-                    if tlb_on:
-                        page = addr >> _PAGE_SHIFT
-                        if page != last_dpage:
-                            last_dpage = page
-                            if not dtlb_access(0, page):
-                                c += tlb_penalty
-                                st.stall_tlb += tlb_penalty
-                    dline = addr >> dl_shift
-                    index = dline & d_mask
-                    if kind == 1:
-                        loads += 1
-                        if not (dtags[index] == dline
-                                and not dwrite_only[index]
-                                and (dvalid[index] >> (addr & dline_mask))
-                                & 1):
-                            c = load_miss(i + c, dline, index) - i
-                    else:
-                        stores += 1
+                        line2 = iline >> i_l2_delta
+                        if i_inline and l2i_tags[line2 & l2i_mask] == line2:
+                            # ifetch_miss's direct-mapped L2-I hit, and
+                            # WriteBuffer.wait_empty; keep them in step.
+                            if i_waits and entries:
+                                retired += len(entries)
+                                stall = entries[-1][1] - i - c
+                                entries.clear()
+                                if stall > 0:
+                                    stall_wb += stall
+                                    c += stall
+                            i_misses += 1
+                            c += i_refill
+                            itags[iline & i_mask] = iline
+                        else:
+                            c = ifetch_miss(i + c, iline) - i
+                if not kind:
+                    continue
+                if tlb_on:
+                    page = addr >> _PAGE_SHIFT
+                    if page != last_dpage:
+                        last_dpage = page
+                        if not dtlb_access(0, page):
+                            c += tlb_penalty
+                            st.stall_tlb += tlb_penalty
+                dline = addr >> dl_shift
+                index = dline & d_mask
+                if kind == 1:
+                    loads += 1
+                    if (dtags[index] == dline and not dwrite_only[index]
+                            and (dvalid[index] >> (addr & dline_mask)) & 1):
+                        continue
+                else:
+                    stores += 1
+                    if write_back:
                         if dtags[index] == dline:
-                            if wb_store_hits:
-                                ddirty[index] = ms._dirty_epoch
-                                write_hits += 1
-                                c += 1
-                                continue
-                            if wt_store_hits:
-                                line2 = dline >> d_l2_delta
-                                index2 = line2 & l2d_mask
-                                if l2d_tags[index2] == line2:
-                                    t = i + c
-                                    while entries and entries[0][1] <= t:
-                                        popleft()
-                                        retired += 1
-                                    occupancy = len(entries)
-                                    if occupancy < depth:
-                                        # push_write's direct-mapped hit,
-                                        # WriteBuffer.push without a stall
-                                        # and the policy's hit branch;
-                                        # keep them in step.
-                                        l2d_dirty[index2] = True
-                                        done = wb._last_completion + step
-                                        if done < t + word_cost:
-                                            done = t + word_cost
-                                        wb._last_completion = done
-                                        append((dline, done))
-                                        wt_hits += 1
-                                        if occupancy >= max_occupancy:
-                                            max_occupancy = occupancy + 1
-                                        if subblock and not partial:
-                                            dvalid[index] |= 1 << (
-                                                addr & dline_mask)
-                                        ddirty[index] = ms._dirty_epoch
-                                        continue
+                            # store_write_back's hit; keep them in step.
+                            ddirty[index] = ms._dirty_epoch
+                            write_hits += 1
+                            c += 1
+                            continue
+                    else:
+                        if wt_store_hits and dtags[index] == dline:
+                            line2 = dline >> d_l2_delta
+                            index2 = line2 & l2d_mask
+                            if l2d_tags[index2] == line2:
+                                t = i + c
+                                while entries and entries[0][1] <= t:
+                                    popleft()
+                                    retired += 1
+                                occupancy = len(entries)
+                                if occupancy < depth:
+                                    # push_write's direct-mapped hit,
+                                    # WriteBuffer.push without a stall and
+                                    # the policy's hit branch; keep them in
+                                    # step.
+                                    l2d_dirty[index2] = True
+                                    done = wb._last_completion + step
+                                    if done < t + word_cost:
+                                        done = t + word_cost
+                                    wb._last_completion = done
+                                    append((dline, done))
+                                    wt_hits += 1
+                                    if occupancy >= max_occupancy:
+                                        max_occupancy = occupancy + 1
+                                    if subblock and not partial:
+                                        dvalid[index] |= 1 << (
+                                            addr & dline_mask)
+                                    ddirty[index] = ms._dirty_epoch
+                                    continue
                         c = store(i + c, addr, partial) - i
+                        continue
+                # A load miss, or a write-back store miss: both refill the
+                # line from L2-D.  The policy's miss branch, with
+                # wb_consistency_wait's baseline wait, push_write's and
+                # l2_data_refill's direct-mapped hits and WriteBuffer.push
+                # into an empty buffer; keep them in step.
+                line2 = dline >> d_l2_delta
+                if d_inline and l2d_tags[line2 & l2d_mask] == line2:
+                    victim = dtags[index]
+                    flush = (write_back and victim != INVALID
+                             and ddirty[index] == ms._dirty_epoch)
+                    if flush:
+                        vline2 = victim >> d_l2_delta
+                        vindex2 = vline2 & l2d_mask
+                    if not flush or l2d_tags[vindex2] == vline2:
+                        if entries:
+                            retired += len(entries)
+                            stall = entries[-1][1] - i - c
+                            entries.clear()
+                            if stall > 0:
+                                stall_wb += stall
+                                c += stall
+                        if flush:
+                            l2d_dirty[vindex2] = True
+                            done = wb._last_completion + victim_step
+                            if done < i + c + victim_cost:
+                                done = i + c + victim_cost
+                            wb._last_completion = done
+                            append((victim, done))
+                            victims += 1
+                            if not max_occupancy:
+                                max_occupancy = 1
+                        c += d_refill
+                        if kind == 1:
+                            read_misses += 1
+                            if victim == dline and dwrite_only[index]:
+                                wo_misses += 1
+                            ddirty[index] = 0
+                        else:
+                            write_misses += 1
+                            ddirty[index] = ms._dirty_epoch
+                        dtags[index] = dline
+                        dwrite_only[index] = 0
+                        dvalid[index] = d_full_valid
+                        continue
+                if kind == 1:
+                    c = load_miss(i + c, dline, index) - i
+                else:
+                    c = store(i + c, addr, partial) - i
             else:
                 i = reach + 1  # every reachable event ran
             # The last instruction run: where free steps after the last
@@ -429,16 +541,28 @@ class BatchedEngine(Engine):
                 m = ev.searchsorted(np.int32(end), "right")
                 loads = int(np.count_nonzero(events.kinds[lo:m] == 1))
             end += 1
+            # The inline paths' counters, flushed before the energy fold.
+            d_misses = read_misses + write_misses
+            pushes = wt_hits + victims
             st.stall_l1_writes += write_hits
             st.loads += loads
             st.stores += stores
-            if wt_store_hits:
-                st.l2_write_accesses += wt_hits
-                ms._l2d.hits += wt_hits
-                wb.pushes += wt_hits
-                wb.retired += retired
-                if max_occupancy > wb.max_occupancy:
-                    wb.max_occupancy = max_occupancy
+            st.l1i_misses += i_misses
+            st.l2i_accesses += i_misses
+            st.stall_l1i_miss += i_misses * i_refill
+            st.l1d_read_misses += read_misses
+            st.l1d_write_only_read_misses += wo_misses
+            st.l1d_write_misses += write_misses
+            st.l2d_accesses += d_misses
+            st.stall_l1d_miss += d_misses * d_refill
+            st.stall_wb += stall_wb
+            st.l2_write_accesses += pushes
+            ms._l2i.hits += i_misses
+            ms._l2d.hits += d_misses + pushes
+            wb.pushes += pushes
+            wb.retired += retired
+            if max_occupancy > wb.max_occupancy:
+                wb.max_occupancy = max_occupancy
 
         consumed = end - start
         ms.now = now

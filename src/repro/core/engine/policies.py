@@ -3,12 +3,15 @@
 One function pair per :class:`~repro.core.config.WritePolicy` — a store
 handler and a load-miss handler — extracted from ``MemorySystem`` so the
 reference and batched engines execute the *same* code on every event.
-The exceptions are the common store hits, which the batched engine
-accounts inline: a write-back hit, exactly as :func:`store_write_back`'s
-hit branch does, and a write-through hit whose L2-D line is in a
+The exceptions are the common cases, which the batched engine finishes
+inline: a write-back store hit, exactly as :func:`store_write_back`'s
+hit branch does; a write-through store hit whose L2-D line is in a
 direct-mapped half and that finds room in the write buffer, exactly as
-the write-through handlers' hit branches do after :func:`push_write`.
-Each mirrored branch is marked "keep in step".
+the write-through handlers' hit branches do after :func:`push_write`;
+and, with tracing off and no bypass, a load miss or write-back store
+miss whose refill (and dirty victim) hits a direct-mapped L2-D half,
+exactly as the miss branches do.  Each mirrored branch is marked "keep
+in step".
 :func:`resolve_policy` maps a policy to its pair once; the memory system
 binds the pair as methods at construction, so the hot loops pay a plain
 attribute call, never a per-access branch chain.
@@ -40,6 +43,9 @@ from repro.obs import runtime as _obs
 
 
 def load_miss_write_back(ms, now: int, dline: int, index: int) -> int:
+    # The batched engine inlines this handler, with tracing off and no
+    # bypass, when the refill and any dirty victim hit a direct-mapped
+    # L2-D half; keep the two in step.
     ms.stats.l1d_read_misses += 1
     if _obs.enabled:
         _obs.tracer.emit("l1d_miss", cyc=now, line=dline, cls="read")
@@ -72,7 +78,8 @@ def store_write_back(ms, now: int, addr: int, partial: bool) -> int:
         st.stall_l1_writes += 1
         ddirty[index] = ms._dirty_epoch
         return now + 1
-    # Write miss: the same refill as a load miss, installed dirty.
+    # Write miss: the same refill as a load miss, installed dirty.  The
+    # batched engine inlines it as it does the load miss; keep in step.
     st.l1d_write_misses += 1
     if _obs.enabled:
         _obs.tracer.emit("l1d_miss", cyc=now, line=dline, cls="write")
@@ -96,6 +103,9 @@ def store_write_back(ms, now: int, addr: int, partial: bool) -> int:
 
 
 def load_miss_write_through(ms, now: int, dline: int, index: int) -> int:
+    # The batched engine inlines this handler, with tracing off and no
+    # bypass, when the refill hits a direct-mapped L2-D half; keep the
+    # two in step.
     st = ms.stats
     st.l1d_read_misses += 1
     dtags = ms._dtags

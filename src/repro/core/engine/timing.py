@@ -10,8 +10,10 @@ binds :func:`ifetch_miss` as a method at construction.
 The miss path is flat: an L1 miss or a store costs one handler call
 (``ms._ifetch_miss``, ``ms._load_miss`` or ``ms._store``) plus only the
 timing steps it needs, each one call deep.  The batched engine makes no
-call for the common store hits (see :mod:`repro.core.engine.batched`);
-every other store goes through ``ms._store`` —
+call for the common store hits, nor, with tracing off, for an L1 miss
+whose refill hits a direct-mapped L2 half under the baseline buffer
+discipline (see :mod:`repro.core.engine.batched`); everything else goes
+through the handlers, which call —
 
 * :func:`wb_consistency_wait`, the read-miss write-buffer discipline;
 * :func:`l2_data_refill`, an L1-D refill from L2-D, including the L2 miss
@@ -21,14 +23,16 @@ every other store goes through ``ms._store`` —
 
 Besides these six callables, the miss path calls only the
 :class:`~repro.core.write_buffer.WriteBuffer` methods, which own drain
-timing; the batched engine's inline write-through store hit is the one
-other place that enqueues a drain, a copy of :meth:`WriteBuffer.push`'s
-non-full case.  L2 probes and fills read and write a direct-mapped half's
-``_tags``/``_dirty`` lists (referenced from the memory system) in place,
-as the L1 hit path does for L1, and allocate nothing; an associative half
-goes through :meth:`repro.core.cache.Cache.access`, the reference model
-the flat probes reproduce (hit/miss counters and ``cache_miss`` events
-included).
+timing.  The batched engine's inline paths are the other places that
+touch the buffer: a write-through store hit and a write-back victim
+enqueue a drain (copies of :meth:`WriteBuffer.push`'s non-full case),
+and an inline miss waits for it to drain (a copy of
+:meth:`WriteBuffer.wait_empty`).  L2 probes and fills read and write a
+direct-mapped half's ``_tags``/``_dirty`` lists (referenced from the
+memory system) in place, as the L1 hit path does for L1, and allocate
+nothing; an associative half goes through
+:meth:`repro.core.cache.Cache.access`, the reference model the flat
+probes reproduce (hit/miss counters and ``cache_miss`` events included).
 """
 
 from __future__ import annotations
@@ -39,7 +43,11 @@ from repro.obs import runtime as _obs
 
 
 def ifetch_miss(ms, now: int, iline: int) -> int:
-    """Handle an L1-I miss; returns the advanced cycle counter."""
+    """Handle an L1-I miss; returns the advanced cycle counter.
+
+    The batched engine inlines a direct-mapped L2-I hit, with tracing
+    off; keep the two in step.
+    """
     st = ms.stats
     st.l1i_misses += 1
     if ms._i_waits_for_wb and ms.wb._entries:
@@ -91,7 +99,11 @@ def ifetch_miss(ms, now: int, iline: int) -> int:
 
 
 def wb_consistency_wait(ms, now: int, dline: int, index: int) -> int:
-    """Apply the read-miss consistency discipline; returns advanced time."""
+    """Apply the read-miss consistency discipline; returns advanced time.
+
+    The batched engine inlines the baseline (``NONE``) discipline for a
+    miss it finishes itself; keep the two in step.
+    """
     bypass = ms._bypass
     if bypass is BypassMode.NONE:
         stall = ms.wb.wait_empty(now)
@@ -123,6 +135,8 @@ def l2_data_refill(ms, now: int, dline: int) -> int:
     L2-D dirty buffer, a dirty miss reads the requested line first and
     writes the victim back through the one-line buffer afterwards, so it
     costs the clean penalty plus any wait for the buffer to free.
+
+    The batched engine inlines a direct-mapped hit; keep the two in step.
     """
     st = ms.stats
     st.l2d_accesses += 1
@@ -178,9 +192,9 @@ def push_write(ms, now: int, dline: int, cost: int) -> int:
     buffer (DESIGN §6).  A drain that misses in L2 costs the L2 miss
     penalty on top of ``cost``.
 
-    The batched engine inlines a word's direct-mapped L2-D hit with room
-    in the buffer, together with :meth:`WriteBuffer.push`; keep them in
-    step.
+    The batched engine inlines a direct-mapped L2-D hit, together with
+    :meth:`WriteBuffer.push`, for a word when the buffer has room and for
+    a write-back victim, which enters an empty buffer; keep them in step.
     """
     st = ms.stats
     st.l2_write_accesses += 1

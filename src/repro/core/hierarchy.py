@@ -10,10 +10,12 @@ default ``batched`` engine runs the same body only for *events* (a new
 L1-I line, a data access) and advances the clock by one cycle over every
 other instruction; a call that can reach a long stretch of the batch also
 skips the events the batch itself proves L1 hits (the L1s are
-direct-mapped).  It accounts the common store hits inline (a
+direct-mapped).  It finishes the common cases inline: the store hits (a
 write-back hit; a write-through hit whose line is in a direct-mapped L2-D
-half and that finds room in the write buffer) and calls the same handlers
-for everything else.
+half and that finds room in the write buffer) and, with tracing off, the
+L1 misses whose refill hits a direct-mapped L2 half (L1-D misses only
+under the baseline buffer discipline).  It calls the same handlers for
+everything else.
 
 Cycle-accounting rules (Sections 2, 6, 8, 9 of the paper):
 
@@ -42,8 +44,8 @@ steps the event needs (``wb_consistency_wait``, ``l2_data_refill``,
 lists directly, through references this class takes at construction.
 These six callables, plus the write buffer's own methods, are the only
 calls on the miss path, and the boundaries the benchmark's traced run
-measures.  A store hit the batched engine finishes inline calls none of
-them.
+measures.  A store hit or an L1 miss the batched engine finishes inline
+calls none of them.
 
 The L1 hit paths are inlined and the L1 caches are restricted to
 direct-mapped organizations — exactly the design space the machine can build

@@ -77,8 +77,8 @@ class WriteBuffer:
         account (the paper's "WB" component).
 
         The batched engine inlines the non-full case for a write-through
-        store hit, with its counters flushed at the end of each engine
-        call; keep the two in step.
+        store hit and for a write-back victim, with its counters flushed
+        at the end of each engine call; keep the two in step.
         """
         self.expire(now)
         stall = 0
@@ -104,7 +104,13 @@ class WriteBuffer:
         return stall
 
     def wait_empty(self, now: int) -> int:
-        """Stall until the buffer is empty; returns the stall cycles."""
+        """Stall until the buffer is empty; returns the stall cycles.
+
+        The batched engine inlines this wait for a miss it finishes
+        itself.  Its copy retires every entry at once and stalls to the
+        tail's completion if that is later, which is the same because
+        completions rise strictly along the FIFO; keep the two in step.
+        """
         # Every L1 miss under the baseline discipline lands here, so the
         # retirement loop of :meth:`expire` is inlined.
         entries = self._entries

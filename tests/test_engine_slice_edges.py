@@ -16,21 +16,26 @@ configuration rules allow, TLB on and off, write-buffer depth 1, 2 and
 2-way L2 (an associative half goes through ``Cache.access``).  Most
 stores reuse the line of the previous data access, so write-through
 store hits reach the batched engine's inline path and fall back to the
-handler when the buffer is full.  The cases the skipping logic and the
-inline store hits must get exactly right are also pinned by example
-below.
+handler when the buffer is full.  Every example also runs on a twin of
+its machine with the baseline buffer discipline and a direct-mapped L2,
+where the engine finishes L1 misses that hit in L2 itself, and the
+generated test asserts that it took every such branch.  The cases the skipping logic, the inline store
+hits and the inline misses must get exactly right are also pinned by
+example below, with :class:`HandlerSpy` telling an inline path from a
+handler call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.config import (
     BypassMode,
     CacheConfig,
@@ -43,6 +48,7 @@ from repro.core.config import (
 )
 from repro.core.engine import REASON_END, REASON_SLICE, REASON_SYSCALL
 from repro.core.hierarchy import MemorySystem
+from repro.obs.tracing import read_events
 from repro.params import PAGE_WORDS
 from repro.sched.process import PreparedBatch
 
@@ -140,18 +146,51 @@ class Pair:
         return results[0]
 
 
-def store_calls(ms: MemorySystem) -> list:
-    """Wrap ``ms._store`` so that each handler call appends its address
-    to the returned list."""
-    calls = []
-    handler = ms._store
+def counts(ms: MemorySystem) -> Counter:
+    """The counters an inline miss moves, besides the clock."""
+    st = ms.stats
+    return Counter(i_misses=st.l1i_misses, read_misses=st.l1d_read_misses,
+                   write_misses=st.l1d_write_misses,
+                   wo_misses=st.l1d_write_only_read_misses,
+                   stall_wb=st.stall_wb, pushes=ms.wb.pushes)
 
-    def store(now, addr, partial):
-        calls.append(addr)
-        return handler(now, addr, partial)
 
-    ms._store = store
-    return calls
+class HandlerSpy:
+    """Wraps a memory system's three bound miss handlers.
+
+    ``calls`` maps ``ifetch``, ``load`` and ``store`` to the first
+    argument after ``now`` of each call: an L1-I line, an L1-D line or a
+    store's address.  ``handled`` sums what the calls added to
+    :func:`counts`; an engine call flushes its inline counters only when
+    it ends, so :meth:`inline` is what the engine did without a handler.
+    """
+
+    def __init__(self, ms: MemorySystem):
+        self.ms = ms
+        self.start = counts(ms)
+        self.handled = Counter()
+        self.calls = {}
+        for name, attr in (("ifetch", "_ifetch_miss"), ("load", "_load_miss"),
+                           ("store", "_store")):
+            self.calls[name] = []
+            setattr(ms, attr, self._spy(getattr(ms, attr), self.calls[name]))
+
+    def _spy(self, handler, calls):
+        def spied(now, first, *rest):
+            calls.append(first)
+            before = counts(self.ms)
+            now = handler(now, first, *rest)
+            self.handled += counts(self.ms) - before
+            return now
+        return spied
+
+    @property
+    def called(self) -> bool:
+        """True when a handler was called."""
+        return any(self.calls.values())
+
+    def inline(self) -> Counter:
+        return counts(self.ms) - self.start - self.handled
 
 
 def schedule(pair: Pair, processes, slices, probe_end=False) -> None:
@@ -193,7 +232,8 @@ def batches(draw):
     system calls anywhere, including the first and last instruction.
     Three stores in four write into the line of the previous data
     access, so they tend to hit in L1-D and L2-D and, back to back, to
-    fill the write buffer."""
+    fill the write buffer.  One load in four reads that line, so it may
+    find a line a write-only store miss allocated."""
     n = draw(st.integers(1, 40))
     pcs, kinds, addrs, partials, syscalls = [], [], [], [], []
     last = None  # the previous data access's address
@@ -204,7 +244,8 @@ def batches(draw):
         elif i:
             pc += 1
         kind = draw(st.sampled_from((0, 0, 1, 2, 2)))
-        if kind == 2 and last is not None and draw(st.integers(0, 3)):
+        if (kind and last is not None
+                and draw(st.integers(0, 3)) < (3 if kind == 2 else 1)):
             addr = (last // D_LINE * D_LINE
                     + draw(st.integers(0, D_LINE - 1)))
         elif kind:
@@ -221,19 +262,71 @@ def batches(draw):
     return prepared(pcs, kinds, addrs, partials, syscalls)
 
 
-@settings(max_examples=150, deadline=None)
-@given(combo=st.sampled_from(MACHINES), dirty_buffer=st.booleans(),
-       i_line=st.sampled_from((4, 8)), l2_ways=st.sampled_from((1, 2)),
-       processes=st.lists(st.lists(batches(), min_size=1, max_size=3),
-                          min_size=1, max_size=3),
-       slices=st.lists(st.integers(1, 50), min_size=1, max_size=6),
-       probe_end=st.booleans())
-def test_generated_schedules(combo, dirty_buffer, i_line, l2_ways,
-                             processes, slices, probe_end):
-    policy, bypass, tlb, depth, i_refill = combo
-    config = machine(policy, bypass, tlb, depth, i_refill, dirty_buffer,
-                     i_line, l2_ways)
-    schedule(Pair(config), processes, slices, probe_end)
+def inline_branches(config: SystemConfig, done: Counter) -> set:
+    """The inline miss branches one engine call took, told apart by what
+    it counted without a handler call (``done``, a
+    :meth:`HandlerSpy.inline` difference).  A buffer stall in a call
+    with inline misses on one side only is that side's wait."""
+    taken = {name for name in ("i_misses", "read_misses", "write_misses",
+                               "wo_misses") if done[name]}
+    if done["pushes"] and config.write_policy is WritePolicy.WRITE_BACK:
+        taken.add("victims")
+    if done["stall_wb"] and not done["read_misses"] + done["write_misses"]:
+        taken.add("i_wait")
+    if done["stall_wb"] and not done["i_misses"]:
+        taken.add("d_wait")
+    return taken
+
+
+def track_inline(pair: Pair, taken: set) -> None:
+    """Wrap ``pair.call`` so that each call adds to ``taken`` the inline
+    miss branches the batched engine took in it."""
+    spy = HandlerSpy(pair.bat)
+    call = pair.call
+    config = pair.bat.config
+
+    def counted(*args):
+        before = spy.inline()
+        result = call(*args)
+        taken.update(inline_branches(config, spy.inline() - before))
+        return result
+
+    pair.call = counted
+
+
+def test_generated_schedules():
+    """Each policy gets its own examples, and each example also runs on
+    its machine's twin with the baseline buffer discipline and a
+    direct-mapped L2, where the loop finishes L1 misses itself:
+    hypothesis draws examples in runs of similar ones, and drawing from
+    all machines at once went whole runs without a write-back or
+    write-only machine of that kind."""
+    taken = set()
+    for policy in WritePolicy:
+        @settings(max_examples=35, deadline=None)
+        @given(combo=st.sampled_from([m for m in MACHINES
+                                      if m[0] is policy]),
+               dirty_buffer=st.booleans(), i_line=st.sampled_from((4, 8)),
+               l2_ways=st.sampled_from((1, 2)),
+               processes=st.lists(st.lists(batches(), min_size=1,
+                                           max_size=3),
+                                  min_size=1, max_size=3),
+               slices=st.lists(st.integers(1, 50), min_size=1, max_size=6),
+               probe_end=st.booleans())
+        def run(combo, dirty_buffer, i_line, l2_ways, processes, slices,
+                probe_end):
+            policy, bypass, tlb, depth, i_refill = combo
+            twins = dict.fromkeys(((bypass, l2_ways), (BypassMode.NONE, 1)))
+            for discipline, ways in twins:
+                pair = Pair(machine(policy, discipline, tlb, depth, i_refill,
+                                    dirty_buffer, i_line, ways))
+                track_inline(pair, taken)
+                schedule(pair, processes, slices, probe_end)
+
+        run()
+    # Every inline miss branch ran, and agreed with ``reference``.
+    assert taken == {"i_misses", "read_misses", "write_misses", "wo_misses",
+                     "victims", "d_wait", "i_wait"}
 
 
 # -- pinned cases ----------------------------------------------------------
@@ -362,7 +455,7 @@ def test_write_through_store_hit_calls_no_handler(policy):
     # The load installs line 10 in L1-D and L2-D; the store hits both
     # and finds the buffer empty.
     pair = Pair(machine(policy))
-    calls = store_calls(pair.bat)
+    calls = HandlerSpy(pair.bat).calls["store"]
     batch = prepared(range(2), kinds=[1, 2], addrs=[40, 41])
     assert pair.call(batch, 0, 1 << 40) == (2, REASON_END)
     assert calls == []
@@ -381,7 +474,7 @@ def test_drain_completing_at_the_store(policy, gap):
     kinds = [1, 2] + [0] * gap + [2]
     addrs = [40, 41] + [0] * gap + [42]
     pair = Pair(machine(policy, depth=1))
-    calls = store_calls(pair.bat)
+    calls = HandlerSpy(pair.bat).calls["store"]
     batch = prepared(range(len(kinds)), kinds=kinds, addrs=addrs)
     assert pair.call(batch, 0, 1 << 40) == (len(kinds), REASON_END)
     ref = pair.ref
@@ -395,7 +488,7 @@ def test_subblock_partial_store_hit_next_to_a_full_word_one():
     # full-word store hit validates word 41; a partial one beside it
     # leaves word 42 invalid, so loading 41 hits and loading 42 misses.
     pair = Pair(machine(WritePolicy.SUBBLOCK))
-    calls = store_calls(pair.bat)
+    calls = HandlerSpy(pair.bat).calls["store"]
     stores = prepared(range(3), kinds=[2, 2, 2], addrs=[40, 41, 42],
                       partials=[True, False, True])
     assert pair.call(stores, 0, 1 << 40) == (3, REASON_END)
@@ -413,7 +506,7 @@ def test_store_hit_whose_l2d_line_was_evicted(policy):
     # 8-word lines) but not its L1-D line: the store hits in L1-D only,
     # so the handler runs, and its drain misses in L2.
     pair = Pair(machine(policy))
-    calls = store_calls(pair.bat)
+    calls = HandlerSpy(pair.bat).calls["store"]
     batch = prepared(range(3), kinds=[1, 1, 2], addrs=[40, 76, 41])
     assert pair.call(batch, 0, 1 << 40) == (3, REASON_END)
     assert calls == [41]
@@ -442,3 +535,163 @@ def test_one_batch_alternates_l1i_line_sizes():
                 calls += 1
     assert calls > 10
     assert pairs[2].ref.stats.l1i_misses != pairs[3].ref.stats.l1i_misses
+
+
+# -- inline L1 misses ------------------------------------------------------
+#
+# machine(): L1-I and L1-D sets of one 4-word line each, and four 8-word
+# L2 lines.  Word w is in L1-D line w // 4 (set (w // 4) % 4) and in L2
+# line w // 8 (set (w // 8) % 4), so 40 is in L1-D set 2 and L2 set 1.
+
+#: Under write-back: L2 lines 0 (pcs 0-7) and 7 (words 56-63) resident,
+#: line 10 (words 40-43) dirty in L1-D, and L2 set 1 holding line 9.
+WB_SETUP = prepared(range(4), kinds=[0, 1, 2, 1], addrs=[0, 60, 40, 76])
+
+#: After WB_SETUP, a load miss whose refill hits but whose dirty victim
+#: misses in L2: the handler pushes line 10, allocating L2 line 5, with
+#: a drain that outlasts the refill.
+VICTIM_MISSES = prepared([3], kinds=[1], addrs=[56])
+
+#: Under write-through: L2 lines 0 and 5 resident and the drain of a
+#: store to line 10 in flight.
+WT_SETUP = prepared(range(3), kinds=[0, 1, 2], addrs=[0, 40, 41])
+
+
+def warmed(config: SystemConfig, *batches) -> tuple:
+    """A pair that has run each of ``batches`` to its end, and a spy on
+    its batched engine's handlers from then on."""
+    pair = Pair(config)
+    for batch in batches:
+        pair.call(batch, 0, 1 << 40)
+    return pair, HandlerSpy(pair.bat)
+
+
+def behind_a_drain(policy) -> tuple:
+    """A pair with a write in the buffer, L2 lines 0 and 5 resident and
+    L1-D set 3 holding a clean line."""
+    if policy is WritePolicy.WRITE_BACK:
+        return warmed(machine(policy), WB_SETUP, VICTIM_MISSES)
+    return warmed(machine(policy), WT_SETUP)
+
+
+#: (policy, event kind) of every miss the loop can finish: a
+#: write-through store miss always calls the handler.
+INLINE_MISSES = [(policy, kind) for policy in WritePolicy for kind in (0, 1, 2)
+                 if kind < 2 or policy is WritePolicy.WRITE_BACK]
+
+
+@pytest.mark.parametrize("policy, kind", INLINE_MISSES, ids=[
+    f"{policy.value}-{('ifetch', 'load', 'store')[kind]}"
+    for policy, kind in INLINE_MISSES])
+def test_miss_that_hits_in_l2_waits_inline(policy, kind):
+    # pc 4 opens L1-I line 1 and word 44 is L1-D line 11: both miss in
+    # L1 and hit L2 lines 0 and 5, behind the buffered write.
+    pair, spy = behind_a_drain(policy)
+    assert len(pair.ref.wb)
+    batch = prepared([4]) if kind == 0 else prepared(
+        [3], kinds=[kind], addrs=[44])
+    assert pair.call(batch, 0, 1 << 40) == (1, REASON_END)
+    assert not spy.called
+    done = spy.inline()
+    assert done[("i_misses", "read_misses", "write_misses")[kind]] == 1
+    assert done["stall_wb"] > 0 and len(pair.ref.wb) == 0
+    if kind == 2:
+        assert pair.ref.l1d_line_state(44)["dirty"]
+
+
+def test_dirty_victim_that_hits_in_l2_is_pushed_inline():
+    # The store miss installs line 11 dirty in L1-D set 3; loading word
+    # 60 evicts it.  Its L2 line 5 and the refill's L2 line 7 are both
+    # resident, in different sets.
+    pair, spy = behind_a_drain(WritePolicy.WRITE_BACK)
+    batch = prepared([2, 3], kinds=[2, 1], addrs=[44, 60])
+    assert pair.call(batch, 0, 1 << 40) == (2, REASON_END)
+    assert not spy.called
+    assert spy.inline()["pushes"] == 1
+    assert pair.ref.wb._entries[0][0] == 11
+
+
+def test_write_only_read_miss_inline():
+    # The store miss allocates line 10 write-only, and its drain
+    # allocates L2 line 5: the load finds the tag, misses, and refills
+    # from L2 after waiting for that drain.
+    pair, spy = warmed(machine(WritePolicy.WRITE_ONLY),
+                       prepared(range(2), kinds=[0, 2], addrs=[0, 40]))
+    assert pair.call(prepared([2], kinds=[1], addrs=[41]), 0,
+                     1 << 40) == (1, REASON_END)
+    assert not spy.called
+    done = spy.inline()
+    assert done["wo_misses"] == done["read_misses"] == 1
+    assert done["stall_wb"] > 0
+
+
+def test_instruction_miss_under_concurrent_refill_does_not_wait():
+    pair, spy = warmed(machine(WritePolicy.WRITE_ONLY, i_refill=True),
+                       WT_SETUP)
+    assert pair.call(prepared([4]), 0, 1 << 40) == (1, REASON_END)
+    assert not spy.called
+    assert spy.inline()["i_misses"] == 1
+    assert pair.ref.stats.stall_wb == 0 and len(pair.ref.wb) == 1
+
+
+def test_refill_that_misses_in_l2_calls_the_handler():
+    # L2 lines 1, 2 and 12 are not resident.
+    pair, spy = warmed(machine(), prepared([0]))
+    batch = prepared([8, 9, 10], kinds=[0, 1, 2], addrs=[0, 20, 100])
+    assert pair.call(batch, 0, 1 << 40) == (3, REASON_END)
+    assert spy.calls == {"ifetch": [2], "load": [5], "store": [100]}
+
+
+def test_dirty_victim_that_misses_in_l2_calls_the_handler():
+    pair, spy = warmed(machine(), WB_SETUP)
+    assert pair.call(VICTIM_MISSES, 0, 1 << 40) == (1, REASON_END)
+    assert spy.calls == {"ifetch": [], "load": [14], "store": []}
+    assert pair.ref.stats.l2_write_misses == 1
+
+
+def test_dirty_victim_in_the_refills_l2_set_calls_the_handler():
+    # Dirty line 10 (L2 line 5) and line 18 (L2 line 9) share L1-D set 2
+    # and L2 set 1, which holds line 9: the refill's line is resident
+    # until the victim's drain allocates line 5 over it.
+    pair, spy = warmed(machine(), prepared(range(3), kinds=[0, 2, 1],
+                                           addrs=[0, 40, 76]))
+    misses = pair.ref.stats.l2d_misses
+    assert pair.call(prepared([3], kinds=[1], addrs=[72]), 0,
+                     1 << 40) == (1, REASON_END)
+    assert spy.calls == {"ifetch": [], "load": [18], "store": []}
+    assert pair.ref.stats.l2d_misses == misses + 1
+
+
+@pytest.mark.parametrize("config, ifetch", (
+    (machine(l2_ways=2), [1]),
+    (machine(WritePolicy.WRITE_ONLY, BypassMode.DIRTY_BIT), []),
+    (machine(WritePolicy.WRITE_BACK, BypassMode.ASSOCIATIVE), []),
+), ids=("2-way-l2", "dirty-bit", "associative"))
+def test_misses_the_loop_leaves_to_the_handlers(config, ifetch):
+    # Both misses hit in L2.  An associative L2 sends both to the
+    # handlers; a bypass discipline only the L1-D one.
+    pair, spy = warmed(config, prepared(range(2), kinds=[0, 1],
+                                        addrs=[0, 40]))
+    batch = prepared([4, 5], kinds=[0, 1], addrs=[0, 44])
+    assert pair.call(batch, 0, 1 << 40) == (2, REASON_END)
+    assert spy.calls == {"ifetch": ifetch, "load": [11], "store": []}
+
+
+def test_traced_misses_call_the_handlers(tmp_path):
+    # The misses of test_miss_that_hits_in_l2_waits_inline, traced: the
+    # handlers emit the miss events, so the loop finishes none of them
+    # itself.  Each engine traces the same events.
+    pair, spy = behind_a_drain(WritePolicy.WRITE_BACK)
+    trace = tmp_path / "trace.jsonl"
+    obs.enable(trace, sample_interval=None)
+    try:
+        pair.call(prepared([4, 5], kinds=[0, 2], addrs=[0, 44]), 0, 1 << 40)
+    finally:
+        obs.disable()
+    assert spy.calls == {"ifetch": [1], "load": [], "store": [44]}
+    events = [event for event in read_events(trace)
+              if event["ev"] not in ("meta", "span")]
+    half = len(events) // 2
+    assert {"l1i_miss", "l1d_miss", "wb_stall"} <= {
+        event["ev"] for event in events}
+    assert events == events[:half] * 2

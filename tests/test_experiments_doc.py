@@ -1,8 +1,9 @@
 """EXPERIMENTS.md cites the committed reports, cell for cell.
 
-The Fig. 4, Fig. 5, Fig. 9, Fig. 10, Fig. 11, ``scaling``, ``pareto``
-and write-path ablation sections quote ``results/fig4.txt``,
-``fig5.txt``, ``fig9.txt``, ``fig10.txt``, ``fig11.txt``,
+The Fig. 2, Fig. 3, Fig. 4, Fig. 5, Fig. 6, Fig. 9, Fig. 10, Fig. 11,
+``scaling``, ``pareto`` and write-path ablation sections quote
+``results/fig2.txt``, ``fig3.txt``, ``fig4.txt``, ``fig5.txt``,
+``fig6.txt``, ``fig9.txt``, ``fig10.txt``, ``fig11.txt``,
 ``scaling.txt``, ``pareto.txt``, ``wbdepth.txt``, ``wboverlap.txt`` and
 ``coloring.txt``.  These tests parse the markdown tables and the numbers
 in the findings and check each against the report, so a regenerated
@@ -28,12 +29,13 @@ def section(experiment_id: str) -> str:
     return DOC[start:end]
 
 
-def markdown_rows(text: str) -> list:
-    """The body rows of the first markdown table in ``text``, each a list
-    of cells with emphasis stripped."""
-    lines = [line for line in text.splitlines() if line.startswith("|")]
+def markdown_rows(text: str, table: int = 0) -> list:
+    """The body rows of a markdown table in ``text`` (the first, unless
+    ``table`` counts further), each a list of cells with emphasis
+    stripped."""
+    block = re.findall(r"(?:^\|.*\n?)+", text, re.M)[table]
     return [[cell.strip().strip("*") for cell in line.strip("|").split("|")]
-            for line in lines[2:]]
+            for line in block.splitlines()[2:]]
 
 
 def report(experiment_id: str) -> tuple:
@@ -90,11 +92,41 @@ def rounded(value, places: int) -> str:
                                        ROUND_HALF_UP))
 
 
-def measured(experiment_id: str) -> dict:
+def report_tables(experiment_id: str) -> list:
+    """Every table of a report, each ``{first cell: [later cells]}``."""
+    _, _, lines = report(experiment_id)
+    tables = []
+    for i, line in enumerate(lines):
+        if line and set(line) == {"-"}:
+            tables.append({})
+            for row in lines[i + 1:]:
+                if not row.startswith(" "):
+                    break
+                first, *rest = row.split()
+                tables[-1][first] = rest
+    return tables
+
+
+def measured(experiment_id: str, table: int = 0) -> dict:
     """``{first cell: third cell}`` of a section's table, with every
     emphasis mark removed."""
     return {cells[0]: cells[2].replace("*", "")
-            for cells in markdown_rows(section(experiment_id))}
+            for cells in markdown_rows(section(experiment_id), table)}
+
+
+class Cells:
+    """A section's measured cells and the numbers its checks cite."""
+
+    def __init__(self, cells: dict):
+        self.cells = cells
+        self.cited = set()
+
+    def cites(self, claim_id: str, claim: str) -> None:
+        assert claim in self.cells[claim_id], claim_id
+        self.cited |= numbers(claim)
+
+    def all_cited(self) -> bool:
+        return numbers(" ".join(self.cells.values())) <= self.cited
 
 
 def instructions(cell: str) -> int:
@@ -348,3 +380,123 @@ def test_fig11_table_matches_report():
         assert cells[claim_id].startswith(claim), claim_id
         cited |= numbers(claim)
     assert numbers(" ".join(cells.values())) <= cited
+
+
+def test_fig2_table_matches_report():
+    # level: L1-I, L1-D and L2 miss ratios, CPI
+    table = report_tables("fig2")[0]
+    _, findings, _ = report("fig2")
+    doc = Cells(measured("fig2"))
+    doc.cites("L1-I miss ratio across levels 1→16",
+              f"{table['1'][0]}→{table['16'][0]} "
+              f"(span {findings['l1i_span']}) ✔")
+    doc.cites("L1-D miss ratio across levels",
+              f"{rounded(table['1'][1], 3)}→{rounded(table['16'][1], 3)} "
+              "(rises more than paper's")
+    doc.cites("L2 miss ratio, low→high level",
+              f"{table['2'][2]}→{table['16'][2]} from level 2→16")
+    doc.cites("performance insensitive beyond level 8",
+              f"CPI {rounded(table['8'][3], 2)} (8) → "
+              f"{rounded(table['16'][3], 2)} (16): mild ✔")
+    assert doc.all_cited()
+
+
+def test_fig3_table_matches_report():
+    # slice: L1-I, L1-D and L2 miss ratios, CPI
+    table = report_tables("fig3")[0]
+    _, findings, _ = report("fig3")
+    slices = sorted(table, key=int)
+    # "≥1M": every slice from 1M cycles up gives the same run.
+    assert len({tuple(table[s]) for s in slices if int(s) >= 10 ** 6}) == 1
+    assert table[slices[0]][3] == findings["cpi_shortest_slice"]
+    assert table[slices[-1]][3] == findings["cpi_longest_slice"]
+    doc = Cells(measured("fig3"))
+    doc.cites("longer slices improve performance",
+              f"CPI {rounded(table['10000'][3], 2)} @10k cycles → "
+              f"{rounded(table['1000000'][3], 2)} @≥1M cycles ✔")
+    doc.cites("too-short slices are bad",
+              f"L1-D miss ratio {rounded(table['10000'][1], 2)} @10k vs "
+              f"{rounded(table['1000000'][1], 2)} @1M ✔")
+    assert doc.all_cited()
+
+
+#: Paper Table 2 L2 miss ratios the Fig. 6 section cites, by
+#: (organization, size in K words).
+PAPER_TABLE2 = {("unified 1-way", 16): "0.0335", ("unified 1-way", 1024): "0.0102",
+                ("split 1-way", 16): "0.0489", ("unified 1-way", 64): "0.0186",
+                ("split 1-way", 64): "0.0177"}
+
+FIG6_ORGANIZATIONS = ("unified 1-way", "unified 2-way", "split 1-way",
+                      "split 2-way")
+
+
+def fig6_miss_ratios() -> dict:
+    """``{(organization, size in K words): miss ratio}``, from the
+    report's Table 2."""
+    _, table = report_tables("fig6")
+    return {(org, int(size.rstrip("K"))): value
+            for size, values in table.items()
+            for org, value in zip(FIG6_ORGANIZATIONS, values)}
+
+
+def test_fig6_miss_ratio_table_matches_report():
+    miss = fig6_miss_ratios()
+    for size, *cells in markdown_rows(section("fig6")):
+        size = int(size.rstrip("K"))
+        assert cells == [rounded(miss[org, size], 3)
+                         for org in FIG6_ORGANIZATIONS], size
+
+
+def test_fig6_claims_match_report():
+    miss = fig6_miss_ratios()
+    sizes = sorted({size for _, size in miss})
+    _, findings, _ = report("fig6")
+    doc = Cells(measured("fig6", table=1))
+    paper_text = " ".join(cells[1] for cells in markdown_rows(
+        section("fig6"), 1))
+    assert all(value in " ".join((paper_text, *doc.cells.values()))
+               for value in PAPER_TABLE2.values())
+
+    unified = [miss["unified 1-way", size] for size in sizes]
+    assert unified == sorted(unified, key=float, reverse=True)
+    decline = float(findings["unified_1way_decline"])
+    ratios = [float(miss[key]) / float(value)
+              for key, value in PAPER_TABLE2.items()]
+    doc.cites("miss ratio declines with size",
+              f"{rounded(unified[0], 3)}→{rounded(unified[-1], 3)} "
+              f"({decline:.1f}×) ✔ shape; absolute values "
+              f"{min(ratios):.1f}–{max(ratios):.1f}× the paper's")
+
+    # 2-way beats 1-way, unified and split, at every size from here up.
+    better = [all(float(miss[f"{half} 2-way", size])
+                  < float(miss[f"{half} 1-way", size])
+                  for half in ("unified", "split")) for size in sizes]
+    first = next(size for k, size in enumerate(sizes) if all(better[k:]))
+    largest = sizes[-1]
+    doc.cites("2-way < 1-way at equal size",
+              f"✔ at ≥{first}K (e.g. {miss['unified 2-way', largest]} vs "
+              f"{miss['unified 1-way', largest]} at {largest}K)")
+
+    small = sizes[0]
+    assert all(miss["split 1-way", size] > miss["unified 1-way", size]
+               for size in sizes[:2])
+    doc.cites("splitting hurts small caches",
+              f"✔ ({rounded(miss['split 1-way', small], 3)} vs "
+              f"{rounded(miss['unified 1-way', small], 3)} at {small}K; "
+              f"paper: {PAPER_TABLE2['split 1-way', small]} vs "
+              f"{PAPER_TABLE2['unified 1-way', small]})")
+
+    def gap(size):
+        return float(miss["split 1-way", size]) - float(
+            miss["unified 1-way", size])
+
+    assert abs(gap(64)) < 0.001 and abs(gap(largest)) < 0.001
+    assert gap(256) > 0
+    doc.cites("splitting helps direct-mapped ≥64K",
+              f"partial: tie at 64K ({miss['split 1-way', 64]} vs "
+              f"{miss['unified 1-way', 64]}) and at {largest}K; split "
+              "worse at 256K.")
+    doc.cites("splitting helps direct-mapped ≥64K",
+              "the physical-partition benefit (Fig. 9) does not depend on "
+              "it")
+    assert doc.all_cited()

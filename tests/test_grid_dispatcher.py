@@ -97,11 +97,18 @@ class TestHappyPath:
     def test_bit_identical_to_serial_in_input_order(self):
         wanted = specs(4)
         truth = serial(wanted)
+        # Calls meet in pairs, so the second is placed while the first
+        # is still in flight, and placement (least-loaded node, ties by
+        # URL) sends it to the other node.  A worker thread running alone
+        # would otherwise put every point on http://a.
+        pairs = threading.Barrier(2, timeout=30)
+        FakeServeClient.behaviors = {
+            url: lambda body: pairs.wait() for url in ("http://a",
+                                                        "http://b")}
         with dispatcher(["http://a", "http://b"]) as grid:
             got = grid.run_points(wanted)
         assert [s.to_dict() for s in got] == truth
-        # All four points went over the wire, spread across both nodes
-        # (the exact split depends on thread scheduling).
+        # All four points went over the wire, spread across both nodes.
         total = sum(len(c) for c in FakeServeClient.calls.values())
         assert total == 4
         assert set(FakeServeClient.calls) == {"http://a", "http://b"}
