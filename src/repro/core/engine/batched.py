@@ -48,8 +48,8 @@ An event that is both a line change and a load needs both sides, so its
 threshold is the smaller.  A call skips the events whose threshold is
 at least ``start``: their ``q`` ran in the same call.  It filters only
 when the slice it can reach holds more than :data:`FILTER_MIN_EVENTS`
-events, since the compare and compress cost more than they save on
-short slices.
+events, since the compare and the gather of the events that run
+cost more than they save on short slices.
 
 Why skipping is exact
 ---------------------
@@ -167,9 +167,10 @@ _PAGE_SHIFT = log2i(PAGE_WORDS)
 
 
 #: A call skips provable hits only when the slice it can reach holds
-#: more than this many events.  Filtering costs a compare and a
-#: five-column compress of that slice, plus the batch's thresholds on
-#: its first filtering call.  With every call filtering, ``short_slice``
+#: more than this many events.  Filtering costs a compare of that slice,
+#: an ``np.flatnonzero`` and a five-column ``take``, plus the batch's
+#: thresholds on its first filtering call.  With every call filtering
+#: (and a boolean-mask compress in place of the ``take``), ``short_slice``
 #: (2,000-cycle slices: 5,871 calls reaching 966 events each on average,
 #: most never run) lost 11% of its ``sim_instr_per_s`` and gained 1.8 MB
 #: of peak RSS (3 alternating pairs on a 2-vCPU host).  At this size it
@@ -180,17 +181,23 @@ FILTER_MIN_EVENTS = 2048
 _UNPROVEN = -1
 
 
-def _repeats(sets, values) -> tuple:
-    """``(p, q)``, index arrays over a sequence of accesses to
-    direct-mapped sets: access ``q`` is the latest one before ``p`` to
-    ``p``'s set, and both have the same value (a line, or a word of one)."""
+def _latest_repeats(sets, values, provable, witness) -> np.ndarray:
+    """Over a sequence of accesses to direct-mapped sets, per access
+    ``p``: ``witness[q]`` when ``p`` is ``provable``, ``q`` is the latest
+    earlier access to ``p``'s set and both have the same value (a line,
+    or a word of one); else ``_UNPROVEN`` (int32)."""
     # An L1 is at most a page, so it has at most 4,096 sets: uint16 keys
     # take NumPy's radix sort.  In set order an access follows the latest
-    # earlier access to its set, and equal values share a set.
+    # earlier access to its set, and equal values share a set, so each
+    # adjacent pair of equal values is a (q, p).
     order = np.argsort(sets.astype(np.uint16), kind="stable")
-    ordered = values[order]
-    same = ordered[1:] == ordered[:-1]
-    return order[1:][same], order[:-1][same]
+    ordered = values.take(order)
+    later = order[1:]
+    repeat = ordered[1:] == ordered[:-1]
+    repeat &= provable.take(later)
+    found = np.full(len(values), _UNPROVEN, np.int32)
+    found[later] = np.where(repeat, witness.take(order[:-1]), _UNPROVEN)
+    return found
 
 
 class EventIndex:
@@ -216,10 +223,10 @@ class EventIndex:
         positions = np.flatnonzero(event)
         self.key = key
         self.positions = positions.astype(np.int32)
-        self.lines = lines[positions]
-        self.kinds = batch.kind[positions]
-        self.addrs = batch.addr[positions]
-        self.partials = batch.partial[positions]
+        self.lines = lines.take(positions)
+        self.kinds = batch.kind.take(positions)
+        self.addrs = batch.addr.take(positions)
+        self.partials = batch.partial.take(positions)
         self.syscalls = np.flatnonzero(batch.syscall)
         self._thresholds = None
 
@@ -235,38 +242,48 @@ class EventIndex:
         il_shift, i_mask, dl_shift, d_mask, policy = self.key
         positions = self.positions
         lines = self.lines
-        # Every event starts a run of one line or accesses data, so one
-        # of the two sides below lowers this bound.
-        thresholds = np.full(len(positions), np.iinfo(np.int32).max,
-                             np.int32)
-        # L1-I side: a run of one line is one access to its set.  Run q
-        # ends one position before run q + 1 starts; since q < p, run
-        # p - 1 exists and holds the line before p.
+        # L1-I side: a run of one line is one access to its set, proven
+        # when its page is the previous run's.  Run q's witness is its
+        # last position, one before run q + 1 starts; since q < p, run
+        # q + 1 exists.
         change = np.empty(len(lines), bool)
         change[:1] = True
-        change[1:] = lines[1:] != lines[:-1]
+        np.not_equal(lines[1:], lines[:-1], out=change[1:])
         runs = np.flatnonzero(change)
-        run_lines = lines[runs]
-        p, q = _repeats(run_lines & i_mask, run_lines)
+        run_lines = lines.take(runs)
         pages = run_lines >> (_PAGE_SHIFT - il_shift)
-        found = np.full(len(runs), _UNPROVEN, np.int32)
-        found[p] = np.where(pages[p] == pages[p - 1],
-                            positions[runs[q + 1]] - 1, _UNPROVEN)
-        thresholds[runs] = found
-        # L1-D side: every data access is one; only a load is proven.
+        provable = np.empty(len(runs), bool)
+        provable[:1] = False
+        np.equal(pages[1:], pages[:-1], out=provable[1:])
+        ends = np.empty(len(runs), np.int32)
+        ends[-1:] = _UNPROVEN
+        np.subtract(positions.take(runs[1:]), 1, out=ends[:-1])
+        # Every event starts a run of one line or accesses data, so one
+        # of the two sides lowers this bound.
+        thresholds = np.full(len(positions), np.iinfo(np.int32).max,
+                             np.int32)
+        thresholds[runs] = _latest_repeats(run_lines & i_mask, run_lines,
+                                           provable, ends)
+        # L1-D side: every data access is one.  A load is proven when its
+        # page is the previous data access's; a witness is any access
+        # under write-back, only a load under the write-through policies.
         data = np.flatnonzero(self.kinds != 0)
-        kinds = self.kinds[data]
-        addrs = self.addrs[data]
-        dlines = addrs >> dl_shift
-        p, q = _repeats(dlines & d_mask, addrs
-                        if policy is WritePolicy.SUBBLOCK else dlines)
+        addrs = self.addrs.take(data)
+        loads = self.kinds.take(data) == 1
         pages = addrs >> _PAGE_SHIFT
-        kept = (kinds[p] == 1) & (pages[p] == pages[p - 1])
+        provable = np.empty(len(data), bool)
+        provable[:1] = False
+        np.equal(pages[1:], pages[:-1], out=provable[1:])
+        provable &= loads
+        witness = positions.take(data)
         if policy is not WritePolicy.WRITE_BACK:
-            kept &= kinds[q] == 1
-        found = np.full(len(data), _UNPROVEN, np.int32)
-        found[p] = np.where(kept, positions[data[q]], _UNPROVEN)
-        thresholds[data] = np.minimum(thresholds[data], found)
+            witness = np.where(loads, witness, _UNPROVEN)
+        dlines = addrs >> dl_shift
+        found = _latest_repeats(dlines & d_mask, addrs
+                                if policy is WritePolicy.SUBBLOCK else dlines,
+                                provable, witness)
+        np.minimum(thresholds.take(data), found, out=found)
+        thresholds[data] = found
         return thresholds
 
 
@@ -318,8 +335,8 @@ class BatchedEngine(Engine):
             if filtered:
                 # Skip the events an access earlier in this call proves
                 # L1 hits.
-                run = events.thresholds()[lo:hi] < start
-                columns = [column[run] for column in columns]
+                run = np.flatnonzero(events.thresholds()[lo:hi] < start)
+                columns = [column.take(run) for column in columns]
             # Memoryviews yield Python ints and bools, one per step, so
             # the loop converts only the events it reaches.
             positions, *rest = map(memoryview, columns)

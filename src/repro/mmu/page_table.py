@@ -37,7 +37,22 @@ DEFAULT_COLORS = 256
 _PID_COLOR_STRIDE = 97
 
 _PAGE_SHIFT = log2i(PAGE_WORDS)
-_PAGE_MASK = PAGE_WORDS - 1
+
+#: :meth:`PageTable.translate_batch` looks pages up in a slot table over
+#: a column's page span when the span is at most this many slots per
+#: record, and sorts the column's page runs otherwise.  A full synthetic
+#: batch's ``addr`` column spans 1.5-2 slots per record (its non-data
+#: rows carry address 0, on page 0); a trace's short last batch spans
+#: 15-19 and is sorted.
+DENSE_SLOTS_PER_RECORD = 4
+
+
+def _slot_dtype(deltas: np.ndarray) -> type:
+    """int32 when every ``frame - page`` fits it, else int64."""
+    info = np.iinfo(np.int32)
+    if info.min <= deltas.min() and deltas.max() <= info.max:
+        return np.int32
+    return np.int64
 
 
 class PageTable:
@@ -81,33 +96,68 @@ class PageTable:
         return self.translate_page(pid, vpage) * PAGE_WORDS + offset
 
     def translate_batch(self, pid: int, word_addrs: np.ndarray) -> np.ndarray:
-        """Vectorized translation of a batch of virtual word addresses.
+        """Vectorized translation of an int64 column of virtual word
+        addresses.
 
-        First-touch allocation happens in ascending page order within the
-        batch for pages not seen before, which is deterministic for a
-        deterministic trace.  Consecutive addresses mostly stay on one page,
-        so pages are looked up once per run of equal pages.
+        Pages not seen before are allocated in ascending page order, as
+        :meth:`translate_page` over the column's sorted distinct pages
+        would, which is deterministic for a deterministic trace.  Each
+        address then moves to its frame as
+        ``address + ((frame - page) << page shift)``, with ``frame - page``
+        found per page in one of two ways:
+
+        * a slot table over the column's page span, when the span is at
+          most ``DENSE_SLOTS_PER_RECORD`` slots per record (every full
+          synthetic batch);
+        * otherwise a sort of the column's runs of equal pages (a short
+          column over a wide span, such as a trace's last batch), whose
+          result is repeated over each run.
         """
-        # The result, which callers keep, is allocated before the
-        # temporaries, and each temporary is dropped once used: the freed
-        # space then lies above the result, and peak memory stays below
-        # that of a plain np.unique over every page.
-        physical = word_addrs & _PAGE_MASK
+        word_addrs = np.asarray(word_addrs, dtype=np.int64)
+        n = len(word_addrs)
+        if not n:
+            return word_addrs.copy()
         vpages = word_addrs >> _PAGE_SHIFT
+        lo = int(vpages.min())
+        span = int(vpages.max()) - lo + 1
+        if span > DENSE_SLOTS_PER_RECORD * n:
+            deltas = self._run_deltas(pid, vpages)
+        else:
+            # Peak memory: the pages, the slot table (1 B, then 4 B per
+            # slot) and the int32 deltas.  The shifted deltas overwrite
+            # the pages in place and become the result.
+            vpages -= lo
+            seen = np.zeros(span, dtype=bool)
+            seen[vpages] = True
+            slots = np.flatnonzero(seen)
+            del seen
+            pages = slots + lo
+            deltas = self._frames(pid, pages) - pages
+            table = np.zeros(span, dtype=_slot_dtype(deltas))
+            table[slots] = deltas
+            deltas = table.take(vpages)
+            del table
+        np.left_shift(deltas, _PAGE_SHIFT, out=vpages, dtype=np.int64)
+        del deltas
+        vpages += word_addrs
+        return vpages
+
+    def _frames(self, pid: int, pages: np.ndarray) -> np.ndarray:
+        """The frames of ascending ``pages``, allocating first touches."""
+        return np.array([self.translate_page(pid, vpage)
+                         for vpage in pages.tolist()], dtype=np.int64)
+
+    def _run_deltas(self, pid: int, vpages: np.ndarray) -> np.ndarray:
+        """``frame - page`` per record, through a sort of the page runs."""
         n = len(vpages)
         run_start = np.empty(n, dtype=bool)
         run_start[:1] = True
         np.not_equal(vpages[1:], vpages[:-1], out=run_start[1:])
         starts = np.flatnonzero(run_start)
         del run_start
-        unique_pages, inverse = np.unique(vpages[starts], return_inverse=True)
-        del vpages
-        frames = np.array([self.translate_page(pid, vpage)
-                           for vpage in unique_pages.tolist()],
-                          dtype=np.int64)
-        physical |= np.repeat(frames[inverse] << _PAGE_SHIFT,
-                              np.diff(starts, append=n))
-        return physical
+        pages, inverse = np.unique(vpages[starts], return_inverse=True)
+        return np.repeat((self._frames(pid, pages) - pages)[inverse],
+                         np.diff(starts, append=n))
 
     def color_of_frame(self, frame: int) -> int:
         """The color of a physical frame."""

@@ -31,6 +31,7 @@ import numpy as np
 from repro.errors import TraceError
 from repro.params import WORD_BYTES
 from repro.trace.record import KIND_LOAD, KIND_NONE, KIND_STORE, TraceBatch
+from repro.trace.stream import check_max_len
 from repro.trace.tracefile import DIN_IFETCH, DIN_READ, DIN_WRITE
 
 PathLike = Union[str, os.PathLike]
@@ -115,6 +116,7 @@ class DinTraceSource:
 
     def next_batch(self, max_len: Optional[int] = None
                    ) -> Optional[TraceBatch]:
+        check_max_len(max_len)
         if self.done:
             return None
         want = min(self.batch_size,

@@ -23,10 +23,21 @@ class TraceSource(Protocol):
         """True once the trace is exhausted."""
 
     def next_batch(self, max_len: Optional[int] = None) -> Optional[TraceBatch]:
-        """Return the next batch (at most ``max_len`` instructions) or None."""
+        """Return the next batch (at most ``max_len`` instructions) or None.
+
+        A ``max_len`` below 1 raises :class:`~repro.errors.TraceError`
+        and changes no state: ``None`` means only the end of the trace.
+        """
 
     def reset(self) -> None:
         """Rewind so the identical trace is produced again."""
+
+
+def check_max_len(max_len: Optional[int]) -> None:
+    """Raise :class:`~repro.errors.TraceError` unless ``max_len`` is None
+    or positive; every source calls it before touching its state."""
+    if max_len is not None and max_len <= 0:
+        raise TraceError("max_len must be positive")
 
 
 class BatchSource:
@@ -42,13 +53,12 @@ class BatchSource:
         return self._index >= len(self._batches)
 
     def next_batch(self, max_len: Optional[int] = None) -> Optional[TraceBatch]:
+        check_max_len(max_len)
         if self.done:
             return None
         batch = self._batches[self._index]
         remaining = len(batch) - self._offset
         take = remaining if max_len is None else min(max_len, remaining)
-        if take <= 0:
-            raise TraceError("max_len must be positive")
         out = batch[self._offset:self._offset + take]
         self._offset += take
         if self._offset >= len(batch):

@@ -44,13 +44,15 @@ fully deterministic and runs are reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.trace.record import KIND_LOAD, KIND_NONE, KIND_STORE, TraceBatch
+from repro.trace.record import KIND_STORE, TraceBatch
+from repro.trace.stream import check_max_len
 
 #: Virtual base addresses (word granular) of each region of a process's
 #: address space.  The layout is identical for every process; PIDs keep the
@@ -65,6 +67,27 @@ STREAM_BASE = 0x1800_0000 + 151 * _PAGE
 COLD_BASE = 0x2000_0000 + 211 * _PAGE
 
 _DEFAULT_BATCH = 1 << 16
+
+
+def _sawtooth(starts: np.ndarray, bodies: np.ndarray, trips: np.ndarray,
+              want: int) -> np.ndarray:
+    """The first ``want`` words of segments that each run ``trips`` times
+    over ``[start, start + body)``, back to back.
+
+    A trip's words count up by one from its body's start, so word ``k``
+    is ``k`` plus the offset ``start - pos`` of the latest trip that
+    begins at a position ``pos <= k``.
+    """
+    # Trip j of segment s begins at offset(s) + j * body(s).
+    seg = np.repeat(np.arange(len(trips)), trips)
+    trip = np.arange(len(seg)) - (np.cumsum(trips) - trips)[seg]
+    lengths = bodies * trips
+    pos = (np.cumsum(lengths) - lengths)[seg] + trip * bodies[seg]
+    kept = int(np.searchsorted(pos, want))
+    pos = pos[:kept]
+    words = np.arange(want, dtype=np.int64)
+    words += np.repeat(starts[seg[:kept]] - pos, np.diff(pos, append=want))
+    return words
 
 
 @dataclass(frozen=True)
@@ -87,6 +110,8 @@ class CodeProfile:
             )
         if not 0.0 <= self.far_call_prob <= 1.0:
             raise ConfigurationError("far_call_prob must be a probability")
+        if self.loops_per_phase < 1:
+            raise ConfigurationError("loops_per_phase must be positive")
 
 
 @dataclass(frozen=True)
@@ -201,6 +226,7 @@ class SyntheticBenchmark:
         self._stream_cursor = 0
         self._warm_count = 0
         self._loop_pools = self._build_loop_pools()
+        self._loop_cdf = self._build_loop_cdf()
         self._syscall_points = self._build_syscall_points()
         self._next_syscall_idx = 0
 
@@ -236,48 +262,60 @@ class SyntheticBenchmark:
 
     # ------------------------------------------------------- instruction side
 
-    def _zipf_weights(self, n: int) -> np.ndarray:
-        ranks = np.arange(1, n + 1, dtype=np.float64)
+    def _build_loop_cdf(self) -> List[float]:
+        """Cumulative Zipf weights of a phase's loop pool (all pools have
+        ``loops_per_phase`` loops), normalized as ``Generator.choice``
+        normalizes its ``p``."""
+        ranks = np.arange(1, self.profile.code.loops_per_phase + 1,
+                          dtype=np.float64)
         weights = 1.0 / ranks ** 1.2
-        return weights / weights.sum()
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf.tolist()
 
     def _gen_pcs(self, want: int) -> np.ndarray:
-        """Generate at least ``want`` instruction addresses (then trimmed)."""
+        """Generate exactly ``want`` instruction addresses.
+
+        Each step of the loop draws one segment: a loop of the current
+        phase's pool, run for a geometric number of trips over its body,
+        and sometimes a far block after it (one trip).  A loop is picked
+        as ``Generator.choice(n, p=weights)`` picks it, with one
+        ``random()`` draw bisected into the pool's cumulative weights, so
+        the random stream is the same draw for draw.  The loop only
+        records each segment's start, body and trips; the addresses are
+        then built in one pass (:func:`_sawtooth`).
+        """
         code = self.profile.code
         rng = self._rng
-        segments: List[np.ndarray] = []
+        cdf = self._loop_cdf
+        starts: List[int] = []
+        bodies: List[int] = []
+        trips: List[int] = []
         produced = 0
         emitted_base = self._emitted
         while produced < want:
             phase = (
                 (emitted_base + produced) // code.phase_length
             ) % code.phase_regions
-            pool = self._loop_pools[phase]
-            weights = self._pool_weights(len(pool))
-            loop_idx = int(rng.choice(len(pool), p=weights))
-            start, body = pool[loop_idx]
-            trips = 1 + int(rng.geometric(1.0 / code.loop_trip_mean))
-            segment = np.tile(np.arange(start, start + body, dtype=np.int64), trips)
-            segments.append(segment)
-            produced += len(segment)
+            start, body = self._loop_pools[phase][bisect_right(cdf,
+                                                               rng.random())]
+            count = 1 + int(rng.geometric(1.0 / code.loop_trip_mean))
+            starts.append(start)
+            bodies.append(body)
+            trips.append(count)
+            produced += body * count
             if rng.random() < code.far_call_prob:
                 far_start = CODE_BASE + int(
                     rng.integers(0, max(1, code.code_words - code.far_block_len))
                 )
-                far = np.arange(
-                    far_start, far_start + code.far_block_len, dtype=np.int64
-                )
-                segments.append(far)
-                produced += len(far)
-        return np.concatenate(segments)[:want]
-
-    def _pool_weights(self, n: int) -> np.ndarray:
-        # Cached per pool size; all pools share the same size in practice.
-        cache = getattr(self, "_weights_cache", None)
-        if cache is None or len(cache) != n:
-            cache = self._zipf_weights(n)
-            self._weights_cache = cache
-        return cache
+                if code.far_block_len > 0:
+                    starts.append(far_start)
+                    bodies.append(code.far_block_len)
+                    trips.append(1)
+                    produced += code.far_block_len
+        return _sawtooth(np.array(starts, dtype=np.int64),
+                         np.array(bodies, dtype=np.int64),
+                         np.array(trips, dtype=np.int64), want)
 
     # -------------------------------------------------------------- data side
 
@@ -286,30 +324,29 @@ class SyntheticBenchmark:
         d = self.profile.data
         rng = self._rng
         u = rng.random(n)
-        kinds = np.full(n, KIND_NONE, dtype=np.uint8)
-        load_mask = u < d.load_fraction
-        kinds[load_mask] = KIND_LOAD
-        store_mask = (u >= d.load_fraction) & (
-            u < d.load_fraction + d.store_fraction
-        )
-        kinds[store_mask] = KIND_STORE
+        load = u < d.load_fraction
+        # KIND_LOAD (1) below load_fraction, KIND_STORE (2) below the
+        # store cut, KIND_NONE (0) above it: twice the store compare minus
+        # the load compare.
+        kinds = (u < d.load_fraction + d.store_fraction).view(np.uint8)
+        del u
+        kinds += kinds
+        kinds -= load.view(np.uint8)
+        load_idx = np.flatnonzero(load)
+        store_idx = np.flatnonzero(kinds == KIND_STORE)
 
         addrs = np.zeros(n, dtype=np.int64)
-        n_load = int(np.count_nonzero(load_mask))
-        if n_load:
-            addrs[load_mask] = self._gen_addresses(n_load, locality=1.0)
-        n_store = int(np.count_nonzero(store_mask))
-        if n_store:
-            fresh_addrs = self._gen_addresses(n_store,
+        if len(load_idx):
+            addrs[load_idx] = self._gen_addresses(len(load_idx), locality=1.0)
+        if len(store_idx):
+            fresh_addrs = self._gen_addresses(len(store_idx),
                                               locality=d.store_locality)
-            addrs[store_mask] = self._cluster_stores(fresh_addrs)
+            addrs[store_idx] = self._cluster_stores(fresh_addrs)
 
         partial = np.zeros(n, dtype=bool)
-        if d.partial_store_fraction > 0.0:
-            store_idx = np.flatnonzero(store_mask)
-            if len(store_idx):
-                partial_draw = rng.random(len(store_idx)) < d.partial_store_fraction
-                partial[store_idx[partial_draw]] = True
+        if d.partial_store_fraction > 0.0 and len(store_idx):
+            partial_draw = rng.random(len(store_idx)) < d.partial_store_fraction
+            partial[store_idx[partial_draw]] = True
         return kinds, addrs, partial
 
     def _cluster_stores(self, fresh_addrs: np.ndarray) -> np.ndarray:
@@ -340,24 +377,26 @@ class SyntheticBenchmark:
         d = self.profile.data
         rng = self._rng
         comp = rng.random(n)
-        addrs = np.empty(n, dtype=np.int64)
-
         hot_cut = 1.0 - (d.p_warm + d.p_stream + d.p_cold) * locality
         warm_cut = hot_cut + d.p_warm * locality
         stream_cut = warm_cut + d.p_stream * locality
 
+        # Warm, stream and cold draws are a few percent of all: only they
+        # are indexed.  The hot slots between them take the hot draws in
+        # order; a mask of long true runs is cheap to assign through.
         hot_mask = comp < hot_cut
-        warm_mask = (comp >= hot_cut) & (comp < warm_cut)
-        stream_mask = (comp >= warm_cut) & (comp < stream_cut)
-        cold_mask = comp >= stream_cut
-
-        n_hot = int(np.count_nonzero(hot_mask))
+        rare = np.flatnonzero(~hot_mask)
+        rare_comp = comp[rare]
+        del comp
+        addrs = np.empty(n, dtype=np.int64)
+        n_hot = n - len(rare)
         if n_hot:
             addrs[hot_mask] = HOT_BASE + rng.integers(
                 0, d.hot_words, size=n_hot, dtype=np.int64
             )
 
-        n_warm = int(np.count_nonzero(warm_mask))
+        warm = rare[rare_comp < warm_cut]
+        n_warm = len(warm)
         if n_warm:
             # A window of warm_window_words that drifts warm_drift words per
             # warm access, wrapping around the warm region.
@@ -368,9 +407,10 @@ class SyntheticBenchmark:
             self._warm_count += n_warm
             offsets = rng.integers(0, d.warm_window_words, size=n_warm,
                                    dtype=np.int64)
-            addrs[warm_mask] = WARM_BASE + (starts + offsets) % d.warm_words
+            addrs[warm] = WARM_BASE + (starts + offsets) % d.warm_words
 
-        n_stream = int(np.count_nonzero(stream_mask))
+        stream = rare[(rare_comp >= warm_cut) & (rare_comp < stream_cut)]
+        n_stream = len(stream)
         if n_stream:
             stride = d.stream_stride
             positions = (
@@ -380,13 +420,14 @@ class SyntheticBenchmark:
             self._stream_cursor = int(
                 (self._stream_cursor + n_stream * stride) % d.stream_words
             )
-            addrs[stream_mask] = STREAM_BASE + positions
+            addrs[stream] = STREAM_BASE + positions
 
-        n_cold = int(np.count_nonzero(cold_mask))
+        cold = rare[rare_comp >= stream_cut]
+        n_cold = len(cold)
         if n_cold:
             frac = rng.random(n_cold) ** d.cold_exponent
             idx = (frac * d.cold_words).astype(np.int64)
-            addrs[cold_mask] = COLD_BASE + np.minimum(idx, d.cold_words - 1)
+            addrs[cold] = COLD_BASE + np.minimum(idx, d.cold_words - 1)
 
         return addrs
 
@@ -407,6 +448,7 @@ class SyntheticBenchmark:
 
         Returns ``None`` when the benchmark has terminated.
         """
+        check_max_len(max_len)
         if self.done:
             return None
         want = min(

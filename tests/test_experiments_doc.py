@@ -1,9 +1,9 @@
 """EXPERIMENTS.md cites the committed reports, cell for cell.
 
-The Fig. 2, Fig. 3, Fig. 4, Fig. 5, Fig. 6, Fig. 9, Fig. 10, Fig. 11,
-``scaling``, ``pareto`` and write-path ablation sections quote
-``results/fig2.txt``, ``fig3.txt``, ``fig4.txt``, ``fig5.txt``,
-``fig6.txt``, ``fig9.txt``, ``fig10.txt``, ``fig11.txt``,
+The Table 1, Fig. 2, Fig. 3, Fig. 4, Fig. 5, Fig. 6, Fig. 9, Fig. 10,
+Fig. 11, ``scaling``, ``pareto`` and write-path ablation sections quote
+``results/table1.txt``, ``fig2.txt``, ``fig3.txt``, ``fig4.txt``,
+``fig5.txt``, ``fig6.txt``, ``fig9.txt``, ``fig10.txt``, ``fig11.txt``,
 ``scaling.txt``, ``pareto.txt``, ``wbdepth.txt``, ``wboverlap.txt`` and
 ``coloring.txt``.  These tests parse the markdown tables and the numbers
 in the findings and check each against the report, so a regenerated
@@ -380,6 +380,26 @@ def test_fig11_table_matches_report():
         assert cells[claim_id].startswith(claim), claim_id
         cited |= numbers(claim)
     assert numbers(" ".join(cells.values())) <= cited
+
+
+def test_table1_matches_report():
+    # benchmark, type, instructions, loads, stores, system calls; the
+    # widest name fills its right-aligned column.
+    _, findings, lines = report("table1")
+    rule = next(i for i, line in enumerate(lines) if set(line) == {"-"})
+    types = [line.split()[1]
+             for line in lines[rule + 1:lines.index("findings:")]]
+    assert len(types) == 10 and set(types) <= {"I", "S", "D"}
+    doc = Cells(measured("table1"))
+    doc.cites("total references",
+              f"{rounded(findings['total_references_billion'], 2)} billion "
+              "(paper-scale suite)")
+    doc.cites("stores as fraction of instructions",
+              findings["suite_store_fraction"])
+    doc.cites("suite composition",
+              f"{types.count('I')} integer + {len(types) - types.count('I')}"
+              " FP profiles")
+    assert doc.all_cited()
 
 
 def test_fig2_table_matches_report():

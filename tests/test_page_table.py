@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.mmu.page_table import PageTable
+from repro.errors import ConfigurationError, TraceError
+from repro.mmu.page_table import DENSE_SLOTS_PER_RECORD, PageTable
 from repro.params import PAGE_WORDS
+from repro.sched.process import PreparedBatch
+from repro.trace.record import KIND_LOAD, KIND_NONE, KIND_STORE, TraceBatch
 
 
 class TestTranslation:
@@ -97,3 +101,159 @@ class TestBatchTranslation:
         # but translation must again be stable.
         after = table.translate_page(1, 3)
         assert table.translate_page(1, 3) == after
+
+
+# ------------------------------------------------- batch translation oracle
+
+def oracle_translate(table: PageTable, pid: int, addrs) -> np.ndarray:
+    """The batch contract, one page at a time: first touches in ascending
+    page order, then one lookup per address."""
+    addrs = [int(a) for a in addrs]
+    for vpage in sorted({a // PAGE_WORDS for a in addrs}):
+        table.translate_page(pid, vpage)
+    return np.array([table.translate(pid, a) for a in addrs],
+                    dtype=np.int64)
+
+
+def assert_same_tables(table: PageTable, oracle: PageTable) -> None:
+    # state_dict() lists the map in insertion order: allocation order.
+    assert table.state_dict() == oracle.state_dict()
+    assert table.frames_allocated == oracle.frames_allocated
+
+
+def _word(page: int, offset: int) -> int:
+    return page * PAGE_WORDS + offset % PAGE_WORDS
+
+
+#: Pieces of a column: a long run on one page, short runs alternating
+#: with page 0 (a data column's non-data rows carry address 0), a
+#: scatter of far pages that makes the span too wide for a slot table
+#: (alone, pages past 2**31 give frame - page values beyond int32), or
+#: uniformly random addresses.
+_offsets = st.integers(0, PAGE_WORDS - 1)
+_long_run = st.builds(
+    lambda page, n, offset: [_word(page, offset + i) for i in range(n)],
+    st.integers(0, 40), st.integers(1, 300), _offsets)
+_alternating = st.builds(
+    lambda pages, offsets: [a for page, offset in zip(pages, offsets)
+                            for a in (0, _word(page, offset))],
+    st.lists(st.integers(1, 12), min_size=1, max_size=60),
+    st.lists(_offsets, min_size=60, max_size=60))
+_far = st.lists(st.builds(_word, st.sampled_from([3, 500, 70_000, 2**20,
+                                                  2**30, 2**40, 2**40 + 2]),
+                          _offsets), min_size=1, max_size=8)
+_scatter = st.lists(st.integers(0, 2**24), min_size=1, max_size=200)
+_columns = st.lists(st.one_of(_long_run, _alternating, _far, _scatter),
+                    max_size=6).map(lambda parts: np.array(
+                        [a for part in parts for a in part], dtype=np.int64))
+
+
+class TestBatchTranslationOracle:
+    @given(batches=st.lists(st.tuples(st.integers(0, 5), _columns),
+                            min_size=1, max_size=5),
+           colors=st.sampled_from([16, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, batches, colors):
+        # Several pids share one table, each batch sees the pages its
+        # predecessors allocated, and columns run both lookup paths.
+        table, oracle = PageTable(colors), PageTable(colors)
+        for pid, column in batches:
+            out = table.translate_batch(pid, column)
+            expected = oracle_translate(oracle, pid, column)
+            assert out.dtype == expected.dtype
+            assert np.array_equal(out, expected)
+            assert_same_tables(table, oracle)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_both_paths_at_the_dense_limit(self, extra, monkeypatch):
+        # A column of n records whose pages span DENSE_SLOTS_PER_RECORD *
+        # n slots uses the slot table; one slot more sorts the runs.
+        n = 50
+        span = DENSE_SLOTS_PER_RECORD * n + extra
+        column = np.array([_word(7, 3)] * (n - 1) + [_word(7 + span - 1, 9)],
+                          dtype=np.int64)
+        sorts = []
+        original = PageTable._run_deltas
+        monkeypatch.setattr(
+            PageTable, "_run_deltas",
+            lambda self, pid, vpages: sorts.append(1)
+            or original(self, pid, vpages))
+        table, oracle = PageTable(), PageTable()
+        table.translate_page(2, 12)
+        oracle.translate_page(2, 12)
+        out = table.translate_batch(2, column)
+        assert len(sorts) == extra
+        assert np.array_equal(out, oracle_translate(oracle, 2, column))
+        assert_same_tables(table, oracle)
+
+    def test_wide_frame_offsets(self):
+        # Dense, but frame - page is below -2**31: no int32 slot holds it.
+        column = np.array([_word(2**40, 5), _word(2**40 + 2, 7),
+                           _word(2**40, 9)], dtype=np.int64)
+        table, oracle = PageTable(), PageTable()
+        out = table.translate_batch(4, column)
+        assert np.array_equal(out, oracle_translate(oracle, 4, column))
+        assert_same_tables(table, oracle)
+
+    def test_empty_column(self):
+        table = PageTable()
+        out = table.translate_batch(1, np.zeros(0, dtype=np.int64))
+        assert out.dtype == np.int64 and len(out) == 0
+        assert table.frames_allocated == 0
+
+    @given(rows=st.lists(st.tuples(
+               _offsets | st.integers(0, 2**21),
+               st.sampled_from([KIND_NONE, KIND_LOAD, KIND_STORE]),
+               st.integers(0, 40), st.booleans(),
+               st.sampled_from(["ok", "ok", "ok", "pc", "addr", "kind",
+                                "partial"])),
+               max_size=120),
+           pid=st.integers(0, 7), warm=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_prepared_batch_in_both_modes(self, rows, pid, warm):
+        pcs, kinds, addrs, partials, bad = [], [], [], [], []
+        for pc, kind, page, partial, fault in rows:
+            addr = _word(page, pc) if kind != KIND_NONE else 0
+            partial = partial and kind == KIND_STORE
+            if fault == "pc":
+                pc = -1 - pc
+            elif fault == "addr":
+                addr = -1 - addr
+            elif fault == "kind":
+                kind = 3
+            elif fault == "partial":
+                partial, kind = True, KIND_LOAD
+            pcs.append(pc)
+            kinds.append(kind)
+            addrs.append(addr)
+            partials.append(partial)
+            bad.append(fault != "ok")
+        batch = TraceBatch(pc=np.array(pcs, dtype=np.int64),
+                           kind=np.array(kinds, dtype=np.uint8),
+                           addr=np.array(addrs, dtype=np.int64),
+                           partial=np.array(partials, dtype=bool),
+                           syscall=np.zeros(len(rows), dtype=bool))
+        good = [i for i, b in enumerate(bad) if not b]
+        for mode in ("raise", "skip"):
+            table, oracle = PageTable(), PageTable()
+            if warm:
+                warm_column = np.arange(0, 9 * PAGE_WORDS, PAGE_WORDS)
+                table.translate_batch(pid, warm_column)
+                oracle_translate(oracle, pid, warm_column)
+            if mode == "raise" and any(bad):
+                with pytest.raises(TraceError):
+                    PreparedBatch.from_batch(batch, pid, table, mode)
+                assert_same_tables(table, oracle)
+                continue
+            prepared = PreparedBatch.from_batch(batch, pid, table, mode)
+            # from_batch translates the pc column, then the addr column.
+            expected_pc = oracle_translate(oracle, pid,
+                                           [pcs[i] for i in good])
+            expected_addr = oracle_translate(oracle, pid,
+                                             [addrs[i] for i in good])
+            assert prepared.dropped == len(rows) - len(good)
+            assert np.array_equal(prepared.pc, expected_pc)
+            assert np.array_equal(prepared.addr, expected_addr)
+            assert np.array_equal(prepared.kind,
+                                  np.array(kinds, dtype=np.uint8)[good])
+            assert_same_tables(table, oracle)

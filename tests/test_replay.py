@@ -81,6 +81,18 @@ class TestDinTraceSource:
         again = source.next_batch()
         assert np.array_equal(first.pc, again.pc)
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_non_positive_max_len_rejected_without_state_change(
+            self, tmp_path, max_len):
+        # Not None: a consumer would read that as the end of the trace.
+        original = make_batch(pcs=[1, 2, 3])
+        source = DinTraceSource(self.write_din(tmp_path, original))
+        assert list(source.next_batch(max_len=1).pc) == [1]
+        with pytest.raises(TraceError, match="max_len must be positive"):
+            source.next_batch(max_len=max_len)
+        assert not source.done
+        assert list(source.next_batch().pc) == [2, 3]
+
     def test_malformed_records(self, tmp_path):
         path = tmp_path / "bad.din"
         path.write_text("2 4\nbogus line\n")

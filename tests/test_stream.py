@@ -30,6 +30,18 @@ class TestBatchSource:
         with pytest.raises(TraceError):
             source.next_batch(max_len=0)
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_non_positive_max_len_rejected_without_state_change(
+            self, max_len):
+        source = BatchSource([make_batch(pcs=[1, 2, 3])])
+        source.next_batch(max_len=1)
+        with pytest.raises(TraceError, match="max_len must be positive"):
+            source.next_batch(max_len=max_len)
+        assert list(source.next_batch().pc) == [2, 3]
+        # An exhausted source rejects it the same way.
+        with pytest.raises(TraceError, match="max_len must be positive"):
+            source.next_batch(max_len=max_len)
+
     def test_reset(self):
         source = BatchSource([make_batch(pcs=[1])])
         drain(source)

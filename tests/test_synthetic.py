@@ -1,10 +1,19 @@
 """Unit tests for the synthetic trace generator."""
 
+import dataclasses
+import hashlib
+import json
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
+from repro.trace.benchmarks import default_suite
 from repro.trace.record import KIND_LOAD, KIND_STORE
+from repro.trace.stream import drain
 from repro.trace.synthetic import (
     CODE_BASE,
     COLD_BASE,
@@ -15,6 +24,7 @@ from repro.trace.synthetic import (
     CodeProfile,
     DataProfile,
     SyntheticBenchmark,
+    _sawtooth,
 )
 
 
@@ -47,6 +57,20 @@ class TestGeneration:
         bench = SyntheticBenchmark(small_profile())
         batch = bench.next_batch(max_len=100)
         assert len(batch) == 100
+
+    @pytest.mark.parametrize("max_len", [0, -5])
+    def test_non_positive_max_len_rejected_without_state_change(
+            self, max_len):
+        bench = SyntheticBenchmark(small_profile())
+        bench.next_batch(max_len=1000)
+        before = bench.state_dict()
+        with pytest.raises(TraceError, match="max_len must be positive"):
+            bench.next_batch(max_len=max_len)
+        assert bench.state_dict() == before
+        fresh = SyntheticBenchmark(small_profile())
+        fresh.next_batch(max_len=1000)
+        assert np.array_equal(bench.next_batch(max_len=500).pc,
+                              fresh.next_batch(max_len=500).pc)
 
     def test_deterministic_per_seed(self):
         a = SyntheticBenchmark(small_profile())
@@ -142,7 +166,32 @@ class TestStatisticalTargets:
         assert hot > 0.9
 
 
+class TestSawtooth:
+    @given(segments=st.lists(st.tuples(st.integers(0, 10_000),
+                                       st.integers(1, 40),
+                                       st.integers(1, 6)),
+                             min_size=1, max_size=12),
+           cut=st.integers(0, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_tiled_segments(self, segments, cut):
+        # Each segment repeats its body [start, start + body) trips
+        # times; the pcs are the first `want` words of them back to back.
+        tiled = np.concatenate([np.tile(np.arange(start, start + body),
+                                        trips)
+                                for start, body, trips in segments])
+        want = max(1, len(tiled) - cut)
+        starts, bodies, trips = (np.array(column, dtype=np.int64)
+                                 for column in zip(*segments))
+        out = _sawtooth(starts, bodies, trips, want)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, tiled[:want])
+
+
 class TestValidation:
+    def test_rejects_empty_loop_pool(self):
+        with pytest.raises(ConfigurationError):
+            CodeProfile(loops_per_phase=0).validate()
+
     def test_rejects_bad_category(self):
         with pytest.raises(ConfigurationError):
             BenchmarkProfile(name="x", category="Q", instructions=10,
@@ -173,3 +222,151 @@ class TestValidation:
         assert half.instructions == 15_000
         assert half.syscalls in (2, 3)
         assert half.name == profile.name
+
+
+# ---------------------------------------------------------------- trace pin
+
+#: Per-benchmark instructions of the pinned traces: two full default
+#: batches and a partial tail, so the warm window's drift, the stream
+#: cursor and the code phase all carry across batch boundaries.
+PIN_INSTRUCTIONS = 150_000
+PIN_SEEDS = (0, 5)
+
+#: SHA-256 (first 16 hex digits) over every column, values and dtype, of
+#: every batch of each Table 1 profile scaled to ``PIN_INSTRUCTIONS`` and
+#: re-seeded.  A change to how the generator consumes its random stream
+#: changes them.  Only an intended change to the synthetic workload may
+#: re-record them:
+#:
+#:     PYTHONPATH=src python3 tests/test_synthetic.py --record
+PINNED_TRACES = {
+    "espresso/0": "c4104593a1ba107e",
+    "gcc/0": "a8b5ad654ed5e433",
+    "li/0": "0a0c54368fd73d60",
+    "eqntott/0": "eff65e7164048b43",
+    "doduc/0": "4850bb4a675efd05",
+    "hspice/0": "a800619b0108ecc4",
+    "nasa7/0": "709d2b3b57a4315d",
+    "matrix300/0": "67e20b106d9b609a",
+    "tomcatv/0": "296aa4a450da4a80",
+    "fpppp/0": "b5055b2d612cbfc3",
+    "espresso/5": "e980c3590e33fcd3",
+    "gcc/5": "11981d1dec3ede30",
+    "li/5": "4739420bf447c49d",
+    "eqntott/5": "5f7ce63823365d03",
+    "doduc/5": "703c6ab2dda87f61",
+    "hspice/5": "734a1d4a77641a71",
+    "nasa7/5": "38ea183033b31dbc",
+    "matrix300/5": "7c7966f5e5d321b2",
+    "tomcatv/5": "632baddeeec1ae07",
+    "fpppp/5": "ddd950925e223d39",
+}
+
+#: The same digest of ``next_batch(1000)`` after a full trace and a
+#: ``reset()``, and of the rest of a trace after a JSON round trip of a
+#: ``state_dict()`` taken mid-trace, per Table 1 profile at seed 0.
+PINNED_RESET = {
+    "espresso": "c550d605affa1255",
+    "gcc": "4e2f154684eb2e9d",
+    "li": "39b19e8c692f18fb",
+    "eqntott": "02f85ef0733d68cd",
+    "doduc": "0c81b9eccfff6b1d",
+    "hspice": "b2f613c498c47f8f",
+    "nasa7": "90ddb588f3382966",
+    "matrix300": "df6be8de138bf160",
+    "tomcatv": "f97f4711854c2864",
+    "fpppp": "cc8836238d902232",
+}
+PINNED_RESUMED = {
+    "espresso": "45fd379f5920de96",
+    "gcc": "1a3148e53d8fd49e",
+    "li": "0a7c258d9fa8511f",
+    "eqntott": "5f1d95732050d4c6",
+    "doduc": "20b7e396c98b497f",
+    "hspice": "ade8339eaa7beef2",
+    "nasa7": "1042474aa247ce68",
+    "matrix300": "f688f17429ef23af",
+    "tomcatv": "89c58978735cac69",
+    "fpppp": "14597f05684a1832",
+}
+
+
+def _pin_profiles(seed: int):
+    return [dataclasses.replace(profile, seed=seed)
+            for profile in default_suite(PIN_INSTRUCTIONS)]
+
+
+def _batches_digest(batches) -> str:
+    h = hashlib.sha256()
+    for batch in batches:
+        for name in ("pc", "kind", "addr", "partial", "syscall"):
+            column = getattr(batch, name)
+            h.update(f"{name}:{column.dtype.str}:{len(column)};".encode())
+            h.update(np.ascontiguousarray(column).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _trace_digest(profile) -> str:
+    return _batches_digest(drain(SyntheticBenchmark(profile)))
+
+
+def _reset_digest(profile) -> str:
+    bench = SyntheticBenchmark(profile)
+    drain(bench)
+    bench.reset()
+    return _batches_digest([bench.next_batch(1000)])
+
+
+def _resumed_digest(profile) -> str:
+    bench = SyntheticBenchmark(profile)
+    bench.next_batch()
+    bench.next_batch(12_345)
+    state = json.loads(json.dumps(bench.state_dict()))
+    resumed = SyntheticBenchmark(profile)
+    resumed.load_state(state)
+    rest = drain(resumed)
+    assert _batches_digest(rest) == _batches_digest(drain(bench))
+    return _batches_digest(rest)
+
+
+def _pin_cases():
+    return [(profile, seed) for seed in PIN_SEEDS
+            for profile in _pin_profiles(seed)]
+
+
+class TestPinnedTrace:
+    @pytest.mark.parametrize(
+        "profile,seed", _pin_cases(),
+        ids=[f"{p.name}-seed{s}" for p, s in _pin_cases()])
+    def test_trace_matches_pin(self, profile, seed):
+        assert _trace_digest(profile) == PINNED_TRACES[f"{profile.name}/{seed}"]
+
+    @pytest.mark.parametrize("profile", _pin_profiles(0),
+                             ids=lambda p: p.name)
+    def test_reset_matches_pin(self, profile):
+        assert _reset_digest(profile) == PINNED_RESET[profile.name]
+
+    @pytest.mark.parametrize("profile", _pin_profiles(0),
+                             ids=lambda p: p.name)
+    def test_resumed_rest_matches_pin(self, profile):
+        assert _resumed_digest(profile) == PINNED_RESUMED[profile.name]
+
+
+def record() -> None:
+    """Print the pinned dictionaries for the current generator."""
+    print("PINNED_TRACES = {")
+    for profile, seed in _pin_cases():
+        print(f'    "{profile.name}/{seed}": "{_trace_digest(profile)}",')
+    print("}")
+    for name, fn in (("PINNED_RESET", _reset_digest),
+                     ("PINNED_RESUMED", _resumed_digest)):
+        print(f"{name} = {{")
+        for profile in _pin_profiles(0):
+            print(f'    "{profile.name}": "{fn(profile)}",')
+        print("}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit(f"usage: {sys.argv[0]} --record")
+    record()
