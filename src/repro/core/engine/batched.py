@@ -28,28 +28,30 @@ it runs.  Every value the loop passes on is a Python ``int`` or
 Provable hits
 -------------
 
-Both L1s are direct-mapped, so an access hits when the latest earlier
-access to its set touched its line.  Per event, the index also holds a
-*threshold*, built on the first call that filters: the position of the
-latest earlier access, in the batch, that proves the event an L1 hit,
-or -1.  That access ``q`` is the latest earlier one to the same set, and
+Both L1s are direct-mapped, so a line stays resident through its
+*run*, the accesses to its set since another line last touched it.  Per
+event, the index also holds a *threshold*, built on the first call that
+filters: the position of the latest earlier access ``q`` of its run, in
+the batch, that proves it an L1 hit, or -1.
 
-* a line change (kind 0, or the L1-I side of a data access) is proven
-  when ``q`` fetched the same L1-I line and the line before it is on
-  the same page, so no I-TLB probe happens (an L1-I access is a run of
-  one line, and its position the run's last);
-* a load is proven when ``q`` touched the same L1-D line, was a load
-  under the write-through policies and a load of the same word under
-  subblock placement, and the data access before it is on the same
-  page, so no D-TLB probe happens;
-* a store is never proven.
+* A line change (kind 0, or the L1-I side of a data access) takes the
+  run's previous access (an L1-I access is a run of one line, at the
+  run's last position) if the line before it is on the same page, so
+  no I-TLB probe happens.
+* A data access needs the data access before it on the same page.  A
+  write-back load takes the run's previous access, a write-back store
+  the latest earlier store, a write-through load the latest earlier
+  load and, under subblock placement, the latest earlier load or
+  full-word store of its word.  No other store is proven (the index key
+  says whether stores are): a write-through store's push must run, and
+  the dirty-bit scheme's epoch bumps would need a store's mark.
 
-An event that is both a line change and a load needs both sides, so its
-threshold is the smaller.  A call skips the events whose threshold is
-at least ``start``: their ``q`` ran in the same call.  It filters only
-when the slice it can reach holds more than :data:`FILTER_MIN_EVENTS`
-events, since the compare and the gather of the events that run
-cost more than they save on short slices.
+An event that is both a line change and a data access needs both
+sides, so its threshold is the smaller.  A call skips the events whose
+threshold is at least ``start``: their ``q`` ran in the same call.  It
+filters only when the slice it can reach holds more than
+:data:`FILTER_MIN_EVENTS` events, since the compare and the gather of
+the events that run cost more than they save on short slices.
 
 Why skipping is exact
 ---------------------
@@ -67,26 +69,28 @@ Why skipping is exact
   never skipped.
 * ``ifetch_miss`` writes only at its own index, and the policy handlers
   write L1-D tag, valid and write-only state only at the accessed
-  index, whose victim they evict.  So a set holds what its latest
-  access ``q`` left there.  Under write-back every resident line
-  is fully valid, so a store at ``q`` proves a later load hits too; a
-  write-through store may invalidate the line, mark it write-only or
-  leave valid bits clear, so there ``q`` must be a load.  Faults and
-  audits run only between calls, before ``q``.
-* A hit costs no extra cycle, changes no state (its page is the last
-  one probed) and emits no obs event, so a skipped event is a free
-  step; only ``st.loads`` counts it, and a filtering call counts its
-  loads from the index.
+  index, whose victim they evict; faults and audits run only between
+  calls.  So after ``q`` the line stays resident: under write-back it
+  is fully valid; a write-through store hit only marks it dirty (under
+  subblock, also validating a full word), so it stays readable after a
+  load; a subblock load or full-word store leaves its word valid.
+* A load or line-change hit costs no extra cycle, changes no state (its
+  page is the last one probed) and emits no obs event, so a skipped one
+  is a free step; only ``st.loads`` counts it, from the index.  A
+  skipped write-back store hit's dirty mark is a no-op (a store of its
+  run set it in this call, and without the dirty-bit scheme the epoch
+  never moves); its second cycle still counts.
 * A free instruction touches no state, so the only question is where
-  the call stops.  The clock after a free step at position ``i`` is
-  ``i + c``, and ``c`` moves only when an event stalls.  The reference
-  loop tests ``now >= deadline`` after every instruction, and a system
-  call wins a tie with it.  So an event runs only if the clock before
-  it is below the deadline, and after the last one the call takes free
-  steps up to where they reach the deadline, the next system call or
-  the batch end, whichever comes first.  A call with
-  ``start < len(batch)`` always runs at least one instruction, as
-  ``reference`` does.
+  the call stops.  The loop runs on positions moved one later per
+  skipped store before them, so the clock after a free step at moved
+  position ``i`` is ``i + c``, and ``c`` moves only when an event
+  stalls.  The reference loop tests ``now >= deadline`` after every
+  instruction, and a system call wins a tie with it.  So an event runs
+  only if the clock before it is below the deadline, and after the last
+  one the call takes free steps up to where they reach the deadline (a
+  skipped store at moved position ``v`` at ``v + 1``), the next system
+  call or the batch end.  A call with ``start < len(batch)`` always
+  runs at least one instruction, as ``reference`` does.
 
 Inline stores and misses
 ------------------------
@@ -181,46 +185,76 @@ FILTER_MIN_EVENTS = 2048
 _UNPROVEN = -1
 
 
-def _latest_repeats(sets, values, provable, witness) -> np.ndarray:
+def _changes(values) -> np.ndarray:
+    """Per value, whether it differs from the one before (the first
+    does)."""
+    changes = np.empty(len(values), bool)
+    changes[:1] = True
+    np.not_equal(values[1:], values[:-1], out=changes[1:])
+    return changes
+
+
+def _run_witnesses(sets, lines, witness, provable, flagged=None,
+                   words=None) -> np.ndarray:
     """Over a sequence of accesses to direct-mapped sets, per access
-    ``p``: ``witness[q]`` when ``p`` is ``provable``, ``q`` is the latest
-    earlier access to ``p``'s set and both have the same value (a line,
-    or a word of one); else ``_UNPROVEN`` (int32)."""
+    ``p``: when ``p`` is ``provable``, ``witness[q]`` of the latest
+    earlier access ``q`` in ``p``'s *run*, the accesses to its set since
+    another line last touched it; else ``_UNPROVEN`` (int32).  With
+    ``flagged``, a flagged ``p`` takes the latest flagged ``q``; with
+    ``words`` (each access's word in its line) too, only flagged
+    accesses are proven, and a run is also of one word."""
     # An L1 is at most a page, so it has at most 4,096 sets: uint16 keys
-    # take NumPy's radix sort.  In set order an access follows the latest
-    # earlier access to its set, and equal values share a set, so each
-    # adjacent pair of equal values is a (q, p).
+    # take NumPy's radix sort.  In set order each set's accesses keep
+    # their order, so a run is a stretch of one line.
     order = np.argsort(sets.astype(np.uint16), kind="stable")
-    ordered = values.take(order)
-    later = order[1:]
-    repeat = ordered[1:] == ordered[:-1]
-    repeat &= provable.take(later)
-    found = np.full(len(values), _UNPROVEN, np.int32)
-    found[later] = np.where(repeat, witness.take(order[:-1]), _UNPROVEN)
-    return found
+    starts = _changes(lines.take(order))
+    if words is not None:
+        # Number the runs and keep the flagged accesses, sorted by word
+        # (a line is at most a page): a stretch of one run and one word
+        # is a run of that word.
+        runs = np.cumsum(starts, dtype=np.int32)
+        kept = np.flatnonzero(flagged.take(order))
+        order = order.take(kept)
+        ordered = words.take(order).astype(np.uint16)
+        by_word = np.argsort(ordered, kind="stable")
+        order = order.take(by_word)
+        starts = _changes(runs.take(kept.take(by_word)))
+        starts |= _changes(ordered.take(by_word))
+    ordered = witness.take(order)
+    found = np.empty(len(order), np.int32)
+    found[:1] = _UNPROVEN
+    found[1:] = np.where(starts[1:], _UNPROVEN, ordered[:-1])
+    if flagged is not None and words is None:
+        # Keep the flagged accesses and the run starts: a flagged access
+        # then follows the latest flagged access of its run, or its run's
+        # start.
+        marks = flagged.take(order)
+        kept = np.flatnonzero(marks | starts)
+        before = kept[:-1]
+        proves = marks.take(before) & ~starts.take(kept[1:])
+        found[kept[1:]] = np.where(proves, ordered.take(before), _UNPROVEN)
+    result = np.full(len(sets), _UNPROVEN, np.int32)
+    result[order] = found
+    return np.where(provable, result, _UNPROVEN)
 
 
 class EventIndex:
     """The events of a :class:`~repro.sched.process.PreparedBatch`.
 
-    ``key`` is ``(il_shift, i_mask, dl_shift, d_mask, write policy)``.
-    ``positions`` is a sorted int32 array of the positions whose L1-I
-    line (``pc >> il_shift``) differs from the previous position's or
-    that access data; ``lines``, ``kinds``, ``addrs`` and ``partials``
-    hold each event's L1-I line and data access, and ``syscalls`` the
-    batch's system-call positions.
+    ``key`` is ``(il_shift, i_mask, dl_shift, d_mask, write policy,
+    whether stores are proven)``.  ``positions`` is a sorted int32 array
+    of the positions whose L1-I line (``pc >> il_shift``) differs from
+    the previous position's or that access data; ``lines``, ``kinds``,
+    ``addrs`` and ``partials`` hold each event's L1-I line and data
+    access, and ``syscalls`` the batch's system-call positions.
     """
 
     __slots__ = ("key", "positions", "lines", "kinds", "addrs", "partials",
-                 "syscalls", "_thresholds")
+                 "syscalls", "proven_stores", "_thresholds")
 
     def __init__(self, batch, key: tuple):
         lines = batch.pc >> key[0]
-        event = batch.kind != 0
-        if lines.size:
-            event[0] = True
-            event[1:] |= lines[1:] != lines[:-1]
-        positions = np.flatnonzero(event)
+        positions = np.flatnonzero((batch.kind != 0) | _changes(lines))
         self.key = key
         self.positions = positions.astype(np.int32)
         self.lines = lines.take(positions)
@@ -228,6 +262,8 @@ class EventIndex:
         self.addrs = batch.addr.take(positions)
         self.partials = batch.partial.take(positions)
         self.syscalls = np.flatnonzero(batch.syscall)
+        #: Positions and thresholds (int32) of the proven stores, if any.
+        self.proven_stores = None
         self._thresholds = None
 
     def thresholds(self) -> np.ndarray:
@@ -239,22 +275,16 @@ class EventIndex:
         return self._thresholds
 
     def _build_thresholds(self) -> np.ndarray:
-        il_shift, i_mask, dl_shift, d_mask, policy = self.key
+        il_shift, i_mask, dl_shift, d_mask, policy, stores = self.key
         positions = self.positions
         lines = self.lines
         # L1-I side: a run of one line is one access to its set, proven
         # when its page is the previous run's.  Run q's witness is its
         # last position, one before run q + 1 starts; since q < p, run
         # q + 1 exists.
-        change = np.empty(len(lines), bool)
-        change[:1] = True
-        np.not_equal(lines[1:], lines[:-1], out=change[1:])
-        runs = np.flatnonzero(change)
+        runs = np.flatnonzero(_changes(lines))
         run_lines = lines.take(runs)
-        pages = run_lines >> (_PAGE_SHIFT - il_shift)
-        provable = np.empty(len(runs), bool)
-        provable[:1] = False
-        np.equal(pages[1:], pages[:-1], out=provable[1:])
+        provable = ~_changes(run_lines >> (_PAGE_SHIFT - il_shift))
         ends = np.empty(len(runs), np.int32)
         ends[-1:] = _UNPROVEN
         np.subtract(positions.take(runs[1:]), 1, out=ends[:-1])
@@ -262,28 +292,36 @@ class EventIndex:
         # of the two sides lowers this bound.
         thresholds = np.full(len(positions), np.iinfo(np.int32).max,
                              np.int32)
-        thresholds[runs] = _latest_repeats(run_lines & i_mask, run_lines,
-                                           provable, ends)
-        # L1-D side: every data access is one.  A load is proven when its
-        # page is the previous data access's; a witness is any access
-        # under write-back, only a load under the write-through policies.
+        thresholds[runs] = _run_witnesses(run_lines & i_mask, run_lines,
+                                          ends, provable)
+        # L1-D side: every data access is one, proven when its page is the
+        # previous data access's and an earlier access of its run leaves
+        # the line readable: any access for a write-back load, a store
+        # for a write-back store, a load for a write-through load, and
+        # under subblock placement a load or full-word store of its word.
         data = np.flatnonzero(self.kinds != 0)
         addrs = self.addrs.take(data)
         loads = self.kinds.take(data) == 1
-        pages = addrs >> _PAGE_SHIFT
-        provable = np.empty(len(data), bool)
-        provable[:1] = False
-        np.equal(pages[1:], pages[:-1], out=provable[1:])
-        provable &= loads
-        witness = positions.take(data)
-        if policy is not WritePolicy.WRITE_BACK:
-            witness = np.where(loads, witness, _UNPROVEN)
+        provable = ~_changes(addrs >> _PAGE_SHIFT)
+        at = positions.take(data)
         dlines = addrs >> dl_shift
-        found = _latest_repeats(dlines & d_mask, addrs
-                                if policy is WritePolicy.SUBBLOCK else dlines,
-                                provable, witness)
+        flagged = words = None
+        if stores:
+            flagged = ~loads
+        else:
+            provable &= loads
+            if policy is WritePolicy.SUBBLOCK:
+                flagged = loads | ~self.partials.take(data)
+                words = addrs & ((1 << dl_shift) - 1)
+            elif policy is not WritePolicy.WRITE_BACK:
+                flagged = loads
+        found = _run_witnesses(dlines & d_mask, dlines, at, provable,
+                               flagged, words)
         np.minimum(thresholds.take(data), found, out=found)
         thresholds[data] = found
+        if stores:
+            proven = np.flatnonzero(flagged & (found >= 0))
+            self.proven_stores = at.take(proven), found.take(proven)
         return thresholds
 
 
@@ -311,9 +349,12 @@ class BatchedEngine(Engine):
         reason = REASON_END
         if start < n:
             il_shift = ms._il_shift
+            # The dirty-bit scheme's epoch bumps would need a skipped
+            # store's mark.  Resolved per call, as the inline paths are.
+            key = (*self._key, self._write_back and not ms._dirty_bit_bypass)
             events = batch.events
-            if events is None or events.key != self._key:
-                events = batch.events = EventIndex(batch, self._key)
+            if events is None or events.key != key:
+                events = batch.events = EventIndex(batch, key)
             ev = events.positions
             sys_pos = events.syscalls
             j = sys_pos.searchsorted(start)
@@ -325,18 +366,30 @@ class BatchedEngine(Engine):
             reach = start + cutoff - now - 1
             # int32 queries: a Python int would make NumPy cast the
             # whole index to int64.
-            lo, hi = ev.searchsorted(np.array(
-                (start, (reach if reach < last else last) + 1),
-                np.int32)).tolist()
+            bounds = np.array(
+                (start, (reach if reach < last else last) + 1), np.int32)
+            lo, hi = ev.searchsorted(bounds).tolist()
             columns = [column[lo:hi] for column in (
                 ev, events.lines, events.kinds, events.addrs,
                 events.partials)]
+            skipped = ()
             filtered = hi - lo > FILTER_MIN_EVENTS
             if filtered:
                 # Skip the events an access earlier in this call proves
                 # L1 hits.
                 run = np.flatnonzero(events.thresholds()[lo:hi] < start)
                 columns = [column.take(run) for column in columns]
+                if events.proven_stores is not None:
+                    at, below = events.proven_stores
+                    first, after = at.searchsorted(bounds).tolist()
+                    skipped = at[first:after].compress(
+                        below[first:after] >= start)
+            real = columns[0]
+            if len(skipped):
+                # A skipped store still takes its second cycle: the loop
+                # runs on positions moved one later per skipped store
+                # before them, so i + c stays the clock.
+                columns[0] = real + skipped.searchsorted(real)
             # Memoryviews yield Python ints and bools, one per step, so
             # the loop converts only the events it reaches.
             positions, *rest = map(memoryview, columns)
@@ -406,7 +459,9 @@ class BatchedEngine(Engine):
             c = now + 1 - start
             for i, iline, kind, addr, partial in rows:
                 if i + c > cutoff:
-                    break  # the deadline falls before i
+                    # The deadline falls before i: k events ran.
+                    k = bisect_left(positions, i)
+                    break
                 if iline != iline_prev:
                     iline_prev = iline
                     if tlb_on:
@@ -538,17 +593,28 @@ class BatchedEngine(Engine):
                 else:
                     c = store(i + c, addr, partial) - i
             else:
-                i = reach + 1  # every reachable event ran
+                k = len(positions)  # every reachable event ran
             # The last instruction run: where free steps after the last
             # event reach the deadline, the system call or the batch end.
             end = cutoff - c
+            if len(skipped):
+                # Back from a moved position to a real one; a skipped
+                # store at moved position v reaches the deadline at v + 1.
+                end -= int(np.searchsorted(
+                    skipped + np.arange(len(skipped), dtype=np.int32),
+                    end - 1, "right"))
             if end > last:
                 end = last
-            k = bisect_left(positions, i)
-            ran = positions[k - 1] if k else start
+            ran = int(real[k - 1]) if k else start
             if end < ran:
                 end = ran
             now = end + c
+            if len(skipped):
+                # Each skipped store up to end was a write-back store hit.
+                hits = int(skipped.searchsorted(end, "right"))
+                now += hits
+                stores += hits
+                write_hits += hits
             if end == sys_at:
                 reason = REASON_SYSCALL
             elif now >= deadline:

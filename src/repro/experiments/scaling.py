@@ -1,13 +1,12 @@
 """Reproduction-scale convergence study.
 
 The paper runs ~2.5 billion references; this repository defaults to a few
-million.  This experiment quantifies what that costs: it runs the base
+million.  This experiment shows how that moves the numbers: it runs the base
 architecture at a ladder of trace lengths (with the time slice scaled in
 proportion, holding slices-per-benchmark constant) and reports how the miss
-ratios move.  Expected behaviour: L1 ratios stabilize quickly; the L2 ratio
-— dominated by compulsory first-touches at small scale — keeps falling
-toward the paper's ~1 % as traces lengthen, without changing any of the
-qualitative comparisons the other experiments make.
+ratios and CPI move.  Because the slice grows with the trace, the sweep
+does not tell a longer trace's effect from a longer slice's; ``fig3``
+varies the slice alone.
 """
 
 from __future__ import annotations
@@ -63,8 +62,10 @@ def run(scale: ExperimentScale,
             "l2_shrink_factor": (l2_ratios[0] / l2_ratios[-1]
                                  if l2_ratios[-1] else 0.0),
         },
-        notes=("global L2 misses per instruction fall as traces lengthen "
-               "(compulsory misses amortize) and CPI approaches the "
-               "paper's 1.7; the *local* L2 ratio can rise because its "
-               "denominator (L1 misses) falls even faster"),
+        notes=("global L2 misses per instruction and CPI fall as traces "
+               "lengthen; the time slice grows with the trace, and fig3 "
+               "shows longer slices alone lower CPI, so this sweep does "
+               "not say which lengthening causes it; the *local* L2 ratio "
+               "can rise because its denominator (L1 misses) falls even "
+               "faster"),
     )

@@ -130,6 +130,18 @@ class TestSchedulingShapes:
         assert_identical(base_architecture(), suite[:4], level=4,
                          time_slice=100_000)
 
+    @pytest.mark.parametrize("policy", ALL_POLICIES[1:],
+                             ids=lambda p: p.value)
+    def test_long_slices_skip_provable_write_through_loads(self, policy):
+        # As above under each write-through policy, where a load is
+        # proven only by an earlier load of its run (under subblock
+        # placement, or a full-word store of its word).
+        config = base_architecture().with_(
+            name=f"long-{policy.value}", write_policy=policy,
+            write_buffer=write_through_buffer())
+        suite = default_suite(instructions_per_benchmark=60_000)
+        assert_identical(config, suite[:3], level=3, time_slice=60_000)
+
     @pytest.mark.parametrize("policy", ALL_POLICIES,
                              ids=lambda p: p.value)
     def test_policies_multiprogrammed(self, suite, policy):

@@ -5,20 +5,26 @@ than ``FILTER_MIN_EVENTS`` events, which the battery's short slices
 never do.  This module collects every test of
 ``tests/test_engine_slice_edges.py`` once more with the constant at 0,
 so that every call filters, and pins the cases a filtering call could
-get wrong: each one is a batch in which an earlier access to the same
-set must *not* prove a later one a hit.
+get wrong: batches in which an earlier access to the same set must
+*not* prove a later one a hit, and write-back store hits that are
+skipped but still take their second cycle.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.config import WritePolicy
-from repro.core.engine import REASON_END, REASON_SYSCALL, batched
+from repro.core.config import BypassMode, WritePolicy
+from repro.core.engine import (
+    REASON_END,
+    REASON_SLICE,
+    REASON_SYSCALL,
+    batched,
+)
 from repro.params import PAGE_WORDS
 
 from test_engine_slice_edges import *  # noqa: F401,F403 - collected again
-from test_engine_slice_edges import Pair, machine, prepared
+from test_engine_slice_edges import Pair, machine, prepared, sweep
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -86,14 +92,88 @@ def test_write_only_store_then_a_load():
 
 def test_subblock_load_of_another_word():
     # A full-word store miss installs line 10 with only word 41 valid.
-    # A load of 41 proves the next load of 41, but not the load of 42,
-    # which misses.  All four share one L1-I line, so only the data side
+    # The store proves the loads of 41, but not the load of 42, which
+    # misses.  All four share one L1-I line, so only the data side
     # decides.
     pair = Pair(machine(WritePolicy.SUBBLOCK))
     batch = prepared(range(4), kinds=[2, 1, 1, 1], addrs=[41, 41, 41, 42])
     assert pair.call(batch, 0, 1 << 40) == (4, REASON_END)
     assert pair.ref.stats.l1d_read_misses == 1
+    assert skippable(batch, 0) == [1, 2]
+
+
+def test_subblock_partial_store_and_store_to_another_word():
+    # The partial-word store miss installs line 10 with no valid word,
+    # and the full-word store validates word 42 only: the load of 41
+    # misses.
+    pair = Pair(machine(WritePolicy.SUBBLOCK))
+    batch = prepared(range(3), kinds=[2, 2, 1], addrs=[41, 42, 41],
+                     partials=[True, False, False])
+    assert pair.call(batch, 0, 1 << 40) == (3, REASON_END)
+    assert pair.ref.stats.l1d_read_misses == 1
+    assert skippable(batch, 0) == []
+
+
+#: Under write-back: the load installs line 10, the store to 41 hits,
+#: and the store to 42 hits with an earlier store of its run behind it.
+STORES = prepared(range(6), kinds=[1, 2, 2, 0, 0, 0],
+                  addrs=[40, 41, 42, 0, 0, 0])
+
+
+def test_write_back_store_after_only_loads_runs():
+    # Only the second store has a store before it in its run.
+    pair = Pair(machine())
+    assert pair.call(STORES, 0, 1 << 40) == (6, REASON_END)
+    assert skippable(STORES, 0) == [2]
+    assert pair.ref.stats.stall_l1_writes == pair.ref.stats.stores == 2
+
+
+def test_write_back_store_cut_off_by_another_line():
+    # Loading word 56 (line 14) evicts line 10 from L1-D set 2 between
+    # the stores, so the second one misses.
+    pair = Pair(machine())
+    batch = prepared(range(3), kinds=[2, 1, 2], addrs=[40, 56, 41])
+    assert pair.call(batch, 0, 1 << 40) == (3, REASON_END)
+    assert pair.ref.stats.l1d_write_misses == 2
+    assert skippable(batch, 0) == []
+
+
+@pytest.mark.parametrize("past", (0, 1), ids=("second-cycle", "first"))
+def test_deadline_on_a_skipped_store(past):
+    # The deadline falls on the skipped store's second cycle, or on its
+    # first, which the second then passes: either way the call ends
+    # there.
+    ends = [deadline for deadline, result, ms in sweep(machine(), STORES)
+            if result == (3, REASON_SLICE) and ms.now == deadline + past]
+    assert len(ends) == 1
+    assert skippable(STORES, 0) == [2]
+
+
+def test_syscall_on_a_skipped_store():
+    pair = Pair(machine())
+    batch = prepared(range(6), kinds=[1, 2, 2, 0, 0, 0],
+                     addrs=[40, 41, 42, 0, 0, 0],
+                     syscalls=[i == 2 for i in range(6)])
+    assert pair.call(batch, 0, 1 << 40) == (3, REASON_SYSCALL)
     assert skippable(batch, 0) == [2]
+    assert pair.call(batch, 3, 1 << 40) == (3, REASON_END)
+
+
+def test_dirty_bit_scheme_proves_no_store():
+    # As in test_epoch_bump_then_inline_store_hit, the load miss bumps
+    # the epoch between the stores, so the second store's dirty mark is
+    # not the first one's: it runs.  Without the scheme it is skipped.
+    batch = prepared(range(3), kinds=[2, 1, 2], addrs=[40, 20, 41])
+    assert Pair(machine()).call(batch, 0, 1 << 40) == (3, REASON_END)
+    assert skippable(batch, 0) == [2]
+    pair = Pair(machine())
+    for ms in pair.systems:
+        ms._bypass = BypassMode.DIRTY_BIT
+        ms._dirty_bit_bypass = True
+    assert pair.call(batch, 0, 1 << 40) == (3, REASON_END)
+    assert skippable(batch, 0) == []
+    ref = pair.ref
+    assert ref._ddirty[10 & ref._d_mask] == ref._dirty_epoch == 3
 
 
 @pytest.mark.parametrize("policy", list(WritePolicy))

@@ -1,14 +1,13 @@
 """EXPERIMENTS.md cites the committed reports, cell for cell.
 
-The Table 1, Fig. 2, Fig. 3, Fig. 4, Fig. 5, Fig. 6, Fig. 9, Fig. 10,
-Fig. 11, ``scaling``, ``pareto`` and write-path ablation sections quote
-``results/table1.txt``, ``fig2.txt``, ``fig3.txt``, ``fig4.txt``,
-``fig5.txt``, ``fig6.txt``, ``fig9.txt``, ``fig10.txt``, ``fig11.txt``,
-``scaling.txt``, ``pareto.txt``, ``wbdepth.txt``, ``wboverlap.txt`` and
-``coloring.txt``.  These tests parse the markdown tables and the numbers
-in the findings and check each against the report, so a regenerated
-report and the document cannot drift apart.  Where a test checks a
-column, every number written in it must be one the test checked.
+The Table 1, Fig. 2 to Fig. 11, ``scaling``, ``pareto`` and
+write-path ablation sections quote ``results/table1.txt``, ``fig2.txt``
+to ``fig11.txt``, ``scaling.txt``, ``pareto.txt``, ``wbdepth.txt``,
+``wboverlap.txt`` and ``coloring.txt``.  These tests parse the
+markdown tables and the numbers in the findings and check each
+against the report, so a regenerated report and the document cannot
+drift apart.  Where a test checks a column, every number written in it
+must be one the test checked.
 """
 
 from __future__ import annotations
@@ -146,6 +145,13 @@ def test_scaling_table_matches_report():
     text = " ".join(section("scaling").split())
     assert f"CPI is {by_scale[largest][2]}" in text
     assert f"{findings['l2_shrink_factor']}x fewer" in text
+    # The slice grows with the trace; Fig. 3 varies it alone at the
+    # default length, whose CPI both reports share.
+    fig3 = {int(slice_): cells[3]
+            for slice_, cells in report_tables("fig3")[0].items()}
+    assert fig3[100_000] == by_scale[400_000][2]
+    assert (f"takes CPI from {fig3[100_000]} (100 K cycles) to "
+            f"{fig3[500_000]} (500 K)") in text
 
 
 def pareto_rows() -> list:
@@ -437,6 +443,103 @@ def test_fig3_table_matches_report():
     doc.cites("too-short slices are bad",
               f"L1-D miss ratio {rounded(table['10000'][1], 2)} @10k vs "
               f"{rounded(table['1000000'][1], 2)} @1M ✔")
+    assert doc.all_cited()
+
+
+#: The paper column of the Fig. 7 and Fig. 8 sections, by claim.
+PAPER_FIG7 = {"family spans": "0.19 → 0.02 CPI",
+              "curves flatten past 64K": "fairly flat",
+              "faster L2-I always helps": "monotone in access time"}
+PAPER_FIG8 = {"family spans": "0.72 → 0.06 CPI",
+              "still improving at 512K": "yes",
+              "optimum D ≈ 8× optimum I": "yes",
+              "D-side losses ≫ I-side losses": "0.72 vs 0.19 max"}
+
+
+def speed_size(experiment_id: str) -> tuple:
+    """``({size in K words: [CPI per access time]}, findings)`` of a
+    speed-size report, and the sizes in ascending order."""
+    table = report_tables(experiment_id)[0]
+    _, findings, _ = report(experiment_id)
+    cpi = {int(size.rstrip("K")): [Decimal(value) for value in values]
+           for size, values in table.items()}
+    return cpi, findings, sorted(cpi)
+
+
+def knee(cpi: dict, sizes: list) -> int:
+    """The first size whose doubling saves under 0.01 CPI at every
+    access time."""
+    return next(a for a, b in zip(sizes, sizes[1:])
+                if all(x - y < Decimal("0.01")
+                       for x, y in zip(cpi[a], cpi[b])))
+
+
+def falls(cpi: dict, sizes: list) -> bool:
+    """Whether each size in ``sizes`` beats the one before it at every
+    access time."""
+    return all(x > y for a, b in zip(sizes, sizes[1:])
+               for x, y in zip(cpi[a], cpi[b]))
+
+
+def spans(findings: dict) -> tuple:
+    """The largest and smallest CPI of a report, as its findings say."""
+    return Decimal(findings["max_cpi"]), Decimal(findings["min_cpi"])
+
+
+def test_fig7_table_matches_report():
+    cpi, findings, sizes = speed_size("fig7")
+    top, bottom = spans(findings)
+    assert top == max(map(max, cpi.values()))
+    assert bottom == min(map(min, cpi.values()))
+    assert {cells[0]: cells[1] for cells in markdown_rows(
+        section("fig7"))} == PAPER_FIG7
+    doc = Cells(measured("fig7"))
+    paper_top = Decimal(PAPER_FIG7["family spans"].split()[0])
+    doc.cites("family spans",
+              f"{rounded(top, 2)} → {rounded(bottom, 2)} CPI ✔ shape "
+              f"(≈{round(top / paper_top)}× the paper's level)")
+    # A plateau of identical rows, then steps down at every larger size.
+    first = knee(cpi, sizes)
+    plateau = [size for size in sizes if cpi[size] == cpi[first]]
+    after = sizes[sizes.index(plateau[-1]) + 1:]
+    assert len(plateau) > 1 and after and falls(cpi, plateau[-1:] + after)
+    _, fig8, _ = speed_size("fig8")
+    assert (Decimal(findings["gain_64K_to_512K"])
+            < Decimal(fig8["gain_64K_to_512K"]))
+    doc.cites("curves flatten past 64K",
+              f"plateau at {plateau[0]}–{plateau[-1]}K, further steps at "
+              f"{after[0]}K+ from cross-process code retention — flatter "
+              "than the data side but not fully saturated ~")
+    assert all(row == sorted(row) and len(set(row)) == len(row)
+               for row in cpi.values())
+    doc.cites("faster L2-I always helps", "✔")
+    assert doc.all_cited()
+
+
+def test_fig8_table_matches_report():
+    cpi, findings, sizes = speed_size("fig8")
+    top, bottom = spans(findings)
+    assert top == max(map(max, cpi.values()))
+    assert bottom == min(map(min, cpi.values()))
+    assert {cells[0]: cells[1] for cells in markdown_rows(
+        section("fig8"))} == PAPER_FIG8
+    doc = Cells(measured("fig8"))
+    doc.cites("family spans",
+              f"{rounded(top, 2)} → {rounded(bottom, 2)} CPI ✔ shape")
+    assert Decimal(findings["still_improving_at_512K"]) > 0
+    assert all(a > b for a, b in zip(cpi[sizes[-2]], cpi[sizes[-1]]))
+    doc.cites("still improving at 512K",
+              f"✔ ({sizes[-2]}K→{sizes[-1]}K still positive)")
+    fig7, fig7_findings, fig7_sizes = speed_size("fig7")
+    i_knee, d_knee = knee(fig7, fig7_sizes), knee(cpi, sizes)
+    assert falls(cpi, sizes[:sizes.index(d_knee) + 1])
+    doc.cites("optimum D ≈ 8× optimum I",
+              f"I-side reaches its plateau by {i_knee}K; D-side keeps "
+              f"falling through {d_knee}K ✔ (≈{d_knee // i_knee}× ratio "
+              "of knees)")
+    doc.cites("D-side losses ≫ I-side losses",
+              f"{rounded(top, 2)} vs "
+              f"{rounded(spans(fig7_findings)[0], 2)} ✔")
     assert doc.all_cited()
 
 

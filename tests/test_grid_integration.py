@@ -8,6 +8,7 @@ import repro.obs as obs
 from repro.core.config import base_architecture
 from repro.farm.points import PointSpec, run_points
 from repro.grid.dispatcher import GridDispatcher, GridSettings
+from repro.grid.nodes import normalize_node_url
 from repro.serve.server import ServeSettings, SimServer
 from repro.trace.benchmarks import default_suite
 
@@ -88,6 +89,11 @@ class TestDegradedPool:
     def test_sweep_survives_one_killed_one_draining_backend(self, servers):
         wanted = specs(4)
         truth = serial(wanted)
+        # The registry tries idle nodes in URL order, and its background
+        # probe first runs after a minute: the node whose URL sorts first
+        # is the one killed, so the first attempt goes to it.
+        servers = sorted(servers, key=lambda s: normalize_node_url(
+            urls([s])[0]))
         pool_urls = urls(servers)
         # SIGKILL stand-in: the listening socket dies abruptly, no drain.
         servers[0]._httpd.shutdown()
