@@ -69,6 +69,9 @@ def _cmd_inspect(args) -> int:
 
     records, torn = read_records(args.journal)
     state = replay_records(records)
+    # Replay keeps done, claimed and failed disjoint; todo is the rest.
+    todo = [i for i in state.todo()
+            if i not in state.claims and i not in state.failed]
     summary = {
         "journal": str(args.journal),
         "run_id": state.run_id,
@@ -79,7 +82,7 @@ def _cmd_inspect(args) -> int:
         "done": len(state.done),
         "claimed": len(state.claims),
         "failed": len(state.failed),
-        "todo": len(state.todo()),
+        "todo": len(todo),
         "sealed": state.sealed,
         "resumes": state.resumes,
     }

@@ -105,14 +105,12 @@ def sweep_sha256(keys: Sequence[str]) -> str:
 class _Claim:
     """Replay-side view of one outstanding lease."""
 
-    __slots__ = ("owner", "deadline_unix", "attempt", "claimed_unix")
+    __slots__ = ("owner", "deadline_unix", "attempt")
 
-    def __init__(self, owner: str, deadline_unix: float, attempt: int,
-                 claimed_unix: Optional[float] = None):
+    def __init__(self, owner: str, deadline_unix: float, attempt: int):
         self.owner = owner
         self.deadline_unix = deadline_unix
         self.attempt = attempt
-        self.claimed_unix = claimed_unix
 
     def expired(self, now: Optional[float] = None) -> bool:
         return (now if now is not None else time.time()) \
@@ -154,45 +152,6 @@ class JournalState:
         """Indices with no durable result, in input order."""
         return [i for i in range(self.n_points) if i not in self.done]
 
-    def progress(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """The read-side view of the run for dashboards and inspectors:
-        todo/claimed/done/failed counts, per-lease ages and expiry, and
-        the retry total — derived purely from replayed state, so any
-        process may watch a live coordinator's journal without touching
-        its lock (reads never append)."""
-        now = time.time() if now is None else now
-        leases = []
-        for index in sorted(self.claims):
-            claim = self.claims[index]
-            leases.append({
-                "index": index,
-                "label": (self.labels[index]
-                          if index < len(self.labels) else ""),
-                "owner": claim.owner,
-                "attempt": claim.attempt,
-                "age_s": (round(now - claim.claimed_unix, 3)
-                          if claim.claimed_unix is not None else None),
-                "expires_in_s": round(claim.deadline_unix - now, 3),
-                "expired": claim.expired(now),
-            })
-        claimed = set(self.claims)
-        failed = set(self.failed) - set(self.done)
-        todo = [i for i in self.todo()
-                if i not in claimed and i not in failed]
-        return {
-            "run_id": self.run_id,
-            "sweep_sha256": self.sweep_sha256,
-            "points": self.n_points,
-            "done": len(self.done),
-            "claimed": len(claimed),
-            "failed": len(failed),
-            "todo": len(todo),
-            "sealed": self.sealed,
-            "resumes": self.resumes,
-            "retries": sum(max(0, a - 1) for a in self.attempts.values()),
-            "leases": leases,
-        }
-
     def _index(self, record: Dict[str, Any]) -> int:
         index = record.get("index")
         if not isinstance(index, int) or not 0 <= index < self.n_points:
@@ -222,8 +181,7 @@ class JournalState:
             if index not in self.done:    # a late claim cannot undo done
                 self.claims[index] = _Claim(record["owner"],
                                             float(record["deadline_unix"]),
-                                            self.attempts[index],
-                                            record.get("t"))
+                                            self.attempts[index])
                 self.failed.pop(index, None)
             self.sealed = False
         elif rec == "lease_renewed":
@@ -442,41 +400,6 @@ class RunJournal:
                 # durable — exactly the boundary recovery must survive.
                 os.kill(os.getpid(), signal.SIGKILL)
         return record
-
-
-def inspect_progress(path: PathLike,
-                     now: Optional[float] = None) -> Dict[str, Any]:
-    """Read-only inspection of one journal file: replayed
-    :meth:`JournalState.progress` plus file-level facts.  Never appends,
-    never locks — safe against a live coordinator."""
-    path = Path(path)
-    records, torn = read_records(path)
-    state = replay_records(records)
-    progress = state.progress(now)
-    progress.update({
-        "journal": str(path),
-        "records": len(records),
-        "torn_trailing_lines": torn,
-    })
-    return progress
-
-
-def scan_journals(directory: PathLike,
-                  now: Optional[float] = None) -> List[Dict[str, Any]]:
-    """Inspect every journal file under a journal directory (the layout
-    ``repro-experiments --journal DIR`` writes).  An unreadable or
-    corrupt journal becomes an ``{"journal": ..., "error": ...}`` entry
-    instead of sinking the whole scan — a dashboard must keep rendering
-    the healthy runs while one file is damaged."""
-    directory = Path(directory)
-    out: List[Dict[str, Any]] = []
-    for suffix in JOURNAL_SUFFIXES:
-        for path in sorted(directory.glob(f"*{suffix}")):
-            try:
-                out.append(inspect_progress(path, now))
-            except (JournalError, OSError) as exc:
-                out.append({"journal": str(path), "error": str(exc)})
-    return out
 
 
 def resolve_journal(journal: Union["RunJournal", PathLike],

@@ -83,12 +83,6 @@ class ObsError(ReproError):
     malformed snapshot merge, or an unreadable event log)."""
 
 
-class FleetError(ReproError):
-    """The fleet telemetry plane could not do its job: an SLO file is
-    malformed, a benchmark trajectory file is missing or unreadable, or
-    exposition text failed strict validation."""
-
-
 class ServeError(ReproError):
     """The simulation service could not satisfy a request: the server
     rejected it, retries and the circuit breaker gave up, or the client's

@@ -32,7 +32,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from repro.errors import GridError, ServeError
+from repro.errors import GridError
 from repro.obs.metrics import Registry
 from repro.serve.client import BreakerPool, RetryPolicy, ServeClient
 
@@ -84,8 +84,6 @@ class GridNode:
         self.quarantines = 0
         self.last_ready: Dict[str, Any] = {}
         self.last_probe_ok: Optional[bool] = None
-        self.last_scrape_unix: Optional[float] = None
-        self.last_scrape_error: Optional[str] = None
 
     @property
     def quarantined(self) -> bool:
@@ -103,8 +101,6 @@ class GridNode:
             "quarantines": self.quarantines,
             "last_probe_ok": self.last_probe_ok,
             "last_ready": dict(self.last_ready),
-            "last_scrape_unix": self.last_scrape_unix,
-            "last_scrape_error": self.last_scrape_error,
             "breaker": self.client.breaker.snapshot()
             if hasattr(self.client, "breaker") else None,
         }
@@ -162,9 +158,6 @@ class NodeRegistry:
         self._m_readmissions = self.metrics.counter(
             "grid_readmissions_total", "nodes re-admitted from quarantine",
             labels=("node",))
-        self._m_scrapes = self.metrics.counter(
-            "grid_scrapes_total", "fleet metrics scrapes by node "
-            "and outcome", labels=("node", "outcome"))
         self._lock = threading.Lock()
         self.nodes: List[GridNode] = []
         seen: Set[str] = set()
@@ -252,35 +245,6 @@ class NodeRegistry:
         else:
             self.note_failure(node, probe=True)
         return ok
-
-    def scrape(self, node: GridNode) -> Optional[Dict[str, Any]]:
-        """One full ``/metrics`` round-trip for the fleet telemetry
-        plane; returns the JSON document (``None`` on failure).
-
-        A scrape is also a health observation: failures feed the same
-        quarantine accounting as probes, so a node that stops answering
-        its metrics endpoint is treated exactly like one that stops
-        answering ``/readyz``.
-        """
-        try:
-            doc = node.client.metrics()
-        except (ServeError, OSError) as exc:
-            self._m_scrapes.labels(node.url, "failed").inc()
-            self.note_failure(node, probe=True)
-            with self._lock:
-                node.last_scrape_error = str(exc)
-            return None
-        self._m_scrapes.labels(node.url, "ok").inc()
-        self.note_success(node, probe=True)
-        with self._lock:
-            node.last_scrape_error = None
-            node.last_scrape_unix = time.time()
-        return doc if isinstance(doc, dict) else None
-
-    def scrape_all(self) -> Dict[str, Optional[Dict[str, Any]]]:
-        """Scrape every node (quarantined ones included — a scrape is
-        read-only and doubles as the probation probe); keyed by URL."""
-        return {node.url: self.scrape(node) for node in list(self.nodes)}
 
     def poll_once(self) -> None:
         """Probe every node that is due: healthy ones always (keeps load

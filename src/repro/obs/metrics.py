@@ -46,8 +46,8 @@ def _parse_label_key(key: str) -> Tuple[str, ...]:
     return tuple(json.loads(key))
 
 
-#: The quantile points reported by snapshot(quantiles=True) and the fleet
-#: plane: median, tail, and far tail.
+#: The quantile points ``repro-obs metrics`` reports: median, tail, and
+#: far tail.
 QUANTILE_POINTS: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
 
@@ -91,7 +91,7 @@ def histogram_quantiles(entry: Dict[str, Any],
                         qs: Sequence[float] = QUANTILE_POINTS
                         ) -> Dict[str, Optional[float]]:
     """Quantiles over **all** children of one histogram snapshot entry
-    (the fleet collector's view: children may come from many nodes)."""
+    (children may come from many merged workers or nodes)."""
     bounds = [float(b) for b in entry.get("buckets", ())]
     summed = [0] * (len(bounds) + 1)
     for child in entry.get("values", {}).values():
@@ -261,19 +261,6 @@ class Histogram(_Metric):
         with self._lock:
             return sum(c._sum for c in self._children.values())
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Coarse quantile across every child (``None`` when empty)."""
-        with self._lock:
-            summed = [0] * (len(self.buckets) + 1)
-            for child in self._children.values():
-                for i, c in enumerate(child._counts):
-                    summed[i] += c
-        return quantile_from_buckets(self.buckets, summed, q)
-
-    def quantiles(self, qs: Sequence[float] = QUANTILE_POINTS
-                  ) -> Dict[str, Optional[float]]:
-        return {f"p{round(q * 100):d}": self.quantile(q) for q in qs}
-
 
 class _HistogramChild:
     __slots__ = ("_lock", "_bounds", "_counts", "_sum", "_count")
@@ -304,12 +291,6 @@ class _HistogramChild:
     @property
     def sum(self) -> float:
         return self._sum
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Coarse quantile for this child alone (``None`` when empty)."""
-        with self._lock:
-            counts = list(self._counts)
-        return quantile_from_buckets(self._bounds, counts, q)
 
 
 class Registry:
@@ -367,15 +348,8 @@ class Registry:
 
     # --------------------------------------------------------- snapshot/merge
 
-    def snapshot(self, quantiles: bool = False) -> Dict[str, Any]:
-        """JSON-safe dump of every metric (the merge/export format).
-
-        ``quantiles=True`` adds a derived ``"quantiles"`` key (p50/p95/p99
-        per child) to histogram entries.  It is **opt-in** so the default
-        snapshot — the wire format forked workers ship and the legacy
-        ``/metrics`` JSON embeds — keeps its exact historical shape;
-        :meth:`merge` ignores the derived key either way.
-        """
+    def snapshot(self) -> Dict[str, Any]:
+        """JSON-safe dump of every metric (the merge/export format)."""
         out: Dict[str, Any] = {}
         with self._lock:
             metrics = list(self._metrics.values())
@@ -401,16 +375,6 @@ class Registry:
                         _label_key(key): child._value
                         for key, child in metric._children.items()
                     }
-            if quantiles and metric.kind == "histogram":
-                entry["quantiles"] = {
-                    key: {
-                        point: quantile_from_buckets(
-                            entry["buckets"], value["counts"], q)
-                        for point, q in zip(("p50", "p95", "p99"),
-                                            QUANTILE_POINTS)
-                    }
-                    for key, value in entry["values"].items()
-                }
             out[metric.name] = entry
         return out
 
@@ -482,9 +446,6 @@ def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
 #: The Content-Type a Prometheus scraper expects for text exposition.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-_PROM_NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_PROM_LABEL_OK = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
 
 def _prom_name(name: str) -> str:
     """Force a metric or label name into the Prometheus grammar."""
@@ -552,8 +513,9 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
       help text and label values escaped.
 
     Families render in sorted-name order, children in sorted label order,
-    so the exposition is deterministic — the property the fleet tests and
-    the bucket-cumulativity validator in :mod:`repro.fleet.prom` rely on.
+    so the exposition is deterministic: two renders of one snapshot are
+    byte-identical, even while merges land (``tests/test_obs_metrics.py``
+    checks it).
     """
     lines: List[str] = []
     for name in sorted(snapshot):

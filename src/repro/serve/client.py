@@ -141,9 +141,9 @@ class CircuitBreaker:
 class BreakerPool:
     """One :class:`CircuitBreaker` **per backend node**, keyed by URL.
 
-    A fleet-facing caller (the grid dispatcher, or several
-    :class:`ServeClient` instances pointed at different backends) shares
-    one pool: a dead node opens *its* breaker and fails fast, while
+    A caller that talks to several backends (the grid dispatcher, or
+    several :class:`ServeClient` instances pointed at different ones)
+    shares one pool: a dead node opens *its* breaker and fails fast, while
     healthy nodes keep their own closed breakers — one bad backend can
     no longer blind a client to the rest of the pool, which is what a
     single global breaker did.

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.durable.cli import main as durable_main
 from repro.durable.journal import (
     JOURNAL_MAGIC,
     JOURNAL_VERSION,
@@ -211,6 +212,28 @@ def test_append_requires_open(tmp_path):
         journal.append("run_sealed", done=0)
     with pytest.raises(JournalError, match="unknown journal record"):
         RunJournal(tmp_path / "y.wal").append("point_exploded")
+
+
+def test_inspect_counts_every_point_once(tmp_path, capsys):
+    """``repro-durable inspect``: done, claimed, failed and todo partition
+    the points, in the text and in the ``--json`` output."""
+    keys = KEYS + ["k3" * 32]
+    journal, _, _ = open_journal(tmp_path, keys=keys, labels=LABELS + ["p3"])
+    journal.append("point_done", index=0, key=keys[0], cache_key=keys[0],
+                   stats_sha256="ab" * 32)
+    journal.append("point_claimed", index=1, key=keys[1], owner="h:1",
+                   lease_s=30.0, deadline_unix=1e12, attempt=1)
+    journal.append("point_failed", index=2, error="boom", attempt=1)
+    journal.close()
+
+    assert durable_main(["inspect", str(journal.path)]) == 0
+    assert "points   : 4  done=1 claimed=1 failed=1 todo=1" \
+        in capsys.readouterr().out
+    assert durable_main(["inspect", str(journal.path), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    counts = [summary[k] for k in ("done", "claimed", "failed", "todo")]
+    assert counts == [1, 1, 1, 1]
+    assert sum(counts) == summary["points"]
 
 
 def test_stats_sha256_is_canonical():

@@ -32,7 +32,7 @@ import itertools
 from collections import Counter, deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -303,7 +303,10 @@ def test_generated_schedules():
     write-only machine of that kind."""
     taken = set()
     for policy in WritePolicy:
-        @settings(max_examples=35, deadline=None)
+        # No shrink phase: shrinking a failing schedule took minutes and
+        # hundreds of MB, so the first falsifying example is reported.
+        @settings(max_examples=35, deadline=None,
+                  phases=[p for p in Phase if p is not Phase.shrink])
         @given(combo=st.sampled_from([m for m in MACHINES
                                       if m[0] is policy]),
                dirty_buffer=st.booleans(), i_line=st.sampled_from((4, 8)),

@@ -323,7 +323,7 @@ class TestCli:
         assert "queue_depth" in capsys.readouterr().out
 
     def test_metrics_prometheus_is_strictly_valid(self, tmp_path, capsys):
-        from repro.fleet.prom import validate_exposition
+        from prom_exposition import validate_exposition
         from repro.obs.cli import main
 
         path = self._write_snapshot(tmp_path)
