@@ -5,8 +5,8 @@ bookkeeping (:mod:`~repro.durable.lease`) and a coordinator driver
 (:mod:`~repro.durable.driver`) make every sweep — local farm,
 distributed grid, or serve-backed — resumable exactly-once after a
 SIGKILL of *any* process, including the coordinator itself.  The
-kill-anywhere chaos harness (:mod:`~repro.durable.chaos`,
-``repro-durable chaos``) proves it by murdering the coordinator at every
+kill-anywhere chaos storm (:func:`repro.chaos.durable_storm`,
+``repro-chaos durable``) proves it by murdering the coordinator at every
 journal transition boundary and diffing the resumed output against an
 uninterrupted run.
 """

@@ -1,19 +1,16 @@
-"""``repro-durable``: inspect run journals and storm the coordinator.
+"""``repro-durable``: inspect run journals.
 
 Usage::
 
     repro-durable inspect RUN.wal            # record-by-record dump
     repro-durable inspect RUN.wal --json     # machine-readable state
-    repro-durable chaos                      # kill-anywhere storm (CI)
-    repro-durable chaos --points 4 --stride 2
-    repro-durable chaos --offsets 3 5 --no-stall
 
 ``inspect`` verifies the journal the same way a resuming coordinator
 does — per-record checksums, contiguous sequence numbers, a torn final
 line tolerated and reported — then prints the replayed state: what is
-done, what is still leased, whether the run sealed.  ``chaos`` runs
-:func:`repro.durable.chaos.run_durable_chaos` and exits non-zero on any
-contract violation.
+done, what is still leased, whether the run sealed.  The kill-anywhere
+storm that crashes a live coordinator at every journal offset is
+``repro-chaos durable`` (:mod:`repro.chaos`).
 """
 
 from __future__ import annotations
@@ -30,8 +27,7 @@ from repro.errors import cli_errors
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-durable",
-        description="Inspect write-ahead run journals; chaos-test "
-                    "coordinator crash recovery.")
+        description="Inspect write-ahead run journals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     inspect = sub.add_parser(
@@ -41,26 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit machine-readable JSON")
     inspect.add_argument("--records", action="store_true",
                          help="also dump every record")
-
-    chaos = sub.add_parser(
-        "chaos", help="SIGKILL a live coordinator at every journal "
-                      "offset; assert bit-identical recovery")
-    chaos.add_argument("--points", type=int, default=3,
-                       help="sweep points in the storm (default 3)")
-    chaos.add_argument("--instructions", type=int, default=4000,
-                       help="instructions per point (default 4000)")
-    chaos.add_argument("--offsets", type=int, nargs="+", default=None,
-                       metavar="K",
-                       help="crash only after these journal appends "
-                            "(default: every offset)")
-    chaos.add_argument("--stride", type=int, default=1,
-                       help="test every n-th offset (default 1 = all)")
-    chaos.add_argument("--no-parallel", action="store_true",
-                       help="skip the jobs=2 crash scenario")
-    chaos.add_argument("--no-stall", action="store_true",
-                       help="skip the stalled-worker (SIGSTOP) scenario")
-    chaos.add_argument("--json", action="store_true",
-                       help="emit the report as JSON")
     return parser
 
 
@@ -108,33 +84,12 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.durable.chaos import DurableChaosSettings, run_durable_chaos
-
-    settings = DurableChaosSettings(
-        points=args.points,
-        instructions=args.instructions,
-        offsets=args.offsets,
-        stride=args.stride,
-        parallel_crash=not args.no_parallel,
-        stalled_worker=not args.no_stall)
-    report = run_durable_chaos(settings,
-                               stream=None if args.json else sys.stderr)
-    if args.json:
-        payload = dict(report.__dict__)
-        payload["passed"] = report.passed
-        print(json.dumps(payload, indent=1))
-    return 0 if report.passed else 1
-
-
 @cli_errors
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "inspect":
         return _cmd_inspect(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
     return 2  # pragma: no cover - argparse enforces the choices
 
 

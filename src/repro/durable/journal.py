@@ -35,8 +35,8 @@ is real corruption, not a crash artifact).
 
 Crash injection: when ``$REPRO_DURABLE_CRASH_AFTER_APPENDS`` is set, the
 process SIGKILLs itself immediately after durably writing that many
-records — the hook the kill-anywhere chaos harness
-(:mod:`repro.durable.chaos`) uses to park a crash on every journal
+records — the hook the kill-anywhere chaos storm
+(:func:`repro.chaos.durable_storm`) uses to park a crash on every journal
 transition boundary.
 """
 

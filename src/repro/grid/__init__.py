@@ -24,11 +24,12 @@ Robustness is the headline, not an afterthought:
   lost — a sweep never loses a point;
 * :mod:`repro.grid.backends` — local backend launcher (real server
   subprocesses) for benchmarks, chaos, and CI;
-* :mod:`repro.grid.chaos` — the multi-node storm: SIGKILL one backend
-  mid-sweep, SIGSTOP another, corrupt a third's cache — the sweep must
-  still complete with zero lost points and CPI bit-identical to serial;
-* :mod:`repro.grid.cli` — the ``repro-grid`` command (``status``,
-  ``chaos``).
+* :mod:`repro.grid.cli` — the ``repro-grid status`` command.
+
+``repro-chaos grid`` (:func:`repro.chaos.grid_storm`) is the multi-node
+storm: SIGKILL one backend mid-sweep, SIGSTOP another, corrupt a third's
+cache — the sweep must still complete with zero lost points and CPI
+bit-identical to serial.
 
 Quickstart::
 

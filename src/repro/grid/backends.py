@@ -1,12 +1,13 @@
 """Local backend pool: real ``repro-serve`` processes for grid testing.
 
-The grid's unit tests fake their clients; its chaos harness and
-benchmarks need the real thing — separate *processes* that can be
-SIGKILLed, SIGSTOPped, and have their cache directories vandalized
-without taking the orchestrator down with them.  :class:`BackendPool`
-launches N ``python -m repro.serve start --port 0`` children, waits for
-each to report its bound port through ``--port-file``, and exposes the
-fault injection surface the chaos storm drives:
+The grid's unit tests fake their clients; its chaos storm
+(:func:`repro.chaos.grid_storm`) and benchmarks need the real thing —
+separate *processes* that can be SIGKILLed, SIGSTOPped, and have their
+cache directories vandalized without taking the orchestrator down with
+them.  :class:`BackendPool` launches N ``python -m repro.serve start
+--port 0`` children, waits for each to report its bound port through
+``--port-file``, and exposes the fault injection surface the storm
+drives:
 
 * :meth:`BackendPool.kill` — SIGKILL, the hard crash;
 * :meth:`BackendPool.stall` — SIGSTOP (resumable via :meth:`resume`),

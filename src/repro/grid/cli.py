@@ -1,17 +1,13 @@
-"""``repro-grid``: inspect and torture a pool of serve backends.
+"""``repro-grid``: inspect a pool of serve backends.
 
 Usage::
 
     repro-grid status --nodes 127.0.0.1:8031,127.0.0.1:8032
-    repro-grid chaos --backends 3 --points 6
 
 ``status`` probes every backend's ``/readyz`` and prints one line per
-node (plus ``--json`` for the full payloads).  ``chaos`` runs the
-self-contained multi-node storm — launch real backends, SIGKILL one
-mid-sweep, SIGSTOP another, corrupt a third's cache — and exits
-non-zero if any robustness guarantee was violated; it is CI's
-distributed smoke test.  Distributed *sweeps* are driven from the
-experiments CLI: ``repro-experiments fig5 --nodes ...``.
+node (plus ``--json`` for the full payloads).  Distributed *sweeps* are
+driven from the experiments CLI: ``repro-experiments fig5 --nodes ...``;
+the multi-node fault storm is ``repro-chaos grid`` (:mod:`repro.chaos`).
 """
 
 from __future__ import annotations
@@ -42,25 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-probe timeout, seconds")
     status.add_argument("--json", action="store_true",
                         help="print the full readiness payloads")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="multi-node fault storm; exit 1 on violation")
-    chaos.add_argument("--backends", type=int, default=3)
-    chaos.add_argument("--points", type=int, default=6,
-                       help="distinct sweep points (each dispatched "
-                            "twice; default %(default)s)")
-    chaos.add_argument("--instructions", type=int, default=5000)
-    chaos.add_argument("--kill-after", type=int, default=2,
-                       help="resolved points before one backend is "
-                            "SIGKILLed")
-    chaos.add_argument("--stall-after", type=int, default=3,
-                       help="resolved points before another backend is "
-                            "SIGSTOPped")
-    chaos.add_argument("--isolation", choices=["auto", "fork", "inline"],
-                       default="auto",
-                       help="backend simulation isolation")
-    chaos.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -101,26 +78,11 @@ def _cmd_status(args) -> int:
     return worst
 
 
-def _cmd_chaos(args) -> int:
-    from repro.grid.chaos import GridChaosSettings, run_grid_chaos
-
-    settings = GridChaosSettings(
-        backends=args.backends, points=args.points,
-        instructions=args.instructions,
-        kill_after_points=args.kill_after,
-        stall_after_points=args.stall_after,
-        isolation=args.isolation, seed=args.seed)
-    report = run_grid_chaos(settings, stream=sys.stdout)
-    return 0 if report.passed else 1
-
-
 @cli_errors
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "status":
         return _cmd_status(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

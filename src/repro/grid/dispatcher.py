@@ -151,7 +151,7 @@ class _Task:
         self.index = index
         self.spec = spec
         self.key = spec.key()
-        self.body = _wire_body(spec)
+        self.body = wire_body(spec)
         self.payload = spec.payload()   # canonical: local-fallback input
         self.attempts = 0            # dispatches started (incl. hedges)
         self.active = 0              # attempts currently in flight
@@ -164,7 +164,7 @@ class _Task:
         self.permanent_error: Optional[str] = None
 
 
-def _wire_body(spec: PointSpec) -> Dict[str, Any]:
+def wire_body(spec: PointSpec) -> Dict[str, Any]:
     """The ``/v1/simulate`` request for one point.  Field-for-field the
     same description the cache key hashes, so the backend's computed key
     must equal ``spec.key()`` — the validity check hedging relies on."""

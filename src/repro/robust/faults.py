@@ -37,8 +37,8 @@ Process-level faults
 --------------------
 
 The farm's forked workers are a fault domain of their own: they can crash
-(OOM-kill, segfault) or stall (NFS hang, swap death).  The chaos harness
-(:mod:`repro.serve.chaos`) injects both through an environment variable,
+(OOM-kill, segfault) or stall (NFS hang, swap death).  The chaos storms
+(:mod:`repro.chaos`) inject both through an environment variable,
 :data:`WORKER_FAULT_ENV`, holding a spec like ``"crash=0.3,stall=0.2,
 stall_s=5"`` — probabilities per task attempt.  A pool worker opts in by
 calling :func:`maybe_worker_fault` at task start (``execute_point`` does);

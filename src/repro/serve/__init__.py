@@ -14,9 +14,10 @@ cache.  ``repro.serve`` turns the batch farm into that service:
   and a half-opening circuit breaker;
 * :mod:`repro.serve.protocol` — the validated request/response wire
   format (a bad request is a 400 with a message, never a traceback);
-* :mod:`repro.serve.chaos` — the harness that proves all of the above
-  under injected cache corruption, worker crashes, and worker stalls;
 * :mod:`repro.serve.cli` — the ``repro-serve`` command.
+
+``repro-chaos serve`` (:func:`repro.chaos.serve_storm`) proves all of the
+above under injected cache corruption, worker crashes, and worker stalls.
 
 Quickstart::
 

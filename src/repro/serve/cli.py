@@ -1,4 +1,4 @@
-"""``repro-serve``: run, query, and torture the simulation service.
+"""``repro-serve``: run and query the simulation service.
 
 Usage::
 
@@ -6,14 +6,12 @@ Usage::
     repro-serve simulate --url http://127.0.0.1:8023 \\
         --config machine.json --instructions 200000 --level 4
     repro-serve metrics --url http://127.0.0.1:8023
-    repro-serve chaos --duration 6
 
 ``start`` serves until SIGINT/SIGTERM and then drains gracefully (stop
 accepting, finish or checkpoint in-flight simulations, exit 0).
 ``simulate`` is the retrying client: it backs off with jitter on 429/503,
 honors ``Retry-After``, and fails fast once its circuit breaker opens.
-``chaos`` runs the self-contained fault storm and exits non-zero if any
-robustness guarantee was violated — CI's smoke test.
+The service's fault storm is ``repro-chaos serve`` (:mod:`repro.chaos`).
 """
 
 from __future__ import annotations
@@ -87,19 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = sub.add_parser("metrics", help="print a /metrics snapshot")
     metrics.add_argument("--url", default="http://127.0.0.1:8023")
-
-    chaos = sub.add_parser("chaos",
-                           help="run the chaos storm; exit 1 on violation")
-    chaos.add_argument("--duration", type=float, default=6.0)
-    chaos.add_argument("--clients", type=int, default=4)
-    chaos.add_argument("--crash-p", type=float, default=0.25,
-                       help="per-attempt worker crash probability")
-    chaos.add_argument("--stall-p", type=float, default=0.35,
-                       help="per-attempt worker stall probability")
-    chaos.add_argument("--queue-depth", type=int, default=2)
-    chaos.add_argument("--isolation", choices=["auto", "fork", "inline"],
-                       default="auto")
-    chaos.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -159,18 +144,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.serve.chaos import ChaosSettings, run_chaos
-
-    settings = ChaosSettings(
-        duration_s=args.duration, clients=args.clients,
-        worker_crash_p=args.crash_p, worker_stall_p=args.stall_p,
-        queue_depth=args.queue_depth, isolation=args.isolation,
-        seed=args.seed)
-    report = run_chaos(settings, stream=sys.stdout)
-    return 0 if report.passed else 1
-
-
 @cli_errors
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
@@ -181,8 +154,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_simulate(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
     return 2  # pragma: no cover - argparse enforces the choices
 
 

@@ -235,15 +235,15 @@ class TestContentAddressing:
 
     def test_wire_body_energy_gated(self, suite):
         from repro.farm.points import PointSpec
-        from repro.grid.dispatcher import _wire_body
+        from repro.grid.dispatcher import wire_body
 
         config = base_architecture()
         plain = PointSpec(label="p", config=config,
                           profiles=tuple(suite[:1]))
-        assert "energy" not in _wire_body(plain)
+        assert "energy" not in wire_body(plain)
         energetic = PointSpec(label="p", config=config,
                               profiles=tuple(suite[:1]), energy="bicmos")
-        assert _wire_body(energetic)["energy"] == "bicmos"
+        assert wire_body(energetic)["energy"] == "bicmos"
 
 
 class TestParetoExperiment:

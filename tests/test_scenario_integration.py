@@ -53,9 +53,9 @@ class TestCacheKey:
 
 class TestServeProtocol:
     def _raw(self, scenario=None, mutate=None):
-        from repro.grid.dispatcher import _wire_body
+        from repro.grid.dispatcher import wire_body
 
-        body = _wire_body(spec(scenario))
+        body = wire_body(spec(scenario))
         if mutate:
             mutate(body)
         return json.dumps(body).encode("utf-8")
