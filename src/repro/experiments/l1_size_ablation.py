@@ -7,19 +7,24 @@ ratio, the extra SRAMs, loading and address translation raise the access
 time enough to nullify the gain.
 
 This ablation supplies the simulation-visible half of that argument: L1
-miss ratios versus size and associativity, measured by replaying a
-multiprogrammed trace slice through standalone caches
-(:class:`repro.core.cache.Cache`), plus the *break-even cycle-time
-stretch*: how much the machine's cycle time could afford to grow before the
-miss-ratio gain is nullified, assuming the whole 6-cycle L1 miss penalty
-scales with the cycle.
+miss ratios versus size and associativity, measured over a
+multiprogrammed trace slice by a NumPy model of standalone direct-mapped
+and 2-way true-LRU caches (it counts the misses
+:class:`repro.core.cache.Cache` would; the tests check it against
+``Cache``), plus the *break-even cycle-time stretch*: how much the
+machine's cycle time could afford to grow before the miss-ratio gain is
+nullified, assuming the whole 6-cycle L1 miss penalty scales with the
+cycle.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.cache import Cache
+from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult, ExperimentScale, register
 from repro.mmu.page_table import PageTable
 from repro.params import log2i
@@ -32,6 +37,27 @@ _LINE_WORDS = 4
 _CHUNK = 50_000  # instructions per process before rotating (mimics slices)
 
 
+def lru_miss_ratio(lines: np.ndarray, sets: int, ways: int) -> float:
+    """Miss ratio of a true-LRU cache of ``sets`` sets and 1 or 2 ways,
+    cold at the start, over a stream of line addresses (set = line mod
+    ``sets``).
+
+    Within a set, an access that repeats the set's previous line hits (it
+    is the MRU line).  Of the rest, direct-mapped sets miss every one; a
+    2-way set hits exactly when the remaining access two places back in
+    its set is the same line, the only other line the set can hold.
+    """
+    order = np.argsort(lines & (sets - 1), kind="stable")
+    by_set = lines[order]
+    fresh = np.ones(len(by_set), dtype=bool)
+    fresh[1:] = by_set[1:] != by_set[:-1]
+    remaining = by_set[fresh]
+    misses = len(remaining)
+    if ways == 2:
+        misses -= int(np.count_nonzero(remaining[2:] == remaining[:-2]))
+    return misses / len(lines) if len(lines) else 0.0
+
+
 def _measure(scale: ExperimentScale, sizes_kw: Sequence[int],
              ways_axis: Sequence[int]
              ) -> Dict[Tuple[int, int], Tuple[float, float]]:
@@ -39,15 +65,17 @@ def _measure(scale: ExperimentScale, sizes_kw: Sequence[int],
 
     Returns {(size_kw, ways): (icache_miss_ratio, dcache_miss_ratio)}.
     """
+    for ways in ways_axis:
+        if ways not in (1, 2):
+            raise ConfigurationError(
+                f"the l1size ways axis takes 1 (direct-mapped) or 2 "
+                f"(2-way LRU), got {ways}")
     profiles = default_suite(scale.instructions_per_benchmark)[:4]
     page_table = PageTable()
-    caches = {
-        (size_kw, ways): (Cache(size_kw * 1024, _LINE_WORDS, ways),
-                          Cache(size_kw * 1024, _LINE_WORDS, ways))
-        for size_kw in sizes_kw for ways in ways_axis
-    }
     shift = log2i(_LINE_WORDS)
     sources = [SyntheticBenchmark(p, batch_size=_CHUNK) for p in profiles]
+    ichunks: List[np.ndarray] = []
+    dchunks: List[np.ndarray] = []
     active = list(range(len(sources)))
     position = 0
     while active:
@@ -60,20 +88,17 @@ def _measure(scale: ExperimentScale, sizes_kw: Sequence[int],
         pid = index + 1
         pcs = page_table.translate_batch(pid, batch.pc)
         addrs = page_table.translate_batch(pid, batch.addr)
-        ilines = (pcs >> shift).tolist()
-        dlines = (addrs >> shift).tolist()
-        kinds = batch.kind.tolist()
-        for icache, dcache in caches.values():
-            iaccess = icache.access
-            daccess = dcache.access
-            for i, iline in enumerate(ilines):
-                iaccess(iline)
-                if kinds[i] != KIND_NONE:
-                    daccess(dlines[i])
-    return {
-        key: (icache.miss_ratio, dcache.miss_ratio)
-        for key, (icache, dcache) in caches.items()
-    }
+        ichunks.append(pcs >> shift)
+        dchunks.append((addrs >> shift)[batch.kind != KIND_NONE])
+    ilines = np.concatenate(ichunks)
+    dlines = np.concatenate(dchunks)
+    ratios = {}
+    for size_kw in sizes_kw:
+        for ways in ways_axis:
+            sets = Cache(size_kw * 1024, _LINE_WORDS, ways).sets
+            ratios[(size_kw, ways)] = (lru_miss_ratio(ilines, sets, ways),
+                                       lru_miss_ratio(dlines, sets, ways))
+    return ratios
 
 
 @register("l1size",

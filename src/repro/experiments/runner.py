@@ -19,26 +19,26 @@ Every experiment regenerates one of the paper's tables or figures and
 prints it as an ASCII table along with the scalar findings EXPERIMENTS.md
 tracks.
 
-Execution goes through :mod:`repro.farm`: ``--jobs N`` fans independent
-experiments across forked workers, and every simulated sweep point is
-memoized in a content-addressed result cache (``--cache-dir``, disable
-with ``--no-cache``), so re-running an overlapping figure — or the same
-figure twice — skips the simulation work entirely.  Reports are
-bit-identical regardless of ``--jobs`` or cache state.  ``--manifest``
-writes the run's telemetry (per-point wall clock, throughput, cache
-hit-rate) as JSON.
+Execution goes through :mod:`repro.farm`: the sweep points of every
+requested experiment run in one fan-out (``render_all``) over ``--jobs
+N`` forked workers or the ``--nodes`` grid, and every point is memoized
+in a content-addressed result cache (``--cache-dir``, disable with
+``--no-cache``), so re-running a figure skips the simulation work.
+Reports are bit-identical regardless of ``--jobs``, ``--nodes`` or
+cache state.  ``--manifest`` writes the run's telemetry (per-point wall
+clock, throughput, cache hit-rate) as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import threading
 import time
-from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
 import repro.obs as obs
 from repro.core.engine import DEFAULT_ENGINE, ENGINE_NAMES
@@ -50,8 +50,7 @@ from repro.experiments.common import (
     ExperimentScale,
 )
 from repro.farm.cache import ResultCache
-from repro.farm.context import farm_session
-from repro.farm.pool import run_tasks
+from repro.farm.context import farm_session, render_all
 from repro.farm.telemetry import RunTelemetry
 from repro.robust.atomic import atomic_write_text
 from repro.robust.signals import SignalDrain
@@ -126,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "technology for every sweep point (default: "
                              "disabled; timing results are unaffected)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for independent experiments "
-                             "(default %(default)s; results are identical "
-                             "at any value)")
+                        help="worker processes for the sweep points of all "
+                             "requested experiments (default %(default)s; "
+                             "results are identical at any value)")
     parser.add_argument("--nodes", type=str, default=None,
                         metavar="URL[,URL...]",
                         help="distribute sweep points over these "
@@ -148,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "sweep becomes crash-resumable exactly-once "
                              "(kill -9 this process at any instant, re-run "
                              "the same command, get a bit-identical "
-                             "report); each sweep gets a content-addressed "
-                             "journal file in DIR, so resume and "
+                             "report); the run's points get one content-"
+                             "addressed journal file in DIR, so resume and "
                              "sealed-run detection are automatic. "
                              "Requires the cache (not --no-cache)")
     parser.add_argument("--manifest", type=Path, default=None,
@@ -170,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 class Heartbeat:
     """Background progress narrator for long runs.
 
-    Every ``interval_s`` it prints the most recently completed unit of
-    work, elapsed wall-clock, the simulated-instruction throughput, and
-    the cache hit/miss split — all read from the shared
-    :class:`~repro.farm.telemetry.RunTelemetry`, so it works unchanged
-    under ``--jobs N`` (worker summaries fold in as tasks finish).
+    Every ``interval_s`` it prints the most recently completed point,
+    elapsed wall-clock, the simulated-instruction throughput, and
+    the cache hit/miss split — all read from the run's
+    :class:`~repro.farm.telemetry.RunTelemetry`, which the parent fills
+    as each point finishes, whether a pool worker or a grid node ran it.
     """
 
     def __init__(self, telemetry: RunTelemetry, interval_s: float,
@@ -190,10 +189,8 @@ class Heartbeat:
 
     def _format_line(self) -> str:
         s = self.telemetry.summary()
-        label = "-"
-        for event in reversed(self.telemetry.events):
-            label = event["label"]
-            break
+        events = self.telemetry.events
+        label = events[-1]["label"] if events else "-"
         misses = s["points"] - s["cache_hits"]
         return (f"[heartbeat] {s['elapsed_s']:.0f}s elapsed, last point "
                 f"{label}, {s['points']} points "
@@ -236,9 +233,8 @@ def run_custom_config(path: Path, scale: ExperimentScale) -> str:
     return "\n".join(lines)
 
 
-def _render(experiment_id: str, scale: ExperimentScale, chart: bool) -> str:
-    """Run one experiment and render its (deterministic) report text."""
-    result = REGISTRY[experiment_id](scale)
+def render_report(result, chart: bool) -> str:
+    """An experiment result's report text, with its ASCII chart if asked."""
     report = result.render()
     if chart:
         from repro.analysis.ascii_plot import chart_for_result
@@ -249,38 +245,13 @@ def _render(experiment_id: str, scale: ExperimentScale, chart: bool) -> str:
     return report
 
 
-def _experiment_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One whole experiment as a farm task (runs in a pool worker).
-
-    The worker opens its own ``jobs=1`` farm session so its sweep points
-    hit the shared on-disk cache; the telemetry summary and the metrics
-    registry snapshot ride back to the parent for aggregation.
-    """
-    scale = ExperimentScale(**payload["scale"])
-    started = time.time()
-    with farm_session(jobs=1,
-                      cache_dir=payload["cache_dir"],
-                      no_cache=payload["cache_dir"] is None,
-                      engine=payload.get("engine", DEFAULT_ENGINE),
-                      energy=payload.get("energy"),
-                      journal=payload.get("journal")) as ctx:
-        report = _render(payload["experiment_id"], scale, payload["chart"])
-    return {
-        "report": report,
-        "elapsed": time.time() - started,
-        "telemetry": ctx.telemetry.summary(),
-        "obs": ctx.telemetry.registry.snapshot(),
-    }
-
-
 def clamp_jobs(requested: int,
                cpu_count: Optional[int] = None) -> Tuple[int, Optional[str]]:
     """Clamp a ``--jobs`` request to the machine's CPU count.
 
     Forked simulation workers are CPU-bound; oversubscribing buys context
-    switches, not throughput — ``BENCH_farm.json`` records a 0.874x
-    "speedup" for jobs=4 on a 1-CPU box.  Returns the effective job count
-    and a warning line when the request was clamped.
+    switches, not throughput.  Returns the effective job count and a
+    warning line when the request was clamped.
     """
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     if requested <= cpus:
@@ -412,12 +383,20 @@ def _run(args: argparse.Namespace, telemetry: RunTelemetry) -> int:
         if not nodes:
             print("--nodes needs at least one backend URL", file=sys.stderr)
             return 2
+    if args.jobs < 1:
+        print("--jobs must be >= 1", file=sys.stderr)
+        return 2
+    jobs, clamp_warning = clamp_jobs(args.jobs)
+    if clamp_warning is not None:
+        print(f"[warning: {clamp_warning}]", file=sys.stderr)
+    session = functools.partial(
+        farm_session, jobs=jobs, cache=cache, no_cache=args.no_cache,
+        telemetry=telemetry, engine=args.engine, energy=args.energy,
+        nodes=nodes, journal=args.journal)
     if args.config is not None:
-        with farm_session(jobs=1, cache=cache, no_cache=args.no_cache,
-                          telemetry=telemetry, engine=args.engine,
-                          energy=args.energy, nodes=nodes,
-                          journal=args.journal):
-            print(run_custom_config(args.config, scale))
+        with session():
+            print(render_all(
+                [lambda: run_custom_config(args.config, scale)])[0])
         if args.manifest is not None:
             telemetry.write_manifest(args.manifest)
         return 0
@@ -439,82 +418,39 @@ def _run(args: argparse.Namespace, telemetry: RunTelemetry) -> int:
     if args.resume and args.out is None:
         print("--resume requires --out", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    jobs, clamp_warning = clamp_jobs(args.jobs)
-    if clamp_warning is not None:
-        print(f"[warning: {clamp_warning}]", file=sys.stderr)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
     wanted = _filter_resume(wanted, args.out, args.resume)
 
     reports: Dict[str, str] = {}
-    elapsed: Dict[str, float] = {}
     interrupted = False
+    started = time.time()
+    stop = threading.Event()
     # The same latch-and-drain signal handling the server uses: SIGTERM or
-    # Ctrl-C stops cleanly between experiments, flushes every completed
-    # report and the manifest, then exits through the conventional path.
-    if nodes is not None and jobs > 1:
-        # Parallelism comes from the backend pool, not local forks: the
-        # experiments loop runs serially and every point is dispatched.
-        print("[--nodes distributes sweep points; ignoring --jobs "
-              f"{jobs}]", file=sys.stderr)
-        jobs = 1
-    with SignalDrain(reraise=False) as latch:
-        if jobs > 1 and len(wanted) > 1:
-            # Independent experiments fan out across workers; each
-            # worker's sweep points still share the on-disk result cache.
-            payloads = [{
-                "experiment_id": experiment_id,
-                "scale": asdict(scale),
-                "cache_dir": None if cache is None else str(cache.root),
-                "chart": args.chart,
-                "engine": args.engine,
-                "energy": args.energy,
-                "journal": (None if args.journal is None
-                            else str(args.journal)),
-            } for experiment_id in wanted]
-
-            def collect(index: int, value: Dict[str, Any]) -> None:
-                experiment_id = wanted[index]
-                reports[experiment_id] = value["report"]
-                elapsed[experiment_id] = value["elapsed"]
-                telemetry.record_task(experiment_id, value["elapsed"],
-                                      value["telemetry"])
-                telemetry.registry.merge(value["obs"])
-
-            try:
-                run_tasks(_experiment_task, payloads, jobs=jobs,
-                          labels=wanted, on_result=collect)
-            except FarmCancelled:
-                interrupted = True  # pool already reaped its children
-        else:
-            with farm_session(jobs=1, cache=cache, no_cache=args.no_cache,
-                              telemetry=telemetry, engine=args.engine,
-                              energy=args.energy, nodes=nodes,
-                              journal=args.journal):
-                for experiment_id in wanted:
-                    if latch.triggered:
-                        interrupted = True
-                        break
-                    started = time.time()
-                    reports[experiment_id] = _render(experiment_id, scale,
-                                                     args.chart)
-                    elapsed[experiment_id] = time.time() - started
+    # Ctrl-C cancels the point pass (the pool reaps its workers; points
+    # already run stay cached), flushes the manifest and exits 130.
+    with SignalDrain(on_signal=lambda _signum: stop.set(),
+                     reraise=False) as latch, session():
+        try:
+            results = render_all([functools.partial(REGISTRY[e], scale)
+                                  for e in wanted], stop_event=stop)
+            reports = {e: render_report(result, args.chart)
+                       for e, result in zip(wanted, results)}
+        except FarmCancelled:
+            interrupted = True  # pool already reaped its children
         interrupted = interrupted or latch.triggered
         latch.consume()
 
-    for experiment_id in wanted:
-        if experiment_id not in reports:
-            continue  # cut short by a signal
-        print(reports[experiment_id])
-        print(f"[{experiment_id} completed in {elapsed[experiment_id]:.1f}s]\n")
+    for experiment_id, report in reports.items():
+        print(report + "\n")
         if args.out is not None:
             # Atomic: an interrupted run never leaves a truncated report,
             # which --resume would otherwise happily treat as complete.
-            path = args.out / f"{experiment_id}.txt"
-            atomic_write_text(path, reports[experiment_id] + "\n")
+            atomic_write_text(args.out / f"{experiment_id}.txt",
+                              report + "\n")
+    if reports:
+        print(f"[{' '.join(reports)} completed in "
+              f"{time.time() - started:.1f}s]\n")
     if wanted:
         print(f"[farm: {telemetry.format_summary()}]")
     if args.manifest is not None:

@@ -10,8 +10,10 @@ codebase.  Instead the runner (or any caller) opens a session::
 
 and ``run_point`` / ``run_sweep`` consult :func:`current_context` for the
 active cache, telemetry sink, and default job count.  Sessions nest; the
-innermost wins (a pool worker opens its own ``jobs=1`` session so nothing
-forks twice).
+innermost wins.
+
+:func:`render_all` gives the runner one point-level fan-out per run;
+pool workers run single points and open no session.
 """
 
 from __future__ import annotations
@@ -19,11 +21,15 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.core.engine import DEFAULT_ENGINE
+from repro.core.stats import SimStats
 from repro.farm.cache import ResultCache
+from repro.farm.points import PointSpec, run_points
 from repro.farm.telemetry import RunTelemetry
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -173,3 +179,71 @@ def scenario_scope(scenario: Optional[str]):
         yield ctx
     finally:
         _STACK.pop()
+
+
+class _AnswerTable:
+    """The executor of a rendering pass: it answers each point it holds a
+    result for and records every other one, answering it with zero stats."""
+
+    def __init__(self) -> None:
+        self.answers: Dict[str, SimStats] = {}
+        #: Points not yet run, by key, in the order they were first asked.
+        self.unknown: Dict[str, PointSpec] = {}
+        self.guessed = False
+
+    def run_points(self, specs: Sequence[PointSpec], on_result) -> None:
+        for index, spec in enumerate(specs):
+            key = spec.key()
+            stats = self.answers.get(key)
+            if stats is None:
+                self.unknown.setdefault(key, spec)
+                self.guessed = True
+                stats = SimStats()
+            on_result(index, {"stats": stats.to_dict(), "wall_s": 0.0})
+
+
+def render_all(renders: Sequence[Callable[[], T]],
+               stop_event=None) -> List[T]:
+    """Call every render, with all of their sweep points in one fan-out.
+
+    Each pass calls the pending renders under a copy of the innermost
+    session with no cache, telemetry or journal, whose dispatcher is an
+    answer table: it records each point it cannot answer and answers it
+    with zero stats.  The recorded points then run once, in one
+    :func:`~repro.farm.points.run_points` call with the session's own
+    settings, and each render that got a zero answer is called again,
+    until none does: a render whose points depend on earlier results
+    still returns real statistics, and one that runs no point is called
+    once.  ``stop_event`` cancels the point pass (see ``run_points``).
+    """
+    session = current_context() or FarmContext()
+    table = _AnswerTable()
+    plan = replace(session, cache=None, telemetry=None, journal=None,
+                   dispatcher=table)
+    results: List[Any] = [None] * len(renders)
+    pending = list(range(len(renders)))
+    while pending:
+        guessed = []
+        _STACK.append(plan)
+        try:
+            for index in pending:
+                table.guessed = False
+                results[index] = renders[index]()
+                if table.guessed:
+                    guessed.append(index)
+        finally:
+            _STACK.pop()
+        if table.unknown:
+            stats = run_points(list(table.unknown.values()),
+                               jobs=session.jobs, cache=session.cache,
+                               telemetry=session.telemetry,
+                               timeout=session.task_timeout,
+                               retries=session.retries,
+                               stop_event=stop_event,
+                               dispatcher=session.dispatcher,
+                               journal=session.journal,
+                               durable=session.durable)
+            table.answers.update(zip(table.unknown, stats))
+            table.unknown.clear()
+        pending = guessed
+    return results

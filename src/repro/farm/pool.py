@@ -114,9 +114,12 @@ def _label(labels: Optional[Sequence[str]], index: int) -> str:
     return f"task {index}"
 
 
-def _run_serial(fn, payloads, labels, on_result, on_start) -> List[Any]:
+def _run_serial(fn, payloads, labels, on_result, on_start,
+                stop_event) -> List[Any]:
     results: List[Any] = []
     for index, payload in enumerate(payloads):
+        if stop_event is not None and stop_event.is_set():
+            raise FarmCancelled("worker pool cancelled by caller")
         if on_start is not None:
             on_start(index)
         try:
@@ -188,9 +191,9 @@ def run_tasks(fn: Callable[[Any], Any],
         on_result: called as ``on_result(index, result)`` as each task
             completes (completion order, not payload order).
         stop_event: optional cancellation token (``is_set()`` is polled
-            every scheduling pass, parallel mode only); when set, workers
-            are terminated and :class:`~repro.errors.FarmCancelled` is
-            raised.
+            every scheduling pass, and before each task in-process); when
+            set, workers are terminated and
+            :class:`~repro.errors.FarmCancelled` is raised.
         heartbeat_s: when set, each forked child proves liveness this
             often over the result pipe.
         lease_s: when set (requires ``heartbeat_s``), a worker whose
@@ -220,7 +223,8 @@ def run_tasks(fn: Callable[[Any], Any],
     if not payloads:
         return []
     if jobs <= 1 or not fork_available():
-        return _run_serial(fn, payloads, labels, on_result, on_start)
+        return _run_serial(fn, payloads, labels, on_result, on_start,
+                           stop_event)
     with SignalDrain() as drain:
         return _run_forked(fn, payloads, jobs, timeout, retries, labels,
                            on_result, stop_event, drain, heartbeat_s,

@@ -1,8 +1,7 @@
 """Run telemetry: per-point progress, throughput, hit-rate, JSON manifest.
 
-A :class:`RunTelemetry` collects one event per completed unit of work —
-a simulated sweep point, a cache hit that replaced one, or a whole
-experiment — and can
+A :class:`RunTelemetry` collects one event per completed sweep point —
+simulated, or a cache hit that replaced one — and can
 
 * narrate progress to a stream (stderr by default, ``stream=None`` for
   silence),
@@ -11,9 +10,8 @@ experiment — and can
 * persist the whole run as a JSON *manifest* (atomic write), which is what
   CI asserts against instead of scraping log lines.
 
-Worker processes each carry their own telemetry; the parent folds their
-summaries back in with :meth:`merge`, so counters survive the process
-boundary.
+Only the parent records: :func:`repro.farm.points.run_points` records
+each point as its result comes back from a pool worker or a grid node.
 
 Counting is backed by a :class:`repro.obs.metrics.Registry` (one per
 telemetry instance, so concurrent runs in one test process never
@@ -64,12 +62,6 @@ class RunTelemetry:
         self._m_wall = self.registry.histogram(
             "farm_point_wall_seconds",
             "wall-clock seconds per simulated (non-cached) point")
-        # Counters folded in from worker-process summaries.
-        self._merged_points = 0
-        self._merged_hits = 0
-        self._merged_sim_instructions = 0
-        self._merged_cached_instructions = 0
-        self._merged_wall = 0.0
 
     # ------------------------------------------------------------- recording
 
@@ -95,44 +87,9 @@ class RunTelemetry:
                 rate = instructions / wall_s if wall_s > 0 else 0.0
                 detail = (f"{wall_s:.1f}s, {instructions:,} instr, "
                           f"{rate / 1e6:.2f} M instr/s")
-            done = sum(1 for e in self.events if e["kind"] == "point")
-            print(f"[{self.tag}] point {done}: {label} ({detail})",
+            print(f"[{self.tag}] point {len(self.events)}: {label} "
+                  f"({detail})",
                   file=self.stream, flush=True)
-
-    def record_task(self, label: str, wall_s: float,
-                    summary: Optional[Dict[str, Any]] = None) -> None:
-        """A coarser unit (e.g. one experiment) finished; optionally fold
-        in the telemetry summary its worker process reported."""
-        event: Dict[str, Any] = {
-            "kind": "task",
-            "label": label,
-            "wall_s": round(float(wall_s), 6),
-        }
-        if summary:
-            event["points"] = summary.get("points", 0)
-            event["cache_hits"] = summary.get("cache_hits", 0)
-            self.merge(summary)
-        self.events.append(event)
-        if self.stream is not None:
-            extra = ""
-            if summary:
-                extra = (f", {summary.get('points', 0)} points, "
-                         f"{summary.get('cache_hits', 0)} cached")
-            print(f"[{self.tag}] task {label} done in {wall_s:.1f}s{extra}",
-                  file=self.stream, flush=True)
-
-    def merge(self, summary: Dict[str, Any]) -> None:
-        """Fold another telemetry's :meth:`summary` into this one's totals
-        (used across the worker-process boundary).  Pre-bugfix summaries
-        lack the simulated/cached split; their whole total is treated as
-        simulated, matching the old (inflated) rate rather than losing it."""
-        self._merged_points += summary.get("points", 0)
-        self._merged_hits += summary.get("cache_hits", 0)
-        self._merged_sim_instructions += summary.get(
-            "simulated_instructions", summary.get("instructions", 0))
-        self._merged_cached_instructions += summary.get(
-            "cached_instructions", 0)
-        self._merged_wall += summary.get("point_wall_s", 0.0)
 
     # ------------------------------------------------------------- summaries
 
@@ -141,15 +98,12 @@ class RunTelemetry:
         return time.monotonic() - self._started
 
     def summary(self) -> Dict[str, Any]:
-        points = [e for e in self.events if e["kind"] == "point"]
-        n = len(points) + self._merged_points
-        hits = (sum(1 for e in points if e["cached"]) + self._merged_hits)
-        simulated = (sum(e["instructions"] for e in points if not e["cached"])
-                     + self._merged_sim_instructions)
-        cached = (sum(e["instructions"] for e in points if e["cached"])
-                  + self._merged_cached_instructions)
-        point_wall = (sum(e["wall_s"] for e in points if not e["cached"])
-                      + self._merged_wall)
+        points = self.events
+        n = len(points)
+        hits = sum(1 for e in points if e["cached"])
+        simulated = sum(e["instructions"] for e in points if not e["cached"])
+        cached = sum(e["instructions"] for e in points if e["cached"])
+        point_wall = sum(e["wall_s"] for e in points if not e["cached"])
         elapsed = self.elapsed_s
         # Throughput counts only simulated instructions: a cache hit costs
         # no simulation wall-clock, so folding its instructions in would

@@ -1,7 +1,8 @@
 """The ``repro-experiments run`` / ``validate`` subcommands.
 
 ``run`` executes one scenario file (plus overlays) through the generic
-driver inside a farm session bound to the scenario's ``scenario_sha256``;
+driver inside a farm session bound to the scenario's ``scenario_sha256``,
+with its sweep points fanned out by :func:`~repro.farm.context.render_all`;
 ``validate`` resolves and checks a scenario without simulating anything,
 printing the effective-config diff against its base and the hash the
 farm/journal/serve layers will see.  Both are routed from
@@ -19,7 +20,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.farm.context import farm_session
+from repro.farm.context import farm_session, render_all
 from repro.farm.telemetry import RunTelemetry
 from repro.robust.atomic import atomic_write_text
 from repro.scenario.document import diff_documents
@@ -124,7 +125,7 @@ def cmd_validate(argv: Optional[List[str]] = None) -> int:
 
 def cmd_run(argv: Optional[List[str]] = None) -> int:
     """``repro-experiments run <scenario> [--overlay FILE ...]``."""
-    from repro.experiments.runner import clamp_jobs
+    from repro.experiments.runner import clamp_jobs, render_report
 
     args = build_run_parser().parse_args(argv)
     resolved = resolve_scenario(args.scenario, args.overlay)
@@ -152,14 +153,8 @@ def cmd_run(argv: Optional[List[str]] = None) -> int:
                       nodes=nodes, journal=args.journal,
                       engine=resolved.engine, energy=resolved.energy,
                       scenario=resolved.scenario_sha256):
-        result = run_scenario(resolved)
-    report = result.render()
-    if args.chart:
-        from repro.analysis.ascii_plot import chart_for_result
-
-        drawn = chart_for_result(result)
-        if drawn is not None:
-            report = f"{report}\n\n{drawn}"
+        result = render_all([lambda: run_scenario(resolved)])[0]
+    report = render_report(result, args.chart)
     print(report)
     print(f"[{resolved.name} completed in {time.time() - started:.1f}s]\n")
     if args.out is not None:

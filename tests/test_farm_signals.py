@@ -42,6 +42,20 @@ class TestStopEvent:
         with pytest.raises(FarmCancelled):
             run_tasks(sleep_forever, [None], jobs=2, stop_event=stop)
 
+    def test_in_process_pool_stops_between_tasks(self):
+        # jobs=1 runs in-process: a stop set by one task (as the
+        # runner's signal latch would) cancels before the next starts.
+        stop = threading.Event()
+        ran = []
+
+        def task(payload):
+            ran.append(payload)
+            stop.set()
+
+        with pytest.raises(FarmCancelled, match="cancelled by caller"):
+            run_tasks(task, [1, 2], jobs=1, stop_event=stop)
+        assert ran == [1]
+
 
 _POOL_SCRIPT = """
 import os, sys, time

@@ -45,23 +45,6 @@ class TestRecording:
         assert "2 points" in text and "1 cache hits (50.0%)" in text
 
 
-class TestMerging:
-    def test_worker_summary_folds_into_parent(self):
-        worker = RunTelemetry(stream=None)
-        worker.record_point("w1", 5000, 1.0, cached=False)
-        worker.record_point("w2", 5000, 0.0, cached=True)
-
-        parent = RunTelemetry(stream=None)
-        parent.record_task("fig5", 1.2, summary=worker.summary())
-        summary = parent.summary()
-        assert summary["points"] == 2
-        assert summary["cache_hits"] == 1
-        assert summary["instructions"] == 10_000
-        task_events = [e for e in parent.events if e["kind"] == "task"]
-        assert task_events[0]["points"] == 2
-        assert task_events[0]["cache_hits"] == 1
-
-
 class TestManifest:
     def test_manifest_round_trips(self, tmp_path):
         tel = RunTelemetry(stream=None)

@@ -112,23 +112,6 @@ class TestThroughputExcludesCacheHits:
         assert (s["instructions_per_second"]
                 == s["simulated_instructions_per_second"])
 
-    def test_merge_keeps_the_split_across_workers(self):
-        worker = RunTelemetry(stream=None)
-        worker.record_point("a", 500, 0.01, cached=False)
-        worker.record_point("b", 700, 0.0, cached=True)
-        parent = RunTelemetry(stream=None)
-        parent.merge(worker.summary())
-        s = parent.summary()
-        assert s["simulated_instructions"] == 500
-        assert s["cached_instructions"] == 700
-
-    def test_merge_accepts_pre_split_summaries(self):
-        """Old-format worker summaries (no split) count as simulated."""
-        parent = RunTelemetry(stream=None)
-        parent.merge({"points": 1, "cache_hits": 0, "instructions": 900,
-                      "point_wall_s": 0.1})
-        assert parent.summary()["simulated_instructions"] == 900
-
 
 class TestHeartbeat:
     def test_format_line_reads_the_shared_telemetry(self):
