@@ -47,6 +47,7 @@ import sys
 import tempfile
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -97,9 +98,10 @@ SERVE_WORKERS = 1
 SERVE_RETRIES = 3
 DRAIN_GRACE_S = 30.0
 SERVE_CORRUPT_EVERY_S = 0.2
-#: Keys the ``/metrics`` document must carry.
-METRICS_KEYS = ("requests_total", "responses", "executor", "queue", "farm",
-                "draining")
+#: Families the ``/metrics`` exposition must declare.
+METRICS_FAMILIES = ("serve_requests_total", "serve_responses_total",
+                    "serve_executor_total", "serve_queue_depth",
+                    "serve_draining", "farm_points_total")
 #: How :func:`serve_storm` files each failure status (0 = transport).
 _FAILURES = {429: "shed", 504: "deadline_expired", 503: "unavailable",
              500: "server_error", 0: "transport_errors"}
@@ -333,13 +335,20 @@ def serve_storm(duration_s: float = 6.0, points: int = 3,
                   random.Random(1000 + seed + i), i))
             for i in range(SERVE_CLIENTS)], duration_s + 60.0)
 
-        # Metrics must be a well-formed snapshot while still serving.
-        metrics = json.loads(json.dumps(server.status_snapshot()))
-        report.violations.extend(f"/metrics is missing '{key}'"
-                                 for key in METRICS_KEYS
-                                 if key not in metrics)
-        report.counts["metrics"] = {key: metrics.get(key)
-                                    for key in METRICS_KEYS}
+        # The exposition must declare every family while still serving.
+        try:
+            with urllib.request.urlopen(f"{base_url}/metrics",
+                                        timeout=10.0) as response:
+                exposition = response.read().decode("utf-8")
+        except OSError as exc:
+            exposition = ""
+            report.violations.append(f"/metrics unavailable: {exc}")
+        families = {line.split()[2] for line in exposition.splitlines()
+                    if line.startswith("# TYPE ")}
+        report.violations.extend(f"/metrics is missing '{name}'"
+                                 for name in METRICS_FAMILIES
+                                 if name not in families)
+        report.counts["metrics_families"] = len(families)
 
         # Drain while the tail of the load may still be in flight.
         drain_started = time.monotonic()

@@ -191,7 +191,8 @@ class _AnswerTable:
         self.unknown: Dict[str, PointSpec] = {}
         self.guessed = False
 
-    def run_points(self, specs: Sequence[PointSpec], on_result) -> None:
+    def run_points(self, specs: Sequence[PointSpec], on_result,
+                   stop_event=None) -> None:
         for index, spec in enumerate(specs):
             key = spec.key()
             stats = self.answers.get(key)

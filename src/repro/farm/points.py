@@ -189,11 +189,12 @@ def run_points(specs: Sequence[PointSpec],
         retries: crash/timeout re-run budget per point.
         on_point: called with each label as its processing starts, in
             input order (the legacy ``progress`` hook of ``run_sweep``).
-        stop_event: optional cancellation token forwarded to the pool
-            (see :func:`repro.farm.pool.run_tasks`).
+        stop_event: optional cancellation token forwarded to the
+            executor; once it is set, the pool or the dispatcher raises
+            :class:`~repro.errors.FarmCancelled`.
         dispatcher: a :class:`repro.grid.GridDispatcher` to run the
-            misses instead of the local pool (``jobs``, ``timeout``,
-            ``retries`` and ``stop_event`` are then ignored).
+            misses instead of the local pool (``jobs``, ``timeout`` and
+            ``retries`` are then ignored).
         journal: a :class:`repro.durable.RunJournal`, journal file path,
             or journal directory; when set, the whole sweep runs under a
             write-ahead journal (see :mod:`repro.durable`) and is
@@ -269,7 +270,8 @@ def run_points(specs: Sequence[PointSpec],
                          on_heartbeat=lambda j: run.heartbeat(todo[j]),
                          on_retry=on_retry)
         if dispatcher is not None:
-            dispatcher.run_points([specs[i] for i in todo], **hooks)
+            dispatcher.run_points([specs[i] for i in todo],
+                                  stop_event=stop_event, **hooks)
         else:
             run_tasks(execute_point, [specs[i].payload() for i in todo],
                       jobs=jobs, timeout=timeout, retries=retries,

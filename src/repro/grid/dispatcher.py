@@ -54,7 +54,8 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 import repro.obs as obs
 from repro.core.serialization import config_to_dict, profile_to_dict
 from repro.core.stats import SimStats
-from repro.errors import ConfigurationError, GridError, ServeError
+from repro.errors import (ConfigurationError, FarmCancelled, GridError,
+                          ServeError)
 from repro.farm.points import PointSpec, execute_point
 from repro.grid.nodes import GridNode, NodeRegistry
 from repro.obs.metrics import Registry
@@ -147,9 +148,10 @@ class GridSettings:
 class _Task:
     """One point's dispatch state (guarded by the dispatcher's lock)."""
 
-    def __init__(self, index: int, spec: PointSpec):
+    def __init__(self, index: int, spec: PointSpec, hooks: Dict[str, Any]):
         self.index = index
         self.spec = spec
+        self.hooks = hooks   # its run's on_result/on_retry; emptied at exit
         self.key = spec.key()
         self.body = wire_body(spec)
         self.payload = spec.payload()   # canonical: local-fallback input
@@ -221,10 +223,8 @@ class GridDispatcher:
             "duplicate completions discarded by reconciliation")
         self._attempt_latencies: List[float] = []
         self._lock = threading.Lock()
-        # The caller's on_result/on_retry hooks for the current run_points
-        # call; their own lock serializes worker-thread completions
-        # against the supervisor's heartbeats.
-        self._on_result = self._on_retry = None
+        # Serializes the caller's hooks: worker-thread completions against
+        # the supervisor's heartbeats.
         self._hook_lock = threading.Lock()
         self._started = False
         # Worker threads start with a fresh contextvar context, so the
@@ -261,13 +261,17 @@ class GridDispatcher:
 
     def run_points(self, specs: Sequence[PointSpec],
                    on_start=None, on_heartbeat=None, on_retry=None,
-                   on_result=None) -> List[SimStats]:
+                   on_result=None, stop_event=None) -> List[SimStats]:
         """Execute every point on the pool; results in input order.
 
         Never loses a point while ``local_fallback`` is on: any point the
         pool cannot produce is simulated in-process.  Raises
         :class:`~repro.errors.GridError` only when fallback is disabled
         and a point exhausted every option.
+
+        Once ``stop_event`` is set, no attempt is placed, requests in
+        flight are left to their daemon threads, no hook is called again
+        and :class:`~repro.errors.FarmCancelled` is raised.
 
         The hooks carry :func:`repro.farm.pool.run_tasks`'s names and are
         called under one lock, with the point's index in ``specs``:
@@ -282,14 +286,16 @@ class GridDispatcher:
           ``source`` (``"grid"``, or ``"grid-local"`` plus the local
           run's ``obs`` after a fallback).
         """
-        tasks = [_Task(i, spec) for i, spec in enumerate(specs)]
+        hooks = {"on_result": on_result, "on_retry": on_retry}
+        tasks = [_Task(i, spec, hooks) for i, spec in enumerate(specs)]
         if not tasks:
             return []
-        for task in tasks:
-            self._call(on_start, task.index)
+        if on_start is not None:
+            with self._hook_lock:
+                for task in tasks:
+                    on_start(task.index)
         self.start()
         self._trace = obs.current_trace()
-        self._on_result, self._on_retry = on_result, on_retry
         queue: "Queue[Optional[_Task]]" = Queue()
         for task in tasks:
             queue.put(task)
@@ -302,6 +308,10 @@ class GridDispatcher:
             if remaining == 0:
                 done_event.set()
 
+        def stopped() -> bool:
+            return done_event.is_set() or (stop_event is not None
+                                           and stop_event.is_set())
+
         # Headroom for hedges: a straggler's duplicate attempt needs a
         # free worker while the primary is still blocked in its call.
         capacity = len(tasks) * (1 + self.settings.max_hedges)
@@ -310,20 +320,27 @@ class GridDispatcher:
                           * self.settings.inflight_per_node))
         threads = [threading.Thread(
             target=self._worker_loop,
-            args=(queue, done_event, task_finished),
+            args=(queue, stopped, task_finished),
             name=f"grid-worker-{i}", daemon=True)
             for i in range(workers)]
         for thread in threads:
             thread.start()
+        cancelled = False
         try:
-            self._supervise(tasks, queue, done_event, on_heartbeat)
+            cancelled = self._supervise(tasks, queue, done_event, stop_event,
+                                        on_heartbeat)
         finally:
             done_event.set()
             for _ in threads:
                 queue.put(None)
-            for thread in threads:
-                thread.join(timeout=5.0)
-            self._on_result = self._on_retry = None
+            if not cancelled:
+                # The last completions deliver their results first.
+                for thread in threads:
+                    thread.join(timeout=5.0)
+            with self._hook_lock:
+                hooks.clear()
+        if cancelled:
+            raise FarmCancelled("grid dispatch cancelled by caller")
 
         for task in tasks:
             if task.result is None:
@@ -334,18 +351,24 @@ class GridDispatcher:
                     label=task.spec.label)
         return [task.result for task in tasks]
 
-    def _call(self, hook, *args) -> None:
-        if hook is not None:
-            with self._hook_lock:
-                hook(*args)
+    def _call(self, task: _Task, name: str, *args) -> None:
+        """Call a hook of ``task``'s run, unless that run has ended."""
+        with self._hook_lock:
+            hook = task.hooks.get(name)
+            if hook is not None:
+                hook(task.index, *args)
 
     # ------------------------------------------------------------ scheduling
 
     def _supervise(self, tasks: List[_Task],
                    queue: "Queue[Optional[_Task]]",
-                   done_event: threading.Event, on_heartbeat) -> None:
-        """Wait for completion, hedging stragglers as they appear."""
+                   done_event: threading.Event, stop_event,
+                   on_heartbeat) -> bool:
+        """Wait for completion, hedging stragglers as they appear;
+        returns whether ``stop_event`` cut the wait short."""
         while not done_event.wait(_TICK):
+            if stop_event is not None and stop_event.is_set():
+                return True
             if on_heartbeat is not None:
                 # Unresolved points are in flight or queued, not abandoned
                 # (a slow one is the hedging loop's problem).
@@ -369,6 +392,7 @@ class GridDispatcher:
                         task.hedges += 1
                         self._m_hedges.inc()
                         queue.put(task)
+        return False
 
     def _hedge_threshold(self) -> Optional[float]:
         if self.settings.hedge_after_s is not None:
@@ -383,17 +407,16 @@ class GridDispatcher:
 
     # --------------------------------------------------------------- workers
 
-    def _worker_loop(self, queue: "Queue[Optional[_Task]]",
-                     done_event: threading.Event,
+    def _worker_loop(self, queue: "Queue[Optional[_Task]]", stopped,
                      task_finished) -> None:
         while True:
             try:
                 task = queue.get(timeout=_TICK)
             except Empty:
-                if done_event.is_set():
+                if stopped():
                     return
                 continue
-            if task is None:
+            if task is None or stopped():
                 return
             try:
                 self._attempt(task, queue, task_finished)
@@ -527,7 +550,7 @@ class GridDispatcher:
             task.result = stats
             task_finished()
         self._m_points.labels("remote").inc()
-        self._call(self._on_result, task.index, value)
+        self._call(task, "on_result", value)
 
     def _validate(self, task: _Task,
                   response: Dict[str, Any]) -> Optional[SimStats]:
@@ -600,7 +623,7 @@ class GridDispatcher:
             task_finished()
         self._m_points.labels("local").inc()
         value["source"] = "grid-local"
-        self._call(self._on_result, task.index, value)
+        self._call(task, "on_result", value)
 
     def _resolve_permanent(self, task: _Task, message: str,
                            task_finished) -> None:
@@ -610,4 +633,4 @@ class GridDispatcher:
             task.done = True
             task.permanent_error = message
             task_finished()
-        self._call(self._on_retry, task.index, message)
+        self._call(task, "on_retry", message)

@@ -13,9 +13,9 @@ range of a run; ``timeline`` draws the per-interval series with the shared
 ASCII plotter; ``export`` writes a ``chrome://tracing``-loadable file;
 ``diff`` compares two runs event class by event class — the quick answer to
 "why is this sweep point 10x slower than its neighbor".  ``metrics``
-renders a saved registry snapshot — a serve ``/metrics`` document, a farm
-manifest, or a bare :meth:`Registry.snapshot` dump — as a readable table
-or (``--prometheus``) as text exposition.
+renders a saved registry snapshot — a farm manifest or a bare
+:meth:`Registry.snapshot` dump — as a readable table or
+(``--prometheus``) as text exposition.
 """
 
 from __future__ import annotations
@@ -195,8 +195,8 @@ def _cmd_diff(args) -> int:
 def extract_registry_snapshot(doc: Dict[str, Any]) -> Dict[str, Any]:
     """Find the registry snapshot inside a saved JSON document.
 
-    Serve ``/metrics`` documents and farm manifests carry it under an
-    ``"obs"`` key; a bare :meth:`Registry.snapshot` dump *is* one.
+    Farm manifests carry it under an ``"obs"`` key; a bare
+    :meth:`Registry.snapshot` dump *is* one.
     """
     if not isinstance(doc, dict):
         raise ObsError("a metrics document must be a JSON object")
@@ -285,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = sub.add_parser(
         "metrics",
-        help="render a saved registry snapshot (serve /metrics JSON, "
-             "farm manifest, or bare snapshot)")
+        help="render a saved registry snapshot (farm manifest or bare "
+             "snapshot)")
     metrics.add_argument("snapshot", type=Path,
                          help="JSON document holding a registry snapshot")
     metrics.add_argument("--prometheus", action="store_true",

@@ -11,6 +11,7 @@ Usage::
 accepting, finish or checkpoint in-flight simulations, exit 0).
 ``simulate`` is the retrying client: it backs off with jitter on 429/503,
 honors ``Retry-After``, and fails fast once its circuit breaker opens.
+``metrics`` prints the server's Prometheus text exposition.
 The service's fault storm is ``repro-chaos serve`` (:mod:`repro.chaos`).
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import urllib.request
 from pathlib import Path
 from typing import List, Optional
 
@@ -83,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--json", action="store_true",
                           help="print the raw response JSON")
 
-    metrics = sub.add_parser("metrics", help="print a /metrics snapshot")
+    metrics = sub.add_parser("metrics",
+                             help="print the /metrics text exposition")
     metrics.add_argument("--url", default="http://127.0.0.1:8023")
     return parser
 
@@ -138,9 +141,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from repro.serve.client import ServeClient
-
-    print(json.dumps(ServeClient(args.url).metrics(), indent=1))
+    url = args.url.rstrip("/") + "/metrics"
+    try:
+        with urllib.request.urlopen(url, timeout=30) as response:
+            text = response.read().decode("utf-8")
+    except OSError as exc:  # refused, reset, timed out, or an HTTP error
+        raise ServeError(f"metrics unavailable: {exc}") from exc
+    print(text, end="")
     return 0
 
 

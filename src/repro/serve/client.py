@@ -99,7 +99,7 @@ class CircuitBreaker:
 
     def snapshot(self) -> Dict[str, Any]:
         """Read-only view (state, consecutive failures) for placement
-        decisions and ``metrics()``; never consumes the half-open probe."""
+        decisions; never consumes the half-open probe."""
         return {"state": self.state,
                 "consecutive_failures": self._failures,
                 "failure_threshold": self.failure_threshold}
@@ -298,25 +298,6 @@ class ServeClient:
         raise ServeError(
             f"gave up after retries/budget: {last_error}",
             status=last_status)
-
-    def metrics(self) -> Dict[str, Any]:
-        """The server's ``/metrics`` snapshot (no retries), augmented
-        with this client's local view under ``"client"`` — the breaker
-        state the dispatcher needs for placement decisions (the server's
-        own queue gauges ride in the snapshot's ``"queue"`` key)."""
-        status, payload, _ = self._request("GET", "/metrics")
-        if status != 200:
-            raise ServeError(f"metrics unavailable: HTTP {status}",
-                             status=status)
-        payload["client"] = self.client_state()
-        return payload
-
-    def client_state(self) -> Dict[str, Any]:
-        """This client's local knowledge of its backend: the per-node
-        circuit-breaker state (works even when the server is down, which
-        is exactly when placement needs it)."""
-        return {"node": self.base_url.rstrip("/"),
-                "breaker": self.breaker.snapshot()}
 
     def ready(self) -> bool:
         """Whether the server is accepting work right now."""

@@ -45,7 +45,7 @@ from repro.errors import ConfigurationError, ServeError
 from repro.farm.points import PointSpec
 from repro.params import DEFAULT_TIME_SLICE
 
-#: Protocol version; appears in responses and ``/metrics``.
+#: Protocol version; appears in every response body.
 PROTOCOL_VERSION = 1
 
 _TOP_KEYS = {"config", "workload", "time_slice", "level",

@@ -32,9 +32,9 @@ Failure model (see DESIGN.md §10 for the full policy):
   isolation) so the work is resumable.  The process then exits 0.
 
 Observability: ``GET /healthz`` (liveness), ``GET /readyz`` (admission
-state), ``GET /metrics`` (JSON counters: per-class response counts,
-executor outcomes, queue gauges, cache and
-:class:`~repro.farm.telemetry.RunTelemetry` summaries).
+state), ``GET /metrics`` (the Prometheus 0.0.4 text exposition of the
+per-class response counts, executor outcomes, queue gauges, cache size
+and :class:`~repro.farm.telemetry.RunTelemetry` counters).
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ import json
 import queue
 import threading
 import time
-import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -70,7 +69,6 @@ from repro.obs.metrics import (
 from repro.obs.tracing import Trace, span
 from repro.robust.signals import SignalDrain
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
     error_body,
     parse_simulate_request,
     render_result,
@@ -78,9 +76,6 @@ from repro.serve.protocol import (
 
 #: How often drain/worker loops poll their events, seconds.
 _TICK = 0.05
-
-#: Bound on the deduplicated recent-trace-ID window ``/metrics`` reports.
-RECENT_TRACES_MAX = 16
 
 
 @dataclass
@@ -151,7 +146,7 @@ class ServeSettings:
         return self.isolation
 
 
-#: Response classes pre-seeded so ``/metrics`` always shows every key.
+#: Response classes pre-seeded so ``/metrics`` always shows every class.
 _RESPONSE_CLASSES = ("ok", "bad_request", "not_found", "shed",
                      "unavailable", "deadline_expired", "internal_error")
 #: Executor outcomes, likewise pre-seeded.
@@ -162,13 +157,11 @@ _EXECUTOR_OUTCOMES = ("cache_hits", "simulated", "cancelled",
 class Metrics:
     """Service counters on a :class:`repro.obs.metrics.Registry`.
 
-    ``responses`` counts what simulate clients were told, exactly one
-    bump per simulate request; ``executor`` counts what the execution
-    side did (a request the handler answered 504 can still show up as
-    ``executor.cancelled`` — that is the abandoned work being reaped,
-    not a second response).  :meth:`snapshot` keeps the historical
-    ``/metrics`` JSON shape, derived from the registry; the raw registry
-    snapshot rides alongside it under the ``obs`` key, and per-instance
+    ``serve_responses_total`` counts what simulate clients were told,
+    exactly one bump per simulate request; ``serve_executor_total``
+    counts what the execution side did (a request the handler answered
+    504 can still show up as ``outcome="cancelled"`` — that is the
+    abandoned work being reaped, not a second response).  Per-instance
     registries keep concurrent servers in one test process independent.
     """
 
@@ -212,21 +205,6 @@ class Metrics:
 
     def observe_latency(self, endpoint: str, seconds: float) -> None:
         self._latency.labels(endpoint).observe(seconds)
-
-    def snapshot(self) -> Dict[str, Any]:
-        by_endpoint = {}
-        with self._requests._lock:
-            children = list(self._requests._children.items())
-        for key, child in children:
-            by_endpoint[key[0]] = child._value
-        return {
-            "requests_total": self._requests.value,
-            "by_endpoint": by_endpoint,
-            "responses": {name: self._responses.value_of(name)
-                          for name in _RESPONSE_CLASSES},
-            "executor": {name: self._executor.value_of(name)
-                         for name in _EXECUTOR_OUTCOMES},
-        }
 
 
 class _Job:
@@ -282,8 +260,6 @@ class SimServer:
             maxsize=self.settings.queue_depth)
         self._jobs: List[_Job] = []            # live (admitted, not done)
         self._jobs_lock = threading.Lock()
-        self._recent_traces: List[str] = []    # last completed trace IDs
-        self._recent_lock = threading.Lock()
         self._in_flight = 0
         self._draining = False
         self._stopping = threading.Event()
@@ -369,14 +345,7 @@ class SimServer:
                 self._http_thread.join(timeout=2.0)
             self._httpd.server_close()
             self._httpd = None
-        # Flush: cache entries are already atomic on disk; what needs
-        # persisting is the run's accounting.
-        summary = {
-            "clean": clean,
-            "cancelled": len(leftover),
-            "metrics": self.status_snapshot(),
-        }
-        return summary
+        return {"clean": clean, "cancelled": len(leftover)}
 
     def run_until_signal(self, port_file: Optional[Path] = None) -> int:
         """Serve until SIGINT/SIGTERM, then drain; returns the exit code
@@ -415,46 +384,10 @@ class SimServer:
             "engines": sorted(ENGINE_NAMES),
         }
 
-    def status_snapshot(self) -> Dict[str, Any]:
-        """The ``/metrics`` document."""
-        snapshot = self.metrics.snapshot()
-        snapshot.update({
-            "service": "repro-serve",
-            "version": PROTOCOL_VERSION,
-            "uptime_s": round(time.monotonic() - self._started, 3),
-            "draining": self._draining,
-            "isolation": self.settings.effective_isolation(),
-            "queue": {
-                "capacity": self.settings.queue_depth,
-                "depth": self.queue.qsize(),
-                "in_flight": self._in_flight,
-            },
-            "farm": self.telemetry.summary(),
-        })
-        snapshot["cache"] = (self.cache.stats() if self.cache is not None
-                             else None)
-        snapshot["obs"] = merge_snapshots(self.metrics.registry.snapshot(),
-                                          self.telemetry.registry.snapshot())
-        with self._recent_lock:
-            snapshot["recent_trace_ids"] = list(self._recent_traces)
-        return snapshot
-
-    def _note_trace(self, trace_id: str) -> None:
-        # Deduplicated (a retried or hedged dispatch reuses one logical
-        # trace ID — it moves to the end instead of flooding the window)
-        # and bounded, so sustained load cannot grow this without limit.
-        with self._recent_lock:
-            try:
-                self._recent_traces.remove(trace_id)
-            except ValueError:
-                pass
-            self._recent_traces.append(trace_id)
-            del self._recent_traces[:-RECENT_TRACES_MAX]
-
     def prometheus_body(self) -> str:
-        """The ``/metrics?format=prometheus`` document: the merged
-        service + telemetry registries plus the point-in-time load
-        gauges a scraper cannot derive from counters."""
+        """The ``/metrics`` document: the merged service + telemetry
+        registries plus the point-in-time load gauges a scraper cannot
+        derive from counters."""
         gauges = Registry()
         gauges.gauge("serve_queue_depth",
                      "admitted requests waiting for an executor"
@@ -714,25 +647,11 @@ def _make_handler(server: SimServer):
             except (BrokenPipeError, ConnectionResetError):
                 pass  # client went away; nothing left to tell it
 
-        def _wants_prometheus(self, query: str) -> bool:
-            """Explicit ``?format=`` wins; otherwise an ``Accept`` header
-            that asks for ``text/plain`` (a Prometheus scraper's
-            preference) and not JSON selects exposition format."""
-            params = urllib.parse.parse_qs(query)
-            fmt = params.get("format", [""])[-1].lower()
-            if fmt == "prometheus":
-                return True
-            if fmt:          # explicit json (or anything else): legacy
-                return False
-            accept = self.headers.get("Accept", "")
-            return ("text/plain" in accept
-                    and "application/json" not in accept)
-
         # ------------------------------------------------------------ GET side
 
         def do_GET(self) -> None:  # noqa: N802 - stdlib API
             try:
-                path, _, query = self.path.partition("?")
+                path = self.path.partition("?")[0]
                 if path == "/healthz":
                     server.metrics.hit("healthz")
                     self._respond(200, {
@@ -753,13 +672,9 @@ def _make_handler(server: SimServer):
                         self._respond(200, {"ready": True, **body})
                 elif path == "/metrics":
                     server.metrics.hit("metrics")
-                    if self._wants_prometheus(query):
-                        self._respond_bytes(
-                            200, server.prometheus_body().encode("utf-8"),
-                            PROMETHEUS_CONTENT_TYPE)
-                    else:
-                        # The legacy JSON document, shape untouched.
-                        self._respond(200, server.status_snapshot())
+                    self._respond_bytes(
+                        200, server.prometheus_body().encode("utf-8"),
+                        PROMETHEUS_CONTENT_TYPE)
                 else:
                     server.metrics.hit("other")
                     self._respond(404, error_body(404, "unknown path"))
@@ -811,7 +726,6 @@ def _make_handler(server: SimServer):
                 # client's handle for correlating with the server's logs.
                 job.trace.add_span("request", job.enqueued_wall, time.time(),
                                    cat="serve", status=status)
-                server._note_trace(job.trace.trace_id)
                 body = dict(body)
                 body["trace"] = job.trace.to_dict()
                 return body

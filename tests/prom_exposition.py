@@ -3,8 +3,8 @@
 The renderer lives with the metrics themselves
 (:func:`repro.obs.metrics.render_prometheus`); this test helper is the
 other half of the contract — a parser strict enough that "the parser
-accepted it" is a meaningful assertion about serve's
-``/metrics?format=prometheus`` and ``repro-obs metrics --prometheus``.
+accepted it" is a meaningful assertion about serve's ``/metrics`` and
+``repro-obs metrics --prometheus``.
 It enforces:
 
 * metric and label **name grammar** (``[a-zA-Z_:][a-zA-Z0-9_:]*`` /

@@ -1,13 +1,14 @@
 """EXPERIMENTS.md cites the committed reports, cell for cell.
 
-The Table 1, Fig. 2 to Fig. 11, ``scaling``, ``pareto`` and
-write-path ablation sections quote ``results/table1.txt``, ``fig2.txt``
-to ``fig11.txt``, ``scaling.txt``, ``pareto.txt``, ``wbdepth.txt``,
-``wboverlap.txt`` and ``coloring.txt``.  These tests parse the
-markdown tables and the numbers in the findings and check each
-against the report, so a regenerated report and the document cannot
-drift apart.  Where a test checks a column, every number written in it
-must be one the test checked.
+The Table 1, Fig. 2 to Fig. 11, ``l1size``, ``scaling``, ``variance``,
+``clockrate``, ``pareto`` and write-path ablation sections quote
+``results/table1.txt``, ``fig2.txt`` to ``fig11.txt``, ``l1size.txt``,
+``scaling.txt``, ``variance.txt``, ``clockrate.txt``, ``pareto.txt``,
+``wbdepth.txt``, ``wboverlap.txt`` and ``coloring.txt``.  These tests
+parse the markdown tables and the numbers in the findings and check
+each against the report, so a regenerated report and the document
+cannot drift apart.  Where a test checks a column or a paragraph, every
+number written in it must be one the test checked.
 """
 
 from __future__ import annotations
@@ -622,4 +623,82 @@ def test_fig6_claims_match_report():
     doc.cites("splitting helps direct-mapped ≥64K",
               "the physical-partition benefit (Fig. 9) does not depend on "
               "it")
+    assert doc.all_cited()
+
+
+def test_l1size_table_matches_report():
+    # size, ways: L1-I and L1-D miss ratios
+    rows, findings, _ = report("l1size")
+    miss = {(row[0], int(row[1])): row[2:] for row in rows}
+    imr_4k, dmr_4k = miss["4K", 1]
+    imr_8k, dmr_2way = miss["8K", 1][0], miss["4K", 2][1]
+    assert (imr_4k, dmr_4k) == (findings["imr_4K_direct"],
+                                findings["dmr_4K_direct"])
+    assert Decimal(imr_4k) - Decimal(imr_8k) == Decimal(
+        findings["imr_gain_8K"]) > 0
+    assert Decimal(dmr_4k) - Decimal(dmr_2way) == Decimal(
+        findings["dmr_gain_2way"]) > 0
+    doc = Cells(measured("l1size"))
+    doc.cites("bigger L1-I lowers miss ratio",
+              f"{imr_4k}→{imr_8k} (4K→8K direct) ✔")
+    doc.cites("2-way L1-D lowers miss ratio", f"{dmr_4k}→{dmr_2way} at 4K ✔")
+    stretch_i, stretch_d = (
+        rounded(Decimal(findings[f"breakeven_cycle_stretch_{key}"]) * 100, 1)
+        for key in ("8K_icache", "2way_dcache"))
+    doc.cites("but the gain cannot pay for the access-time cost",
+              f"break-even cycle stretch: {stretch_i} % (8K I), "
+              f"{stretch_d} % (2-way D)")
+    assert doc.all_cited()
+
+
+def paragraph(experiment_id: str) -> Cells:
+    """A prose section's text below its heading, as one cell named by
+    the experiment."""
+    text = section(experiment_id).split("\n", 1)[1]
+    return Cells({experiment_id: " ".join(text.split())})
+
+
+def test_variance_matches_report():
+    # metric: mean, std, min, max, CV %
+    table = labelled("variance")
+    _, findings, lines = report("variance")
+    assert table["cpi"][4] == findings["cpi_cv_percent"]
+    assert table["l2_miss_ratio"][4] == findings["l2_cv_percent"]
+    doc = paragraph("variance")
+    seeds = re.search(r"over (\d+) re-seeded workloads", lines[0]).group(1)
+    doc.cites("variance", f"over {seeds} re-seeded workloads")
+    for name, metric in (("CPI", "cpi"), ("memory CPI", "memory_cpi"),
+                         ("L2 miss ratio", "l2_miss_ratio")):
+        mean, std, _, _, cv = table[metric]
+        doc.cites("variance", f"{name} {rounded(mean, 3)} ± "
+                              f"{rounded(std, 3)} (CV {rounded(cv, 1)} %)")
+    assert doc.all_cited()
+
+
+def test_clockrate_matches_report():
+    # clock: slice, L1-I, L1-D and L2 miss ratios, CPI
+    table = labelled("clockrate")
+    _, findings, lines = report("clockrate")
+    clocks = list(table)
+    slow, fast = clocks[0], clocks[-1]
+    l1d = [Decimal(table[clock][2]) for clock in clocks]
+    cpi = [Decimal(table[clock][4]) for clock in clocks]
+    assert l1d == sorted(l1d, reverse=True)
+    assert cpi == sorted(cpi, reverse=True)
+    assert findings["faster_is_lower"] == "1.0000"
+    assert (table[slow][2], table[fast][2]) == (
+        findings["l1d_slowest_clock"], findings["l1d_fastest_clock"])
+    # The fastest clock is the base machine's: Fig. 4's CPI.
+    assert table[fast][4] == labelled("fig4")["total CPI"][0]
+    doc = paragraph("clockrate")
+    paper = re.search(r"\(Section (\d+)'s observation\)", lines[0]).group(1)
+    doc.cites("clockrate", f"Section {paper}'s closing remark")
+    notes = next(line for line in lines if line.startswith("notes: "))
+    quote = re.search(r"'(.*)'", notes).group(1)
+    doc.cites("clockrate", f'"{quote}"')
+    doc.cites("clockrate",
+              f"L1-D miss ratio falls from {rounded(table[slow][2], 3)} at "
+              f"{slow} to {rounded(table[fast][2], 3)} at the machine's "
+              f"{fast}, CPI from {rounded(table[slow][4], 2)} to "
+              f"{rounded(table[fast][4], 2)} ✔")
     assert doc.all_cited()

@@ -1,19 +1,20 @@
 """The grid dispatcher against scriptable fake backends: bit-identical
 results, retries, hedged re-dispatch reconciliation, the local-fallback
-guarantee that no point is ever lost, and ``run_points``' cache, journal
-and telemetry around grid-executed points."""
+guarantee that no point is ever lost, cancellation by a stop event, and
+``run_points``' cache, journal and telemetry around grid-executed
+points."""
 
 import json
+import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from repro.core.config import base_architecture
 from repro.durable.journal import read_records, replay_records
-from repro.errors import GridError, ServeError
+from repro.errors import FarmCancelled, GridError, ServeError
 from repro.farm.cache import ResultCache
 from repro.farm.points import PointSpec, run_points
 from repro.farm.telemetry import RunTelemetry
@@ -388,3 +389,96 @@ class TestDegradation:
             status = grid.status()
         assert json.loads(json.dumps(status)) == status
         assert status["nodes"][0]["url"] == "http://a"
+
+
+def join_grid_workers():
+    """Wait out every dispatcher worker thread, abandoned ones included."""
+    workers = [thread for thread in threading.enumerate()
+               if thread.name.startswith("grid-worker-")]
+    for thread in workers:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in workers)
+
+
+class TestStopEvent:
+    def test_stop_after_first_result_cancels_within_a_second(self):
+        """Once the event is set, no attempt is placed: the pass raises at
+        the next tick, leaving the stalled requests to their threads, and
+        only the point that resolved first reaches ``on_result``."""
+        wanted = specs(8)
+        release, stop = threading.Event(), threading.Event()
+        lock = threading.Lock()
+        started, delivered, stopped_at = [], [], []
+
+        def first_only(body):
+            with lock:
+                started.append(body)
+                stall = len(started) > 1
+            if stall:
+                release.wait(timeout=30)
+
+        for url in ("http://a", "http://b"):
+            FakeServeClient.behaviors[url] = first_only
+
+        def on_result(index, value):
+            delivered.append(index)
+            stopped_at.append(time.monotonic())
+            stop.set()
+
+        try:
+            with dispatcher(["http://a", "http://b"]) as grid:
+                with pytest.raises(FarmCancelled):
+                    grid.run_points(wanted, on_result=on_result,
+                                    stop_event=stop)
+                raised_at = time.monotonic()
+        finally:
+            release.set()
+        assert raised_at - stopped_at[0] < 1.0
+        assert len(delivered) == 1
+        # Four workers (two per node): the stalled ones hold their
+        # points, and nobody placed one of the other four.
+        assert len(started) <= 4
+        # The stalled requests complete later but deliver nothing.
+        join_grid_workers()
+        assert len(delivered) == 1
+
+    def test_no_hook_runs_after_cancellation_under_contention(self):
+        """Stress: eight workers finish points at staggered times while
+        the caller cancels with a tiny switch interval; once
+        ``run_points`` has raised, no hook runs again, even from the
+        abandoned attempts."""
+        stop = threading.Event()
+        delivered = []
+        urls = [f"http://n{k}" for k in range(4)]
+        delays = iter([0.0, 0.0, 0.0] + [0.3] * 13)
+        for url in urls:
+            FakeServeClient.behaviors[url] = lambda body: time.sleep(
+                next(delays))
+
+        def on_result(index, value):
+            delivered.append(index)
+            if len(delivered) == 3:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with dispatcher(urls) as grid:
+                with pytest.raises(FarmCancelled):
+                    grid.run_points(specs(16), on_result=on_result,
+                                    stop_event=stop)
+                at_exit = list(delivered)
+                join_grid_workers()
+        finally:
+            sys.setswitchinterval(interval)
+        assert delivered == at_exit
+        assert len(set(delivered)) == len(delivered) >= 3
+
+    def test_run_points_forwards_the_stop_event(self, tmp_path):
+        stop = threading.Event()
+        stop.set()
+        with dispatcher(["http://a"]) as grid:
+            with pytest.raises(FarmCancelled):
+                run_points(specs(2), cache=ResultCache(tmp_path / "cache"),
+                           dispatcher=grid, stop_event=stop)
+        assert FakeServeClient.calls == {}

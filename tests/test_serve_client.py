@@ -193,13 +193,6 @@ class TestBreakerPool:
         assert pool.for_node("http://test").state == CircuitBreaker.OPEN
         assert pool.for_node("http://other").state == CircuitBreaker.CLOSED
 
-    def test_metrics_carries_the_client_breaker_view(self):
-        c = client([(200, {"queue": {"capacity": 4}}, {})])
-        doc = c.metrics()
-        assert doc["client"]["node"] == "http://test"
-        assert doc["client"]["breaker"]["state"] == CircuitBreaker.CLOSED
-        assert doc["queue"]["capacity"] == 4
-
     def test_snapshot_is_json_ready_per_node(self):
         pool = BreakerPool(failure_threshold=1, cooldown_s=60.0)
         pool.for_node("http://a/").record_failure()

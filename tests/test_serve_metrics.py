@@ -1,9 +1,8 @@
-"""Serve's ``/metrics``: Prometheus exposition and content negotiation,
-the request-latency histogram, strict exposition on two live nodes, and
-the bounded deduplicated trace window under concurrent hammering."""
+"""Serve's ``/metrics``: one Prometheus exposition whatever the request
+asks for, the request-latency histogram, the load gauges, and strict
+exposition on two live nodes."""
 
 import json
-import threading
 import urllib.request
 
 import pytest
@@ -12,8 +11,7 @@ from prom_exposition import validate_exposition
 from repro.core.config import base_architecture
 from repro.core.serialization import config_to_dict, profile_to_dict
 from repro.farm.cache import ResultCache
-from repro.serve.server import (RECENT_TRACES_MAX, ServeSettings,
-                                SimServer)
+from repro.serve.server import ServeSettings, SimServer
 from repro.trace.benchmarks import default_suite
 
 INSTRUCTIONS = 5_000
@@ -59,6 +57,8 @@ def simulate(server, obs_trace=None):
 
 class TestPrometheusEndpoint:
     def test_format_param_switches_to_text_exposition(self, server):
+        """A scrape URL that still asks for ``?format=prometheus`` gets
+        the one exposition."""
         simulate(server)
         status, text, headers = fetch(server,
                                       "/metrics?format=prometheus")
@@ -71,33 +71,40 @@ class TestPrometheusEndpoint:
         assert families["serve_cache_entries"].type == "gauge"
 
     def test_accept_header_negotiates_text_plain(self, server):
+        """A scraper's ``Accept: text/plain`` gets the same exposition."""
         status, text, headers = fetch(server, "/metrics",
                                       accept="text/plain")
         assert status == 200
         assert "version=0.0.4" in headers["Content-Type"]
         validate_exposition(text)
 
-    def test_default_metrics_stays_legacy_json(self, server):
+    def test_every_request_gets_the_exposition(self, server):
+        """There is one format: neither a query string nor an ``Accept``
+        header asking for JSON changes the answer."""
         simulate(server)
-        status, body, headers = fetch(server, "/metrics")
-        assert status == 200
-        assert headers["Content-Type"].startswith("application/json")
-        doc = json.loads(body)
-        # The legacy contract every existing scraper relies on.
-        for key in ("service", "uptime_s", "queue", "obs",
-                    "recent_trace_ids", "responses"):
-            assert key in doc
+        for path, accept in (("/metrics", None),
+                             ("/metrics?format=json", None),
+                             ("/metrics", "application/json")):
+            status, text, headers = fetch(server, path, accept=accept)
+            assert status == 200
+            assert headers["Content-Type"].startswith(
+                "text/plain; version=0.0.4"), (path, accept)
+            assert "serve_requests_total" in validate_exposition(text)
 
-    def test_explicit_json_format_wins_over_accept(self, server):
-        status, body, headers = fetch(server, "/metrics?format=json",
-                                      accept="text/plain")
-        assert headers["Content-Type"].startswith("application/json")
-        json.loads(body)
+    def test_draining_gauge_follows_the_drain(self, server):
+        def draining():
+            _, text, _ = fetch(server, "/metrics")
+            [sample] = validate_exposition(text)["serve_draining"].samples
+            return sample.value
+
+        assert draining() == 0
+        server._draining = True
+        assert draining() == 1
 
     def test_latency_histogram_counts_every_simulate(self, server):
         simulate(server)
         simulate(server)  # cache hit — still a request
-        _, text, _ = fetch(server, "/metrics?format=prometheus")
+        _, text, _ = fetch(server, "/metrics")
         families = validate_exposition(text)
         counts = [s.value for s in families["serve_request_seconds"].samples
                   if s.name == "serve_request_seconds_count"]
@@ -105,7 +112,7 @@ class TestPrometheusEndpoint:
 
     def test_exposition_merges_farm_telemetry(self, server):
         simulate(server)
-        _, text, _ = fetch(server, "/metrics?format=prometheus")
+        _, text, _ = fetch(server, "/metrics")
         assert "farm_points_total" in validate_exposition(text)
 
 
@@ -130,48 +137,8 @@ def servers():
 def test_every_node_exposes_strictly_valid_prometheus(servers):
     for instance in servers:
         simulate(instance)
-        _, text, _ = fetch(instance, "/metrics?format=prometheus")
+        _, text, _ = fetch(instance, "/metrics")
         families = validate_exposition(text)
         assert families["serve_requests_total"].type == "counter"
         assert families["serve_request_seconds"].type == "histogram"
 
-
-class TestTraceWindow:
-    def test_repeated_trace_id_dedups_to_one_entry(self, server):
-        simulate(server, obs_trace="cafe" * 8)
-        simulate(server, obs_trace="cafe" * 8)
-        recent = server.status_snapshot()["recent_trace_ids"]
-        assert recent.count("cafe" * 8) == 1
-
-    def test_concurrent_hammer_stays_bounded_and_unique(self, server):
-        """Regression: the window must stay bounded and duplicate-free
-        when many threads note overlapping trace IDs at once."""
-        trace_ids = [f"{i:04x}" * 8 for i in range(10)]
-        errors = []
-
-        def hammer(seed):
-            try:
-                for i in range(200):
-                    server._note_trace(trace_ids[(seed + i) % 10])
-            except Exception as exc:  # pragma: no cover - the regression
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(seed,))
-                   for seed in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not errors
-        recent = server.status_snapshot()["recent_trace_ids"]
-        assert len(recent) <= RECENT_TRACES_MAX
-        assert len(recent) == len(set(recent))
-        assert set(recent) <= set(trace_ids)
-
-    def test_window_evicts_oldest_beyond_the_cap(self, server):
-        for i in range(RECENT_TRACES_MAX + 5):
-            server._note_trace(f"{i:04x}" * 8)
-        recent = server.status_snapshot()["recent_trace_ids"]
-        assert len(recent) == RECENT_TRACES_MAX
-        assert recent[-1] == f"{RECENT_TRACES_MAX + 4:04x}" * 8
-        assert f"{0:04x}" * 8 not in recent

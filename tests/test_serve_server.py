@@ -9,6 +9,7 @@ import urllib.request
 
 import pytest
 
+from prom_exposition import validate_exposition
 from repro.core.config import base_architecture
 from repro.core.serialization import config_to_dict, profile_to_dict
 from repro.core.simulator import simulate
@@ -39,6 +40,11 @@ def no_retry_client(server):
     return ServeClient(f"http://127.0.0.1:{server.port}",
                        retry=RetryPolicy(max_attempts=1),
                        timeout_s=30.0)
+
+
+def count(server, family, label):
+    """One labeled child of a serve counter, read from the registry."""
+    return server.metrics.registry.get(family).value_of(label)
 
 
 def post_raw(server, payload):
@@ -85,7 +91,7 @@ class TestSimulate:
         assert first["cached"] is False and second["cached"] is True
         assert first["stats"] == second["stats"]
         assert first["key"] == second["key"]
-        assert server.metrics.snapshot()["executor"]["cache_hits"] == 1
+        assert count(server, "serve_executor_total", "cache_hits") == 1
 
     def test_bad_request_is_400_with_message_not_traceback(self, server):
         status, body, _ = post_raw(server, {"config": {"junk": 1},
@@ -168,7 +174,7 @@ class TestBackpressure:
             retry_after = {k.lower(): v for k, v in headers.items()
                            }.get("retry-after")
             assert retry_after is not None and int(retry_after) >= 1
-            assert server.metrics.snapshot()["responses"]["shed"] == 1
+            assert count(server, "serve_responses_total", "shed") == 1
 
             server.release.set()
             for thread in threads:
@@ -199,8 +205,8 @@ class TestDeadlines:
             server, request_body(instructions=500_000, deadline_s=0.05))
         assert status == 504
         assert "deadline" in body["error"]
-        responses = server.metrics.snapshot()["responses"]
-        assert responses["deadline_expired"] == 1
+        assert count(server, "serve_responses_total",
+                     "deadline_expired") == 1
 
     def test_deadline_clamped_to_server_max(self, tmp_path):
         server = SimServer(ServeSettings(port=0, max_deadline_s=0.05,
@@ -221,23 +227,28 @@ class TestObservability:
         assert client.healthy() is True
         assert client.ready() is True
         client.simulate(request_body())
-        doc = client.metrics()
-        assert doc["draining"] is False
-        assert doc["responses"]["ok"] == 1
-        assert doc["executor"]["simulated"] == 1
-        assert doc["queue"]["capacity"] == 4
-        assert doc["requests_total"] >= 1
-        assert doc["cache"]["entries"] == 1
-        assert doc["isolation"] in ("fork", "inline")
-        json.dumps(doc)  # the whole snapshot must be JSON-clean
+        with urllib.request.urlopen(
+                f"http://127.0.0.1:{server.port}/metrics",
+                timeout=30) as response:
+            families = validate_exposition(response.read().decode())
+        value = {(s.name, s.labels): s.value
+                 for family in families.values() for s in family.samples}
+        assert value["serve_draining", ()] == 0
+        assert value["serve_responses_total", (("class", "ok"),)] == 1
+        assert value["serve_executor_total",
+                     (("outcome", "simulated"),)] == 1
+        assert value["serve_queue_capacity", ()] == 4
+        assert value["serve_requests_total",
+                     (("endpoint", "simulate"),)] == 1
+        assert value["serve_cache_entries", ()] == 1
 
     def test_metrics_counts_one_response_per_simulate(self, server):
         client = no_retry_client(server)
         client.simulate(request_body())
         client.simulate(request_body())  # cache hit
-        responses = server.metrics.snapshot()["responses"]
-        assert responses["ok"] == 2
-        assert sum(responses.values()) == 2
+        assert count(server, "serve_responses_total", "ok") == 2
+        assert server.metrics.registry.get(
+            "serve_responses_total").value == 2
 
 
 class TestReadiness:
@@ -266,8 +277,6 @@ class TestTraceOverTheWire:
         result = no_retry_client(server).simulate(payload)
         assert result["trace"]["id"] == "feed" * 8
         assert result["trace"]["spans"]  # server-side spans came back
-        snapshot = server.status_snapshot()
-        assert "feed" * 8 in snapshot["recent_trace_ids"]
 
     def test_response_stats_carry_a_matching_digest(self, server):
         from repro.serve.protocol import stats_digest
