@@ -27,10 +27,12 @@ The protocol between the two sides is deliberately narrow:
 * an engine is constructed with the :class:`MemorySystem` it drives;
 * ``run_slice(batch, start, deadline)`` executes instructions of a
   :class:`~repro.sched.process.PreparedBatch` and returns a
-  :class:`SliceResult`.  The batch's columns are NumPy arrays; an engine
-  converts to Python values only the part one call can reach, and may
-  keep per-batch data on the batch (the batched engine's event index),
-  freed with it.  Engines hold no other state between calls, so a
+  :class:`SliceResult`.  An engine first compacts the batch for the
+  machine's L1-I line size (``batch.compact(ms._il_shift)``), which
+  leaves its event columns, NumPy arrays, as its only copy; it converts
+  to Python values only the part one call can reach, and may keep
+  per-batch data with the events (the batched engine's hit thresholds),
+  freed with them.  Engines hold no other state between calls, so a
   checkpoint restore needs no hook.
 
 Policy and refill/timing handlers live in :mod:`repro.core.engine.policies`

@@ -7,18 +7,17 @@ instruction is a free step that advances the clock by one.  A call that
 can reach a long stretch of the batch also drops the events that the
 batch alone proves are L1 hits.
 
-The event index
----------------
+The event columns
+-----------------
 
 An instruction is an event when its L1-I line differs from the previous
-instruction's, or when it accesses data.  An :class:`EventIndex`
-compacts the batch's columns to its events, as NumPy arrays: their
-positions (int32), each event's L1-I line, kind, address and partial
-flag, and the system-call positions.  Its key is the machine's L1
-geometry and write policy.  It is built on the first call that runs the
-batch, kept on the :class:`~repro.sched.process.PreparedBatch` next to
-its columns, rebuilt only for another key, and freed with the batch.
-Each call finds the slice of the index it can reach (at one cycle per
+instruction's, or when it accesses data.  The first call on a
+:class:`~repro.sched.process.PreparedBatch`, under either engine,
+compacts it to its :class:`~repro.sched.process.Events`, NumPy columns
+of int32 wherever every value fits: their positions, each event's L1-I
+line, kind, address and partial flag, and the system-call positions.
+They are the batch's only copy from then on, and are freed with it.
+Each call finds the slice of the events it can reach (at one cycle per
 instruction, none past ``start + deadline - now``) and zips memoryviews
 of it, which yield one event at a time: a call converts only the events
 it runs.  Every value the loop passes on is a Python ``int`` or
@@ -30,9 +29,10 @@ Provable hits
 
 Both L1s are direct-mapped, so a line stays resident through its
 *run*, the accesses to its set since another line last touched it.  Per
-event, the index also holds a *threshold*, built on the first call that
-filters: the position of the latest earlier access ``q`` of its run, in
-the batch, that proves it an L1 hit, or -1.
+event, :class:`HitThresholds` holds a *threshold*, built from the event
+columns on the first call that filters and kept with them: the position
+of the latest earlier access ``q`` of its run, in the batch, that proves
+it an L1 hit, or -1.
 
 * A line change (kind 0, or the L1-I side of a data access) takes the
   run's previous access (an L1-I access is a run of one line, at the
@@ -42,9 +42,10 @@ the batch, that proves it an L1 hit, or -1.
   write-back load takes the run's previous access, a write-back store
   the latest earlier store, a write-through load the latest earlier
   load and, under subblock placement, the latest earlier load or
-  full-word store of its word.  No other store is proven (the index key
-  says whether stores are): a write-through store's push must run, and
-  the dirty-bit scheme's epoch bumps would need a store's mark.
+  full-word store of its word.  No other store is proven (the
+  thresholds' key says whether stores are): a write-through store's push
+  must run, and the dirty-bit scheme's epoch bumps would need a store's
+  mark.
 
 An event that is both a line change and a data access needs both
 sides, so its threshold is the smaller.  A call skips the events whose
@@ -63,10 +64,10 @@ Why skipping is exact
   I-TLB page check therefore sits under the line-change test.
 * The first instruction of every call is always an event: another
   process may have evicted its line, or moved the TLB's last page,
-  since this batch last ran.  When the index does not list it, it is
-  prepended as a kind-0 instruction: every data access is listed.  When
-  it is listed, no access at or after ``start`` precedes it, so it is
-  never skipped.
+  since this batch last ran.  When the events do not list it, it is
+  prepended as a kind-0 instruction in the line of the event before it:
+  every data access is listed.  When it is listed, no access at or
+  after ``start`` precedes it, so it is never skipped.
 * ``ifetch_miss`` writes only at its own index, and the policy handlers
   write L1-D tag, valid and write-only state only at the accessed
   index, whose victim they evict; faults and audits run only between
@@ -76,7 +77,7 @@ Why skipping is exact
   load; a subblock load or full-word store leaves its word valid.
 * A load or line-change hit costs no extra cycle, changes no state (its
   page is the last one probed) and emits no obs event, so a skipped one
-  is a free step; only ``st.loads`` counts it, from the index.  A
+  is a free step; only ``st.loads`` counts it, from the events.  A
   skipped write-back store hit's dirty mark is a no-op (a store of its
   run set it in this call, and without the dirty-bit scheme the epoch
   never moves); its second cycle still counts.
@@ -166,6 +167,7 @@ from repro.core.engine import (
 )
 from repro.obs import runtime as _obs
 from repro.params import PAGE_WORDS, log2i
+from repro.sched.process import changes
 
 _PAGE_SHIFT = log2i(PAGE_WORDS)
 
@@ -185,15 +187,6 @@ FILTER_MIN_EVENTS = 2048
 _UNPROVEN = -1
 
 
-def _changes(values) -> np.ndarray:
-    """Per value, whether it differs from the one before (the first
-    does)."""
-    changes = np.empty(len(values), bool)
-    changes[:1] = True
-    np.not_equal(values[1:], values[:-1], out=changes[1:])
-    return changes
-
-
 def _run_witnesses(sets, lines, witness, provable, flagged=None,
                    words=None) -> np.ndarray:
     """Over a sequence of accesses to direct-mapped sets, per access
@@ -207,7 +200,7 @@ def _run_witnesses(sets, lines, witness, provable, flagged=None,
     # take NumPy's radix sort.  In set order each set's accesses keep
     # their order, so a run is a stretch of one line.
     order = np.argsort(sets.astype(np.uint16), kind="stable")
-    starts = _changes(lines.take(order))
+    starts = changes(lines.take(order))
     if words is not None:
         # Number the runs and keep the flagged accesses, sorted by word
         # (a line is at most a page): a stretch of one run and one word
@@ -218,8 +211,8 @@ def _run_witnesses(sets, lines, witness, provable, flagged=None,
         ordered = words.take(order).astype(np.uint16)
         by_word = np.argsort(ordered, kind="stable")
         order = order.take(by_word)
-        starts = _changes(runs.take(kept.take(by_word)))
-        starts |= _changes(ordered.take(by_word))
+        starts = changes(runs.take(kept.take(by_word)))
+        starts |= changes(ordered.take(by_word))
     ordered = witness.take(order)
     found = np.empty(len(order), np.int32)
     found[:1] = _UNPROVEN
@@ -238,53 +231,34 @@ def _run_witnesses(sets, lines, witness, provable, flagged=None,
     return np.where(provable, result, _UNPROVEN)
 
 
-class EventIndex:
-    """The events of a :class:`~repro.sched.process.PreparedBatch`.
+class HitThresholds:
+    """Per event of a batch's :class:`~repro.sched.process.Events`, the
+    position of the latest earlier access in the batch that proves it an
+    L1 hit, or -1 (``thresholds``, int32; see the module docstring).
 
-    ``key`` is ``(il_shift, i_mask, dl_shift, d_mask, write policy,
-    whether stores are proven)``.  ``positions`` is a sorted int32 array
-    of the positions whose L1-I line (``pc >> il_shift``) differs from
-    the previous position's or that access data; ``lines``, ``kinds``,
-    ``addrs`` and ``partials`` hold each event's L1-I line and data
-    access, and ``syscalls`` the batch's system-call positions.
+    ``key`` is ``(i_mask, dl_shift, d_mask, write policy, whether stores
+    are proven)``: with the events' L1-I line size, all they depend on
+    besides the batch.  ``proven_stores`` holds the positions and
+    thresholds (int32) of the proven stores, if any.
     """
 
-    __slots__ = ("key", "positions", "lines", "kinds", "addrs", "partials",
-                 "syscalls", "proven_stores", "_thresholds")
+    __slots__ = ("key", "thresholds", "proven_stores")
 
-    def __init__(self, batch, key: tuple):
-        lines = batch.pc >> key[0]
-        positions = np.flatnonzero((batch.kind != 0) | _changes(lines))
+    def __init__(self, events, key: tuple):
+        i_mask, dl_shift, d_mask, policy, stores = key
+        il_shift = events.il_shift
+        positions = events.positions
+        lines = events.lines
+        kinds = events.kinds
         self.key = key
-        self.positions = positions.astype(np.int32)
-        self.lines = lines.take(positions)
-        self.kinds = batch.kind.take(positions)
-        self.addrs = batch.addr.take(positions)
-        self.partials = batch.partial.take(positions)
-        self.syscalls = np.flatnonzero(batch.syscall)
-        #: Positions and thresholds (int32) of the proven stores, if any.
         self.proven_stores = None
-        self._thresholds = None
-
-    def thresholds(self) -> np.ndarray:
-        """Per event, the position of the latest earlier access in the
-        batch that proves it an L1 hit, or -1 (int32, built on first
-        use; see the module docstring)."""
-        if self._thresholds is None:
-            self._thresholds = self._build_thresholds()
-        return self._thresholds
-
-    def _build_thresholds(self) -> np.ndarray:
-        il_shift, i_mask, dl_shift, d_mask, policy, stores = self.key
-        positions = self.positions
-        lines = self.lines
         # L1-I side: a run of one line is one access to its set, proven
         # when its page is the previous run's.  Run q's witness is its
         # last position, one before run q + 1 starts; since q < p, run
         # q + 1 exists.
-        runs = np.flatnonzero(_changes(lines))
+        runs = np.flatnonzero(changes(lines))
         run_lines = lines.take(runs)
-        provable = ~_changes(run_lines >> (_PAGE_SHIFT - il_shift))
+        provable = ~changes(run_lines >> (_PAGE_SHIFT - il_shift))
         ends = np.empty(len(runs), np.int32)
         ends[-1:] = _UNPROVEN
         np.subtract(positions.take(runs[1:]), 1, out=ends[:-1])
@@ -299,10 +273,10 @@ class EventIndex:
         # the line readable: any access for a write-back load, a store
         # for a write-back store, a load for a write-through load, and
         # under subblock placement a load or full-word store of its word.
-        data = np.flatnonzero(self.kinds != 0)
-        addrs = self.addrs.take(data)
-        loads = self.kinds.take(data) == 1
-        provable = ~_changes(addrs >> _PAGE_SHIFT)
+        data = np.flatnonzero(kinds != 0)
+        addrs = events.addrs.take(data)
+        loads = kinds.take(data) == 1
+        provable = ~changes(addrs >> _PAGE_SHIFT)
         at = positions.take(data)
         dlines = addrs >> dl_shift
         flagged = words = None
@@ -311,7 +285,7 @@ class EventIndex:
         else:
             provable &= loads
             if policy is WritePolicy.SUBBLOCK:
-                flagged = loads | ~self.partials.take(data)
+                flagged = loads | ~events.partials.take(data)
                 words = addrs & ((1 << dl_shift) - 1)
             elif policy is not WritePolicy.WRITE_BACK:
                 flagged = loads
@@ -322,7 +296,7 @@ class EventIndex:
         if stores:
             proven = np.flatnonzero(flagged & (found >= 0))
             self.proven_stores = at.take(proven), found.take(proven)
-        return thresholds
+        self.thresholds = thresholds
 
 
 class BatchedEngine(Engine):
@@ -335,8 +309,7 @@ class BatchedEngine(Engine):
         policy = ms.config.write_policy
         self._write_back = policy is WritePolicy.WRITE_BACK
         self._subblock = policy is WritePolicy.SUBBLOCK
-        self._key = (ms._il_shift, ms._i_mask, ms._dl_shift, ms._d_mask,
-                     policy)
+        self._key = (ms._i_mask, ms._dl_shift, ms._d_mask, policy)
 
     def run_slice(self, batch, start: int, deadline: int) -> SliceResult:
         ms = self.ms
@@ -349,23 +322,18 @@ class BatchedEngine(Engine):
         reason = REASON_END
         if start < n:
             il_shift = ms._il_shift
-            # The dirty-bit scheme's epoch bumps would need a skipped
-            # store's mark.  Resolved per call, as the inline paths are.
-            key = (*self._key, self._write_back and not ms._dirty_bit_bypass)
-            events = batch.events
-            if events is None or events.key != key:
-                events = batch.events = EventIndex(batch, key)
+            events = batch.compact(il_shift)
             ev = events.positions
             sys_pos = events.syscalls
-            j = sys_pos.searchsorted(start)
+            # int32 queries: a Python int would make NumPy cast the
+            # whole column to int64.
+            j = sys_pos.searchsorted(np.int32(start))
             sys_at = int(sys_pos[j]) if j < len(sys_pos) else n
             last = sys_at if sys_at < n else n - 1
             # The call runs at least one instruction, so at least one
             # cycle; at one cycle each, none runs past ``reach``.
             cutoff = deadline if deadline > now else now + 1
             reach = start + cutoff - now - 1
-            # int32 queries: a Python int would make NumPy cast the
-            # whole index to int64.
             bounds = np.array(
                 (start, (reach if reach < last else last) + 1), np.int32)
             lo, hi = ev.searchsorted(bounds).tolist()
@@ -376,11 +344,18 @@ class BatchedEngine(Engine):
             filtered = hi - lo > FILTER_MIN_EVENTS
             if filtered:
                 # Skip the events an access earlier in this call proves
-                # L1 hits.
-                run = np.flatnonzero(events.thresholds()[lo:hi] < start)
+                # L1 hits.  The dirty-bit scheme's epoch bumps would need
+                # a skipped store's mark: resolved per call, as the
+                # inline paths are.
+                key = (*self._key,
+                       self._write_back and not ms._dirty_bit_bypass)
+                proofs = events.hits
+                if proofs is None or proofs.key != key:
+                    proofs = events.hits = HitThresholds(events, key)
+                run = np.flatnonzero(proofs.thresholds[lo:hi] < start)
                 columns = [column.take(run) for column in columns]
-                if events.proven_stores is not None:
-                    at, below = events.proven_stores
+                if proofs.proven_stores is not None:
+                    at, below = proofs.proven_stores
                     first, after = at.searchsorted(bounds).tolist()
                     skipped = at[first:after].compress(
                         below[first:after] >= start)
@@ -395,10 +370,10 @@ class BatchedEngine(Engine):
             positions, *rest = map(memoryview, columns)
             rows = zip(positions, *rest)
             if not positions or positions[0] != start:
-                # Not an event, so it accesses no data.
-                rows = chain((
-                    (start, int(batch.pc[start]) >> il_shift, 0, 0, False),),
-                    rows)
+                # Not an event, so it accesses no data and is in the line
+                # of the event before it.
+                rows = chain(
+                    ((start, int(events.lines[lo - 1]), 0, 0, False),), rows)
 
             itags = ms._itags
             ip_shift = _PAGE_SHIFT - il_shift

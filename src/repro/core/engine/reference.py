@@ -6,9 +6,12 @@ direct-mapped L1-I hit check), optional data access (inlined universal
 L1-D load-hit check), TLB probes on page crossings, and cycle accounting
 into the Fig. 4 stall components.  Misses and stores dispatch through the
 policy and timing handlers bound on the memory system at construction.
-Each call converts to lists only the window of the batch it can reach: it
-spends at least one cycle per instruction, so no more than
-``max(1, deadline - now)`` instructions.
+Each call rebuilds from the batch's event columns
+(:meth:`repro.sched.process.Events.window`) only the per-instruction
+window it can reach, and converts that to lists: it spends at least one
+cycle per instruction, so no more than ``max(1, deadline - now)``
+instructions.  The loop reads each instruction's L1-I line, not its
+``pc``: the line and its page are all the fetch side uses.
 """
 
 from __future__ import annotations
@@ -34,15 +37,14 @@ class ReferenceEngine(Engine):
         ms = self.ms
         now = ms.now
         st = ms.stats
-        window = slice(start, start + max(1, deadline - now))
-        pcs = batch.pc[window].tolist()
-        kinds = batch.kind[window].tolist()
-        addrs = batch.addr[window].tolist()
-        partials = batch.partial[window].tolist()
-        syscalls = batch.syscall[window].tolist()
+        il_shift = ms._il_shift
+        stop = min(len(batch), start + max(1, deadline - now))
+        ilines, kinds, addrs, partials, syscalls = (
+            column.tolist()
+            for column in batch.compact(il_shift).window(start, stop))
 
         itags = ms._itags
-        il_shift = ms._il_shift
+        ip_shift = _PAGE_SHIFT - il_shift
         i_mask = ms._i_mask
         dtags = ms._dtags
         dwrite_only = ms._dwrite_only
@@ -64,20 +66,19 @@ class ReferenceEngine(Engine):
 
         loads = 0
         stores = 0
-        n = len(pcs)
+        n = len(ilines)
         i = 0
         reason = REASON_END
         while i < n:
-            pc = pcs[i]
+            iline = ilines[i]
             now += 1
             if tlb_on:
-                page = pc >> _PAGE_SHIFT
+                page = iline >> ip_shift
                 if page != last_ipage:
                     last_ipage = page
                     if not itlb_access(0, page):
                         now += tlb_penalty
                         st.stall_tlb += tlb_penalty
-            iline = pc >> il_shift
             if itags[iline & i_mask] != iline:
                 now = ifetch_miss(now, iline)
             kind = kinds[i]

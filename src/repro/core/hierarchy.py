@@ -429,12 +429,15 @@ class MemorySystem:
         system call is executed, or ``deadline`` (absolute cycle) is
         reached.
 
-        ``batch`` is a :class:`~repro.sched.process.PreparedBatch`: five
-        NumPy columns, already translated to physical addresses.  The
-        engine converts to Python values only the part of it this call
-        can reach, and the batched engine keeps its event index on the
-        batch, so the index is built once per batch rather than once per
-        call.
+        ``batch`` is a :class:`~repro.sched.process.PreparedBatch`,
+        already translated to physical addresses.  The first call on it
+        compacts it, under either engine, to its event columns for this
+        machine's L1-I line size
+        (:meth:`~repro.sched.process.PreparedBatch.compact`), which
+        replace its five per-instruction columns; the batched engine
+        keeps its hit thresholds with them, so both are built once per
+        batch rather than once per call.  The engine converts to Python
+        values only the part of the batch this call can reach.
         Execution is delegated to the configured engine
         (:mod:`repro.core.engine`); every engine produces bit-identical
         statistics and state.

@@ -47,10 +47,11 @@ _PAGE_SHIFT = log2i(PAGE_WORDS)
 DENSE_SLOTS_PER_RECORD = 4
 
 
-def _slot_dtype(deltas: np.ndarray) -> type:
-    """int32 when every ``frame - page`` fits it, else int64."""
+def int_dtype(values: np.ndarray) -> type:
+    """int32 when every value fits it (or there is none), else int64."""
     info = np.iinfo(np.int32)
-    if info.min <= deltas.min() and deltas.max() <= info.max:
+    if not len(values) or (info.min <= values.min()
+                           and values.max() <= info.max):
         return np.int32
     return np.int64
 
@@ -133,7 +134,7 @@ class PageTable:
             del seen
             pages = slots + lo
             deltas = self._frames(pid, pages) - pages
-            table = np.zeros(span, dtype=_slot_dtype(deltas))
+            table = np.zeros(span, dtype=int_dtype(deltas))
             table[slots] = deltas
             deltas = table.take(vpages)
             del table

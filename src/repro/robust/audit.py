@@ -85,15 +85,16 @@ class InvariantAuditor:
 
     def observe(self, batch, pos: int, consumed: int) -> None:
         """Record the ``consumed`` instructions of ``batch`` starting at
-        ``pos`` that the timing model just executed."""
+        ``pos`` that the timing model just executed (so the batch holds
+        its event columns)."""
         if self._mirror is None or consumed <= 0:
             return
-        window = slice(pos, pos + consumed)
+        _, kinds, addrs, partials, _ = batch.events.window(pos,
+                                                           pos + consumed)
         mirror = self._mirror
         recent = self._recent
-        for kind, addr, partial in zip(batch.kind[window].tolist(),
-                                       batch.addr[window].tolist(),
-                                       batch.partial[window].tolist()):
+        for kind, addr, partial in zip(kinds.tolist(), addrs.tolist(),
+                                       partials.tolist()):
             if kind == KIND_LOAD:
                 mirror.load(addr)
                 recent.append(addr)

@@ -4,8 +4,10 @@ The paper's simulator multiplexes per-benchmark trace pipes through file
 descriptors; here each :class:`Process` pulls batches from its trace source,
 translates them to physical addresses through the shared page table (page
 coloring preserves cache index bits), and hands the simulator the columns
-as NumPy arrays.  An engine converts to Python values only the part of a
-batch that one call can reach.
+as NumPy arrays.  The first run compacts a batch to its events for the
+machine's L1-I line size, which are then its only copy, and an engine
+converts to Python values only the part of a batch that one call can
+reach.
 
 Every batch is validated before it reaches the hot loop: a corrupt trace
 record (unknown access kind, negative address, mismatched column lengths)
@@ -21,17 +23,96 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import SchedulingError, TraceError
-from repro.mmu.page_table import PageTable
+from repro.mmu.page_table import PageTable, int_dtype
 from repro.params import MAX_PROCESSES
 from repro.trace.record import KIND_STORE, TraceBatch
 from repro.trace.stream import TraceSource
 
 
+def changes(values: np.ndarray) -> np.ndarray:
+    """Per value, whether it differs from the one before (the first
+    does)."""
+    flags = np.empty(len(values), bool)
+    flags[:1] = True
+    np.not_equal(values[1:], values[:-1], out=flags[1:])
+    return flags
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    return values.astype(int_dtype(values), copy=False)
+
+
+class Events:
+    """A prepared batch's *events* for one L1-I line size, as NumPy
+    columns.
+
+    An instruction is an event when its L1-I line (``pc >> il_shift``)
+    differs from the previous instruction's (the first one's always
+    does) or when it accesses data.  ``positions`` (sorted) and
+    ``syscalls`` are positions in the batch; ``lines``, ``kinds``,
+    ``addrs`` and ``partials`` hold each event's L1-I line and data
+    access.  Positions are int32, and lines and addresses too when
+    every value fits (:func:`~repro.mmu.page_table.int_dtype`).
+    ``hits`` is where the batched engine keeps the batch's hit
+    thresholds (:class:`repro.core.engine.batched.HitThresholds`).
+    """
+
+    __slots__ = ("il_shift", "positions", "lines", "kinds", "addrs",
+                 "partials", "syscalls", "hits")
+
+    def __init__(self, batch: "PreparedBatch", il_shift: int):
+        lines = batch.pc >> il_shift
+        positions = np.flatnonzero((batch.kind != 0) | changes(lines))
+        self.il_shift = il_shift
+        self.positions = positions.astype(np.int32)
+        self.lines = _narrow(lines.take(positions))
+        self.kinds = batch.kind.take(positions)
+        self.addrs = _narrow(batch.addr.take(positions))
+        self.partials = batch.partial.take(positions)
+        self.syscalls = np.flatnonzero(batch.syscall).astype(np.int32)
+        self.hits = None
+
+    def window(self, start: int, stop: int) -> tuple:
+        """The instructions at positions ``start`` to ``stop - 1`` as
+        five per-instruction columns, rebuilt from the events: L1-I
+        line, kind, address, partial flag and system-call flag.  An
+        instruction that is not an event is in the line of the event
+        before it and accesses no data (kind 0, address 0)."""
+        positions = self.positions
+        # int32 queries: a Python int would make NumPy cast the whole
+        # column to int64.
+        at = np.arange(start, stop, dtype=np.int32)
+        bounds = np.array((start, stop), np.int32)
+        lines = self.lines.take(positions.searchsorted(at, "right") - 1)
+        lo, hi = positions.searchsorted(bounds).tolist()
+        rows = positions[lo:hi] - start
+        kinds = np.zeros(len(at), np.uint8)
+        kinds[rows] = self.kinds[lo:hi]
+        addrs = np.zeros(len(at), self.addrs.dtype)
+        addrs[rows] = self.addrs[lo:hi]
+        partials = np.zeros(len(at), bool)
+        partials[rows] = self.partials[lo:hi]
+        syscalls = np.zeros(len(at), bool)
+        first, last = self.syscalls.searchsorted(bounds).tolist()
+        syscalls[self.syscalls[first:last] - start] = True
+        return lines, kinds, addrs, partials, syscalls
+
+
 class PreparedBatch:
-    """One trace batch, physically translated, as five NumPy columns."""
+    """One trace batch, physically translated, held once.
+
+    It is made of five per-instruction NumPy columns: ``pc``, ``kind``,
+    ``addr``, ``partial`` and ``syscall``.  The first
+    ``MemorySystem.run_slice`` on it, under either engine, compacts it
+    to its :class:`Events` for that machine's L1-I line size
+    (:meth:`compact`) and drops the columns, which then read ``None``.
+    A batch belongs to one process, and a process to one simulation, so
+    compacting it again for another line size raises
+    :class:`~repro.errors.SchedulingError`.
+    """
 
     __slots__ = ("pc", "kind", "addr", "partial", "syscall", "dropped",
-                 "events")
+                 "events", "_length", "_trace")
 
     def __init__(self, pc, kind, addr, partial, syscall, dropped: int = 0):
         self.pc = np.ascontiguousarray(pc, dtype=np.int64)
@@ -41,14 +122,36 @@ class PreparedBatch:
         self.syscall = np.ascontiguousarray(syscall, dtype=bool)
         #: Malformed records dropped during preparation (skip mode only).
         self.dropped = dropped
-        #: The batched engine's event index, built on the batch's first
-        #: call, with per-event hit thresholds added on its first call
-        #: that filters, and freed with the batch
-        #: (:class:`repro.core.engine.batched.EventIndex`).
-        self.events = None
+        #: The batch's :class:`Events`, once it has run.
+        self.events: Optional[Events] = None
+        self._length = len(self.pc)
+        #: The untranslated batch, freed with the columns (:meth:`compact`).
+        self._trace: Optional[TraceBatch] = None
 
     def __len__(self) -> int:
-        return len(self.pc)
+        return self._length
+
+    def compact(self, il_shift: int) -> Events:
+        """The batch's events for L1-I lines of ``2 ** il_shift`` words,
+        built on the first call, which drops the per-instruction
+        columns."""
+        events = self.events
+        if events is None:
+            events = self.events = Events(self, il_shift)
+            # The columns and the untranslated batch are freed together,
+            # once the events exist: the next batch's preparation then
+            # reuses their memory.  Freeing the untranslated batch first,
+            # when ``Process.current`` returned, raised the minor page
+            # faults of a paper_l8 run from 4-6K to 12-14K, most of them
+            # in the next batch's translation, and cost fig5_sweep 3.6%
+            # of its instructions per second on a 2-vCPU host.
+            self.pc = self.kind = self.addr = None
+            self.partial = self.syscall = self._trace = None
+        elif events.il_shift != il_shift:
+            raise SchedulingError(
+                f"batch compacted for {1 << events.il_shift}-word L1-I "
+                f"lines, run with {1 << il_shift}-word lines")
+        return events
 
     @staticmethod
     def from_batch(batch: TraceBatch, pid: int, page_table: PageTable,
@@ -84,10 +187,12 @@ class PreparedBatch:
             if bad_rows:
                 dropped += bad_rows
                 batch = batch[~bad]
-        return PreparedBatch(page_table.translate_batch(pid, batch.pc),
-                             batch.kind,
-                             page_table.translate_batch(pid, batch.addr),
-                             batch.partial, batch.syscall, dropped)
+        prepared = PreparedBatch(page_table.translate_batch(pid, batch.pc),
+                                 batch.kind,
+                                 page_table.translate_batch(pid, batch.addr),
+                                 batch.partial, batch.syscall, dropped)
+        prepared._trace = batch
+        return prepared
 
 
 class Process:

@@ -91,6 +91,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def drain_summary(telemetry) -> str:
+    """A node's closing line: its points and cache hits, the instructions
+    it simulated over the summed wall time of those simulations, and the
+    instructions it answered from the cache.  A node idles between
+    requests, so its uptime would measure the traffic, not the
+    simulator."""
+    s = telemetry.summary()
+    wall = s["point_wall_s"]
+    rate = s["simulated_instructions"] / wall if wall > 0 else 0.0
+    return (f"{s['points']} points, {s['cache_hits']} cache hits "
+            f"({100.0 * s['cache_hit_rate']:.1f}%), "
+            f"{s['simulated_instructions']:,} instructions simulated in "
+            f"{wall:.3f}s ({rate / 1e6:.2f} M instr/s), "
+            f"{s['cached_instructions']:,} from the cache")
+
+
 def _cmd_start(args) -> int:
     from repro.serve.server import ServeSettings, SimServer
 
@@ -102,8 +118,8 @@ def _cmd_start(args) -> int:
         isolation=args.isolation, checkpoint_dir=args.checkpoint_dir)
     server = SimServer(settings, cache=cache)
     code = server.run_until_signal(port_file=args.port_file)
-    summary = server.telemetry.format_summary()
-    print(f"[serve] drained; {summary}", file=sys.stderr)
+    print(f"[serve] drained; {drain_summary(server.telemetry)}",
+          file=sys.stderr)
     return code
 
 

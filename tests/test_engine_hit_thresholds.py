@@ -1,7 +1,8 @@
-"""The event index's hit thresholds against a walk of the whole batch.
+"""The batched engine's hit thresholds against a walk of the whole batch.
 
-``EventIndex.thresholds`` finds with sorts and running maxima, per
-event, the latest earlier access that proves it an L1 hit.  Here a
+``HitThresholds`` finds from a batch's event columns, with sorts and
+running maxima, per event, the latest earlier access that proves it an
+L1 hit.  Here a
 plain Python walk over every instruction of the batch keeps, per L1-I
 and L1-D set, the run of its current line (the set's accesses since
 another line last touched it) and applies the rule as the batched
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import WritePolicy
-from repro.core.engine.batched import EventIndex
+from repro.core.engine.batched import HitThresholds
 from repro.params import PAGE_WORDS
 from repro.sched.process import PreparedBatch
 
@@ -39,15 +40,15 @@ def witness(run, kind, addr, policy, stores):
     return proves[-1][0] if proves else -1
 
 
-def walk(batch, il_shift, i_sets, dl_shift, d_sets, policy, stores) -> dict:
-    """Position -> threshold for every event of ``batch``."""
+def walk(columns, il_shift, i_sets, dl_shift, d_sets, policy,
+         stores) -> dict:
+    """Position -> threshold for every event of the batch of
+    ``columns`` (pcs, kinds, addresses, partial flags)."""
     last_i = {}  # L1-I set -> (position, line) of its latest access
     runs = {}  # L1-D set -> (line, the accesses of its current run)
     thresholds = {}
     prev_line = prev_addr = None
-    for p, (pc, kind, addr, partial) in enumerate(zip(
-            batch.pc.tolist(), batch.kind.tolist(), batch.addr.tolist(),
-            batch.partial.tolist())):
+    for p, (pc, kind, addr, partial) in enumerate(zip(*columns)):
         line = pc >> il_shift
         sides = []
         if line != prev_line:
@@ -76,8 +77,9 @@ def walk(batch, il_shift, i_sets, dl_shift, d_sets, policy, stores) -> dict:
 
 @st.composite
 def batches(draw):
-    """Loops over a few lines on two pages, some data on three pages,
-    full and partial stores."""
+    """The columns (pcs, kinds, addresses, partial flags) of loops over
+    a few lines on two pages, some data on three pages, full and partial
+    stores."""
     n = draw(st.integers(1, 120))
     pages = st.integers(0, 2).map(lambda page: page * PAGE_WORDS)
     pc = draw(pages) + draw(st.integers(0, 40))
@@ -92,28 +94,30 @@ def batches(draw):
         kinds.append(kind)
         addrs.append(draw(pages) + draw(st.integers(0, 40)) if kind else 0)
         partials.append(kind == 2 and draw(st.booleans()))
-    return PreparedBatch(pcs, kinds, addrs, partials, [False] * n)
+    return pcs, kinds, addrs, partials
 
 
 @settings(max_examples=300, deadline=None)
-@given(batch=batches(), il_shift=st.integers(0, 3),
+@given(columns=batches(), il_shift=st.integers(0, 3),
        i_sets=st.sampled_from((1, 2, 4, 8)), dl_shift=st.integers(0, 3),
        d_sets=st.sampled_from((1, 2, 4, 8)),
        policy=st.sampled_from(list(WritePolicy)), stores=st.booleans())
-def test_thresholds_match_a_walk_of_the_batch(batch, il_shift, i_sets,
+def test_thresholds_match_a_walk_of_the_batch(columns, il_shift, i_sets,
                                               dl_shift, d_sets, policy,
                                               stores):
     stores = stores and policy is WritePolicy.WRITE_BACK
-    events = EventIndex(batch, (il_shift, i_sets - 1, dl_shift, d_sets - 1,
-                                policy, stores))
-    thresholds = events.thresholds()
-    assert thresholds.dtype == np.int32
-    expected = walk(batch, il_shift, i_sets, dl_shift, d_sets, policy,
+    events = PreparedBatch(*columns, [False] * len(columns[0])).compact(
+        il_shift)
+    hits = HitThresholds(events, (i_sets - 1, dl_shift, d_sets - 1, policy,
+                                  stores))
+    assert hits.thresholds.dtype == np.int32
+    expected = walk(columns, il_shift, i_sets, dl_shift, d_sets, policy,
                     stores)
     assert dict(zip(events.positions.tolist(),
-                    thresholds.tolist())) == expected
+                    hits.thresholds.tolist())) == expected
     if stores:
+        kinds = columns[1]
         proven = sorted((p, q) for p, q in expected.items()
-                        if q >= 0 and batch.kind[p] == 2)
-        at, below = events.proven_stores
+                        if q >= 0 and kinds[p] == 2)
+        at, below = hits.proven_stores
         assert list(zip(at.tolist(), below.tolist())) == proven

@@ -48,6 +48,7 @@ from repro.core.config import (
 )
 from repro.core.engine import REASON_END, REASON_SLICE, REASON_SYSCALL
 from repro.core.hierarchy import MemorySystem
+from repro.errors import SchedulingError
 from repro.obs.tracing import read_events
 from repro.params import PAGE_WORDS
 from repro.sched.process import PreparedBatch
@@ -517,27 +518,32 @@ def test_store_hit_whose_l2d_line_was_evicted(policy):
     assert pair.ref.l1d_line_state(41)["present"]
 
 
-def test_one_batch_alternates_l1i_line_sizes():
-    # The batch keeps one event index, for one L1-I line size; a machine
-    # with another line size rebuilds it.  Machines with 4- and 8-word
-    # lines take turns on one batch, a few cycles a call.
+def test_one_batch_binds_one_l1i_line_size():
+    # A process belongs to one simulation, so its batches to one machine:
+    # the first call compacts a batch for that machine's L1-I line size,
+    # under either engine, and a machine with another line size is
+    # refused before it changes any state.  An 8-word-line machine tries
+    # to take turns with a 4-word one on one batch, a few cycles a call.
     n = 48
     batch = prepared(list(range(24)) + list(range(64, 88)),
                      kinds=[1 if i % 6 == 3 else 2 if i % 10 == 7 else 0
                             for i in range(n)],
                      addrs=[(i * 5) % 64 for i in range(n)])
-    pairs = {2: Pair(machine(i_line=4)), 3: Pair(machine(i_line=8))}
-    pos = dict.fromkeys(pairs, 0)
-    calls = 0
-    while any(p < n for p in pos.values()):
-        for il_shift, pair in pairs.items():
-            if pos[il_shift] < n:
-                consumed, _ = pair.call(batch, pos[il_shift], pair.now + 7)
-                pos[il_shift] += consumed
-                assert batch.events.key[0] == il_shift
-                calls += 1
-    assert calls > 10
-    assert pairs[2].ref.stats.l1i_misses != pairs[3].ref.stats.l1i_misses
+    pair = Pair(machine(i_line=4))
+    others = [MemorySystem(machine(i_line=8), engine=e) for e in ENGINES]
+    pos = calls = 0
+    while pos < n:
+        consumed, _ = pair.call(batch, pos, pair.now + 7)
+        pos += consumed
+        calls += 1
+        assert batch.pc is None and batch.events.il_shift == 2
+        for ms in others:
+            before = state(ms)
+            if pos < n:
+                with pytest.raises(SchedulingError, match="4-word"):
+                    ms.run_slice(batch, pos, ms.now + 7)
+            assert state(ms) == before
+    assert calls > 5 and len(batch) == n
 
 
 # -- inline L1 misses ------------------------------------------------------

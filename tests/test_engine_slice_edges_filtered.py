@@ -38,7 +38,7 @@ def skippable(batch, start: int) -> list:
     """The events a filtering call from ``start`` skips, by position."""
     events = batch.events
     return [p for p, q in zip(events.positions.tolist(),
-                              events.thresholds().tolist()) if q >= start]
+                              events.hits.thresholds.tolist()) if q >= start]
 
 
 def test_far_call_to_the_same_set_between_two_fetches():

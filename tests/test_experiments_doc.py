@@ -1,10 +1,11 @@
 """EXPERIMENTS.md cites the committed reports, cell for cell.
 
 The Table 1, Fig. 2 to Fig. 11, ``l1size``, ``scaling``, ``variance``,
-``clockrate``, ``pareto`` and write-path ablation sections quote
-``results/table1.txt``, ``fig2.txt`` to ``fig11.txt``, ``l1size.txt``,
-``scaling.txt``, ``variance.txt``, ``clockrate.txt``, ``pareto.txt``,
-``wbdepth.txt``, ``wboverlap.txt`` and ``coloring.txt``.  These tests
+``clockrate``, ``pareto``, ``tech`` and write-path ablation sections
+quote ``results/table1.txt``, ``fig2.txt`` to ``fig11.txt``,
+``l1size.txt``, ``scaling.txt``, ``variance.txt``, ``clockrate.txt``,
+``pareto.txt``, ``tech.txt``, ``wbdepth.txt``, ``wboverlap.txt`` and
+``coloring.txt``.  These tests
 parse the markdown tables and the numbers in the findings and check
 each against the report, so a regenerated report and the document
 cannot drift apart.  Where a test checks a column or a paragraph, every
@@ -17,6 +18,10 @@ import math
 import re
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+
+from repro.tech import MCM, interconnect_fraction
+from repro.tech.sram import GAAS_1KX32
+from repro.tech.timing import paper_expectations
 
 ROOT = Path(__file__).resolve().parent.parent
 DOC = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
@@ -702,3 +707,47 @@ def test_clockrate_matches_report():
               f"{fast}, CPI from {rounded(table[slow][4], 2)} to "
               f"{rounded(table[fast][4], 2)} ✔")
     assert doc.all_cited()
+
+
+#: Each row of the ``tech`` section's table: the report row it quotes
+#: and the key of the paper's value in ``paper_expectations()``.
+TECH_ROWS = {
+    "L1 (4 KW, GaAs, on MCM)": ("L1 (4KW)", "l1_read_cycles"),
+    "L2-I (32 KW, GaAs, on MCM)": ("L2-I (32KW, on MCM)",
+                                   "l2i_on_mcm_cycles"),
+    "unified L2 (256 KW, BiCMOS, off MCM)": ("unified L2 (256KW)",
+                                             "l2_unified_cycles"),
+    "same, 2-way": ("unified L2 (256KW, 2-way)", "l2_unified_2way_cycles"),
+}
+
+
+def test_tech_table_matches_report():
+    # component, part, mount, chips, total ns, cycles ("-": no array)
+    _, findings, lines = report("tech")
+    rule = next(i for i, line in enumerate(lines) if set(line) == {"-"})
+    derived = {}
+    for line in lines[rule + 1:lines.index("findings:")]:
+        label, _, _, *values = re.split(r"\s{2,}", line.strip())
+        derived[label] = values
+    paper = paper_expectations()
+    *arrays, memory = markdown_rows(section("tech"))
+    assert [cells[0] for cells in arrays] == list(TECH_ROWS)
+    for component, chips, total_ns, cycles, quoted in arrays:
+        label, key = TECH_ROWS[component]
+        want_chips, want_ns, want_cycles = derived[label]
+        assert chips == want_chips, component
+        places = len(total_ns.partition(".")[2])
+        assert total_ns == rounded(want_ns, places), component
+        assert (cycles, quoted) == (want_cycles, str(paper[key])), component
+    clean = derived["main memory (clean miss)"]
+    dirty = derived["main memory (dirty miss)"]
+    assert clean[:2] == dirty[:2] == ["-", "-"]
+    assert memory == [
+        "main memory clean / dirty miss", "—", "—",
+        f"{clean[2]} / {dirty[2]}",
+        f"{paper['clean_miss_cycles']} / {paper['dirty_miss_cycles']}"]
+    text = " ".join(section("tech").split())
+    mismatches = Decimal(findings["mismatches_vs_paper"])
+    assert f"**{mismatches:.0f} mismatches**" in text
+    fraction = interconnect_fraction(MCM, 512, GAAS_1KX32.access_ns)
+    assert f"({rounded(100 * fraction, 0)} % at 512 chips)" in text

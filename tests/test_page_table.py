@@ -9,7 +9,9 @@ from repro.errors import ConfigurationError, TraceError
 from repro.mmu.page_table import DENSE_SLOTS_PER_RECORD, PageTable
 from repro.params import PAGE_WORDS
 from repro.sched.process import PreparedBatch
+from repro.trace.benchmarks import default_suite
 from repro.trace.record import KIND_LOAD, KIND_NONE, KIND_STORE, TraceBatch
+from repro.trace.synthetic import SyntheticBenchmark
 
 
 class TestTranslation:
@@ -146,6 +148,34 @@ _scatter = st.lists(st.integers(0, 2**24), min_size=1, max_size=200)
 _columns = st.lists(st.one_of(_long_run, _alternating, _far, _scatter),
                     max_size=6).map(lambda parts: np.array(
                         [a for part in parts for a in part], dtype=np.int64))
+
+
+class TestPhantomPageZero:
+    def test_preparing_a_batch_maps_page_0(self):
+        # Non-data rows carry address 0 and from_batch translates the
+        # whole addr column, so preparing a Table 1 batch for pid 3 maps
+        # (3, 0), though none of the batch's fetches or data accesses is
+        # on page 0 (DESIGN §6).  The phantom frame takes a slot of its
+        # colour, so the next page of that colour lands one colour span
+        # (256 frames, 1,024 KW) higher than without it: only frame bits
+        # above the colour bits move.
+        batch = SyntheticBenchmark(default_suite()[0]).next_batch()
+        data = batch.kind != KIND_NONE
+        assert not data.all()
+        assert (batch.pc // PAGE_WORDS).min() > 0
+        assert (batch.addr[data] // PAGE_WORDS).min() > 0
+        table, without = PageTable(), PageTable()
+        PreparedBatch.from_batch(batch, pid=3, page_table=table)
+        without.translate_batch(3, batch.pc)
+        without.translate_batch(3, batch.addr[data])
+
+        def pages(t):
+            return {(pid, vpage) for pid, vpage, _ in t.state_dict()["map"]}
+
+        assert (3, 0) not in pages(without)
+        assert pages(table) == pages(without) | {(3, 0)}
+        assert table.translate_page(3, 256) == (
+            without.translate_page(3, 256) + table.colors)
 
 
 class TestBatchTranslationOracle:

@@ -34,18 +34,41 @@ class TestPreparedBatch:
         assert len(prepared) == 2
 
     def test_columns_are_numpy(self):
-        process = make_process(1, [make_batch(pcs=[1, 2, 3],
-                                              kinds=[0, 1, 2],
-                                              addrs=[0, 5, 6])])
+        # Five per-instruction columns, 19 bytes a record, until the
+        # first run compacts the batch to its events (every record but
+        # the last, which continues pc 9's line): int32 positions, L1-I
+        # lines and addresses, uint8 kinds and bool partial flags, 14
+        # bytes an event, and int32 system-call positions.
+        process = make_process(1, [make_batch(
+            pcs=[1, 2, 3, 9, 10], kinds=[0, 1, 2, 0, 0],
+            addrs=[0, 5, 6, 0, 0], syscall=[False, True, False, False,
+                                            False])])
         batch, _ = process.current()
         columns = (batch.pc, batch.kind, batch.addr, batch.partial,
                    batch.syscall)
         assert all(isinstance(column, np.ndarray)
-                   and column.flags.c_contiguous and len(column) == 3
+                   and column.flags.c_contiguous and len(column) == 5
                    for column in columns)
         assert [column.dtype for column in columns] == [
             np.int64, np.uint8, np.int64, np.bool_, np.bool_]
-        assert sum(column.nbytes for column in columns) == 19 * 3
+        assert sum(column.nbytes for column in columns) == 19 * 5
+        memsys = MemorySystem(tiny_config())
+        assert memsys.run_slice(batch, 0, 1 << 40).consumed == 2
+        assert len(batch) == 5
+        assert (batch.pc, batch.kind, batch.addr, batch.partial,
+                batch.syscall) == (None,) * 5
+        events = batch.events
+        columns = (events.positions, events.lines, events.kinds,
+                   events.addrs, events.partials)
+        assert all(isinstance(column, np.ndarray)
+                   and column.flags.c_contiguous and len(column) == 4
+                   for column in columns)
+        assert [column.dtype for column in columns] == [
+            np.int32, np.int32, np.uint8, np.int32, np.bool_]
+        assert sum(column.nbytes for column in columns) == 14 * 4
+        assert events.positions.tolist() == [0, 1, 2, 3]
+        assert events.syscalls.dtype == np.int32
+        assert events.syscalls.tolist() == [1]
 
     def test_batched_call_converts_no_full_batch(self):
         # A batch of an odd length that nothing else in the process has.
@@ -55,11 +78,11 @@ class TestPreparedBatch:
         assert n == 5003
         memsys = MemorySystem(base_architecture(), engine="batched")
         memsys.run_slice(batch, pos, memsys.now + 4000)
-        index = batch.events
-        assert index.key[0] == memsys._il_shift
+        events = batch.events
+        assert events.il_shift == memsys._il_shift
         assert all(isinstance(array, np.ndarray) for array in (
-            index.positions, index.lines, index.kinds, index.addrs,
-            index.partials, index.syscalls))
+            events.positions, events.lines, events.kinds, events.addrs,
+            events.partials, events.syscalls))
         gc.collect()
         assert not [obj for obj in gc.get_objects()
                     if isinstance(obj, list) and len(obj) == n]

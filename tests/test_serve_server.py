@@ -314,6 +314,29 @@ class TestDrain:
         finally:
             server.release.set()
 
+    def test_drain_line_rates_simulated_instructions(self, server):
+        # One cold and one cached point: the closing line of repro-serve
+        # start divides the simulated instructions by the simulation's
+        # wall time, not the node's uptime, and names the cached ones
+        # apart.
+        from repro.serve.cli import drain_summary
+
+        client = no_retry_client(server)
+        assert client.simulate(request_body())["cached"] is False
+        time.sleep(0.5)  # idle uptime the rate must not divide by
+        assert client.simulate(request_body())["cached"] is True
+        server.drain(grace_s=2.0)
+        events = server.telemetry.events
+        assert [e["cached"] for e in events] == [False, True]
+        wall = events[0]["wall_s"]
+        assert 0 < wall < server.telemetry.elapsed_s - 0.5
+        instructions = 2 * INSTRUCTIONS
+        assert drain_summary(server.telemetry) == (
+            f"2 points, 1 cache hits (50.0%), {instructions:,} "
+            f"instructions simulated in {wall:.3f}s "
+            f"({instructions / wall / 1e6:.2f} M instr/s), "
+            f"{instructions:,} from the cache")
+
     def test_drain_is_idempotent(self, server):
         assert server.drain(grace_s=1.0)["clean"] is True
         assert server.drain(grace_s=1.0)["clean"] is True
