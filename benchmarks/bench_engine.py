@@ -9,7 +9,7 @@ tracing disabled (the default):
   ≥3× engine-level target and the CI floor apply to.  The event-indexed
   batched engine skips most of its events here as provable L1 hits and
   finishes the misses that hit in L2 in its own loop, reaching about
-  5.5× (4.8× in a smoke run; the floor is 3× either way).
+  9.8× (8.9× in a smoke run; the floor is 3× either way).
 * ``paper_suite`` — the repo's calibrated Table 1 suite at level 1,
   miss rates in the paper's ranges; reported for honesty (the batched
   engine must never *lose* here).

@@ -65,7 +65,7 @@ from repro.grid.dispatcher import GridDispatcher, GridSettings, wire_body
 from repro.robust.atomic import atomic_write_text
 from repro.robust.faults import (WORKER_FAULT_ENV, FaultInjector,
                                  worker_fault_spec)
-from repro.serve.client import CircuitBreaker, RetryPolicy, ServeClient
+from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.server import ServeSettings, SimServer
 from repro.trace.benchmarks import default_suite
 
@@ -117,12 +117,11 @@ STALL_AT = 3
 GRID_CORRUPT_EVERY_S = 0.1
 #: Seed of the grid storm's cache saboteur.
 GRID_SEED = 0
-#: Dispatcher policy sized for a fast storm: quick quarantine, quick
-#: hedges, short stuck-socket timeouts.
+#: Dispatcher policy sized for a fast storm: quick quarantine, short
+#: stuck-socket timeouts.
 GRID_SETTINGS = GridSettings(
     quarantine_after=2, readmit_after_s=20.0, probe_interval_s=0.5,
-    probe_timeout_s=2.0, request_timeout_s=10.0, attempt_budget_s=12.0,
-    hedge_after_s=1.5)
+    probe_timeout_s=2.0, request_timeout_s=10.0, attempt_budget_s=12.0)
 
 # ---------------------------------------------------------- durable storm
 
@@ -328,8 +327,6 @@ def serve_storm(duration_s: float = 6.0, points: int = 3,
         _run_threads([threading.Thread(
             target=client_loop, name=f"chaos-client-{i}", daemon=True,
             args=(ServeClient(base_url, retry=retry,
-                              breaker=CircuitBreaker(failure_threshold=10,
-                                                     cooldown_s=0.5),
                               timeout_s=SERVE_DEADLINE_S + 5.0,
                               rng=random.Random(seed + i)),
                   random.Random(1000 + seed + i), i))

@@ -5,10 +5,11 @@ when*; this module holds the in-memory side — validated timing knobs
 (:class:`DurableSettings`), the coordinator's live lease table
 (:class:`LeaseTable`), and the distinction the watchdog trades on:
 
-    **slow** is a worker that still heartbeats — leave it alone (the
-    grid's hedging already races stragglers); **stuck** is a worker whose
-    lease expired with *no* heartbeat — it will never finish, so kill it,
-    journal the reclaim, and re-dispatch under the retry budget.
+    **slow** is a worker that still heartbeats — leave it alone (a
+    deterministic point gives the same result whenever it lands);
+    **stuck** is a worker whose lease expired with *no* heartbeat — it
+    will never finish, so kill it, journal the reclaim, and re-dispatch
+    under the retry budget.
 
 Every parameter is validated at construction time (PR 1's
 ``__post_init__`` discipline): a zero lease or a retry budget below one

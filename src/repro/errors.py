@@ -85,8 +85,8 @@ class ObsError(ReproError):
 
 class ServeError(ReproError):
     """The simulation service could not satisfy a request: the server
-    rejected it, retries and the circuit breaker gave up, or the client's
-    total deadline budget ran out.  Carries the last HTTP status seen
+    rejected it, the client's retries gave up, or its total deadline
+    budget ran out.  Carries the last HTTP status seen
     (0 when the failure never reached the server)."""
 
     def __init__(self, message: str, status: int = 0):

@@ -5,9 +5,9 @@ reproduction scale the synthetic traces are short enough that seed choice
 matters.  This experiment reruns the base architecture over several
 re-seeded workloads and reports mean, standard deviation and range for each
 headline metric — the error bars to read EXPERIMENTS.md's absolute numbers
-with.  Coefficients of variation of a few percent mean the qualitative
-comparisons (which dominate the reproduction) are comfortably outside
-noise.
+with.  These are spreads of absolute values across seeds.  Every point of
+a sweep runs the same seeds, so the other experiments compare paired
+values, whose spread across seeds this experiment does not measure.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ def run(scale: ExperimentScale,
             "l2_cv_percent":
                 100.0 * summaries["l2_miss_ratio"].relative_std,
         },
-        notes=("small coefficients of variation mean the qualitative "
-               "comparisons in the other experiments are outside noise"),
+        notes=("these are spreads of absolute values across seeds; every "
+               "point of a sweep runs the same seeds, so the other "
+               "experiments compare paired values"),
     )

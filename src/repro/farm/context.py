@@ -87,7 +87,6 @@ def farm_session(jobs: int = 1,
                  engine: str = DEFAULT_ENGINE,
                  energy: Optional[str] = None,
                  nodes: Optional[Sequence[str]] = None,
-                 grid_settings=None,
                  journal=None,
                  durable=None,
                  scenario: Optional[str] = None):
@@ -114,8 +113,6 @@ def farm_session(jobs: int = 1,
             fallback), and its health poller is stopped when the session
             closes.  The session's cache, journal and telemetry still
             wrap every point (see :func:`repro.farm.points.run_points`).
-        grid_settings: optional :class:`repro.grid.GridSettings`
-            overriding the dispatcher's failure policy.
         journal: write-ahead run journal (path, directory, or
             :class:`repro.durable.RunJournal`): every sweep in the
             session becomes crash-resumable exactly-once (see
@@ -142,7 +139,7 @@ def farm_session(jobs: int = 1,
     if nodes:
         from repro.grid import GridDispatcher  # deferred: optional layer
 
-        dispatcher = GridDispatcher(nodes, settings=grid_settings)
+        dispatcher = GridDispatcher(nodes)
     ctx = FarmContext(jobs=jobs, cache=cache, telemetry=telemetry,
                       task_timeout=task_timeout, retries=retries,
                       engine=engine, energy=energy, dispatcher=dispatcher,

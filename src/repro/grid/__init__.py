@@ -13,15 +13,13 @@ local pool.
 Robustness is the headline, not an afterthought:
 
 * :mod:`repro.grid.nodes` — health-checked node registry: periodic
-  ``/readyz`` probing, quarantine after consecutive failures, automatic
-  re-admission, per-node circuit breakers (shared with the transport via
-  :class:`~repro.serve.client.BreakerPool`), least-loaded placement;
-* :mod:`repro.grid.dispatcher` — per-node retry/timeout/backoff,
-  straggler detection with **hedged re-dispatch** (duplicate completions
-  reconciled first-valid-wins; the simulator's determinism makes the
-  outcome bit-identical regardless of which copy wins), and graceful
-  degradation down to local in-process execution when every backend is
-  lost — a sweep never loses a point;
+  ``/readyz`` probing, quarantine after consecutive failures (the only
+  per-node health state), automatic re-admission, least-loaded
+  placement;
+* :mod:`repro.grid.dispatcher` — one attempt per point at a time, each
+  response validated, a failed attempt re-queued on another node, and
+  graceful degradation down to local in-process execution when every
+  backend is lost — a sweep never loses a point;
 * :mod:`repro.grid.backends` — local backend launcher (real server
   subprocesses) for benchmarks, chaos, and CI;
 * :mod:`repro.grid.cli` — the ``repro-grid status`` command.

@@ -12,7 +12,8 @@ drives:
 * :meth:`BackendPool.kill` — SIGKILL, the hard crash;
 * :meth:`BackendPool.stall` — SIGSTOP (resumable via :meth:`resume`),
   the straggler/partition stand-in: the TCP socket stays open but
-  nothing answers, which is exactly what hedging must detect;
+  nothing answers, so an attempt in flight ends only at the dispatcher's
+  request timeout and the point moves to another node;
 * each backend gets a private cache directory (``backend.cache_dir``)
   so a saboteur can corrupt one node's cache without touching the rest.
 

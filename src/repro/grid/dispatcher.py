@@ -10,19 +10,15 @@ hooks the local pool takes (``on_start``, ``on_heartbeat``, ``on_retry``,
 remote execution safe:
 
 * **placement** — the :class:`~repro.grid.nodes.NodeRegistry` picks the
-  least-loaded healthy node; per-node circuit breakers (a shared
-  :class:`~repro.serve.client.BreakerPool`) fail fast on dead backends.
-* **per-node retry** — a failed attempt (transport error, 5xx, exhausted
-  client budget, *or an invalid/corrupt payload*) re-queues the point for
-  a different node, up to ``max_remote_attempts`` dispatches.
-* **hedged re-dispatch** — a point whose attempt has been in flight
-  longer than the straggler threshold (fixed ``hedge_after_s``, or
-  adaptive: ``hedge_multiplier`` × the median completed-attempt latency)
-  gets a duplicate attempt on another node.  Duplicate completions are
-  reconciled **first-valid-wins** under one lock: the first response that
-  validates becomes the result, later ones are counted and discarded.
-  The simulator is deterministic, so every valid completion of a point
-  carries the *same bits* — which copy wins cannot change the sweep.
+  least-loaded node that is not quarantined; its quarantine is the only
+  per-node health state.
+* **one attempt at a time** — a point is queued or in flight at most
+  once, so it resolves exactly once.  A slow node keeps its point until
+  it answers or ``request_timeout_s`` ends the attempt.
+* **re-queue on another node** — a failed attempt (transport error, 5xx,
+  exhausted client budget, *or an invalid/corrupt payload*) re-queues the
+  point, placed away from the node that failed when another is eligible,
+  up to ``max_remote_attempts`` dispatches.
 * **validation** — a 200 body must carry the point's own content
   address, a stats integrity digest
   (:func:`~repro.serve.protocol.stats_digest`) that matches the
@@ -30,13 +26,13 @@ remote execution safe:
   corrupted cache entry forwarded by a backend, a truncated body, a
   single flipped field) is treated as a node failure, never as a result.
 * **graceful degradation** — when no backend is usable (all quarantined,
-  breakers open, or the pool was lost entirely), points run **locally
-  in-process** through the same :func:`~repro.farm.points.execute_point`
-  the farm uses.  A sweep finishes with zero lost points even if every
-  node dies mid-flight.
+  or the pool was lost entirely) or a point exhausts its attempts, it
+  runs **locally in-process** through the same
+  :func:`~repro.farm.points.execute_point` the farm uses.  A sweep
+  finishes with zero lost points even if every node dies mid-flight.
 
-Observability: per-node dispatch counters, hedge/duplicate/fallback
-counters, and node health transitions all land in one obs
+Observability: per-node dispatch counters, the remote/local point
+counters and node health transitions all land in one obs
 :class:`~repro.obs.metrics.Registry`; when an obs trace is active, each
 dispatch hop ships the trace ID over the wire (``obs_trace``) so the
 backend's spans come back stitched under the caller's trace.
@@ -44,12 +40,10 @@ backend's spans come back stitched under the caller's trace.
 
 from __future__ import annotations
 
-import statistics
 import threading
-import time
 from dataclasses import dataclass
 from queue import Empty, Queue
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence
 
 import repro.obs as obs
 from repro.core.serialization import config_to_dict, profile_to_dict
@@ -57,11 +51,11 @@ from repro.core.stats import SimStats
 from repro.errors import (ConfigurationError, FarmCancelled, GridError,
                           ServeError)
 from repro.farm.points import PointSpec, execute_point
-from repro.grid.nodes import GridNode, NodeRegistry
+from repro.grid.nodes import NodeRegistry
 from repro.obs.metrics import Registry
 from repro.serve.protocol import stats_digest
 
-#: Scheduler tick: hedge checks and completion waits poll at this period.
+#: Scheduler tick: heartbeats and completion waits poll at this period.
 _TICK = 0.05
 
 #: HTTP statuses that condemn the *request*, not the node: retrying the
@@ -88,18 +82,9 @@ class GridSettings:
     #: Client wall-clock budget for one dispatch attempt (covers the
     #: transport's own short retries).
     attempt_budget_s: float = 45.0
-    #: Total dispatches (first + re-queues + hedges) per point before the
-    #: point degrades to local execution.
+    #: Total dispatches (first + re-queues) per point before the point
+    #: degrades to local execution.
     max_remote_attempts: int = 4
-    #: Fixed straggler threshold; ``None`` = adaptive from completed
-    #: attempt latencies.
-    hedge_after_s: Optional[float] = None
-    #: Adaptive threshold: this multiple of the median attempt latency…
-    hedge_multiplier: float = 3.0
-    #: …but never below this floor.
-    hedge_min_s: float = 1.0
-    #: Extra concurrent attempts a straggling point may hold.
-    max_hedges: int = 1
     #: Dispatcher worker threads per registered node.
     inflight_per_node: int = 2
     #: Degrade to local in-process execution when no backend is usable
@@ -114,17 +99,11 @@ class GridSettings:
             ("request_timeout_s", self.request_timeout_s),
             ("deadline_s", self.deadline_s),
             ("attempt_budget_s", self.attempt_budget_s),
-            ("hedge_multiplier", self.hedge_multiplier),
-            ("hedge_min_s", self.hedge_min_s),
         )
         for name, value in positive:
             if not value > 0:
                 raise ConfigurationError(
                     f"GridSettings.{name} must be positive, got {value!r}")
-        if self.hedge_after_s is not None and not self.hedge_after_s > 0:
-            raise ConfigurationError(
-                f"GridSettings.hedge_after_s must be positive (or None "
-                f"for adaptive), got {self.hedge_after_s!r}")
         if self.quarantine_after < 1:
             raise ConfigurationError(
                 f"GridSettings.quarantine_after must be >= 1, got "
@@ -135,10 +114,6 @@ class GridSettings:
                 f"GridSettings.max_remote_attempts must be >= 1, got "
                 f"{self.max_remote_attempts!r}: every point needs at "
                 "least one dispatch")
-        if self.max_hedges < 0:
-            raise ConfigurationError(
-                f"GridSettings.max_hedges must be >= 0, got "
-                f"{self.max_hedges!r}")
         if self.inflight_per_node < 1:
             raise ConfigurationError(
                 f"GridSettings.inflight_per_node must be >= 1, got "
@@ -146,7 +121,9 @@ class GridSettings:
 
 
 class _Task:
-    """One point's dispatch state (guarded by the dispatcher's lock)."""
+    """One point's dispatch state.  ``done``, ``result`` and
+    ``permanent_error`` are guarded by the dispatcher's lock; the attempt
+    fields belong to the one worker holding the point."""
 
     def __init__(self, index: int, spec: PointSpec, hooks: Dict[str, Any]):
         self.index = index
@@ -155,12 +132,8 @@ class _Task:
         self.key = spec.key()
         self.body = wire_body(spec)
         self.payload = spec.payload()   # canonical: local-fallback input
-        self.attempts = 0            # dispatches started (incl. hedges)
-        self.active = 0              # attempts currently in flight
-        self.active_urls: Set[str] = set()
-        self.hedges = 0
+        self.attempts = 0            # dispatches started
         self.last_failed_url: Optional[str] = None
-        self.last_dispatch: Optional[float] = None
         self.done = False
         self.result: Optional[SimStats] = None
         self.permanent_error: Optional[str] = None
@@ -169,7 +142,8 @@ class _Task:
 def wire_body(spec: PointSpec) -> Dict[str, Any]:
     """The ``/v1/simulate`` request for one point.  Field-for-field the
     same description the cache key hashes, so the backend's computed key
-    must equal ``spec.key()`` — the validity check hedging relies on."""
+    must equal ``spec.key()`` — the first check of
+    :meth:`GridDispatcher._validate`."""
     body: Dict[str, Any] = {
         "config": config_to_dict(spec.config),
         "workload": {
@@ -216,12 +190,6 @@ class GridDispatcher:
             labels=("source",))
         for source in ("remote", "local"):
             self._m_points.labels(source)
-        self._m_hedges = self.metrics.counter(
-            "grid_hedges_total", "straggler hedge dispatches")
-        self._m_duplicates = self.metrics.counter(
-            "grid_duplicates_total",
-            "duplicate completions discarded by reconciliation")
-        self._attempt_latencies: List[float] = []
         self._lock = threading.Lock()
         # Serializes the caller's hooks: worker-thread completions against
         # the supervisor's heartbeats.
@@ -278,9 +246,9 @@ class GridDispatcher:
 
         * ``on_start(index)`` once per point, before its first dispatch;
         * ``on_heartbeat(index)`` every scheduler tick while the point is
-          unresolved (hedging stays the answer to slow stragglers);
+          unresolved (a slow attempt ends at ``request_timeout_s``);
         * ``on_retry(index, what)`` when the point is lost for good —
-          re-dispatches and hedges stay inside the dispatcher;
+          re-dispatches stay inside the dispatcher;
         * ``on_result(index, value)`` once, when the point resolves:
           ``value`` has the validated ``stats`` snapshot, ``wall_s`` and
           ``source`` (``"grid"``, or ``"grid-local"`` plus the local
@@ -312,10 +280,7 @@ class GridDispatcher:
             return done_event.is_set() or (stop_event is not None
                                            and stop_event.is_set())
 
-        # Headroom for hedges: a straggler's duplicate attempt needs a
-        # free worker while the primary is still blocked in its call.
-        capacity = len(tasks) * (1 + self.settings.max_hedges)
-        workers = min(capacity,
+        workers = min(len(tasks),
                       max(1, len(self.registry.nodes)
                           * self.settings.inflight_per_node))
         threads = [threading.Thread(
@@ -327,7 +292,7 @@ class GridDispatcher:
             thread.start()
         cancelled = False
         try:
-            cancelled = self._supervise(tasks, queue, done_event, stop_event,
+            cancelled = self._supervise(tasks, done_event, stop_event,
                                         on_heartbeat)
         finally:
             done_event.set()
@@ -360,50 +325,20 @@ class GridDispatcher:
 
     # ------------------------------------------------------------ scheduling
 
-    def _supervise(self, tasks: List[_Task],
-                   queue: "Queue[Optional[_Task]]",
-                   done_event: threading.Event, stop_event,
-                   on_heartbeat) -> bool:
-        """Wait for completion, hedging stragglers as they appear;
-        returns whether ``stop_event`` cut the wait short."""
+    def _supervise(self, tasks: List[_Task], done_event: threading.Event,
+                   stop_event, on_heartbeat) -> bool:
+        """Wait for completion, heartbeating unresolved points; returns
+        whether ``stop_event`` cut the wait short."""
         while not done_event.wait(_TICK):
             if stop_event is not None and stop_event.is_set():
                 return True
             if on_heartbeat is not None:
-                # Unresolved points are in flight or queued, not abandoned
-                # (a slow one is the hedging loop's problem).
+                # Unresolved points are in flight or queued, not abandoned.
                 with self._hook_lock:
                     for task in tasks:
                         if not task.done:
                             on_heartbeat(task.index)
-            threshold = self._hedge_threshold()
-            if threshold is None:
-                continue
-            now = time.monotonic()
-            with self._lock:
-                for task in tasks:
-                    if (not task.done
-                            and task.active >= 1
-                            and task.hedges < self.settings.max_hedges
-                            and task.attempts
-                            < self.settings.max_remote_attempts
-                            and task.last_dispatch is not None
-                            and now - task.last_dispatch > threshold):
-                        task.hedges += 1
-                        self._m_hedges.inc()
-                        queue.put(task)
         return False
-
-    def _hedge_threshold(self) -> Optional[float]:
-        if self.settings.hedge_after_s is not None:
-            return self.settings.hedge_after_s
-        with self._lock:
-            latencies = list(self._attempt_latencies)
-        if not latencies:
-            return None     # no signal yet; the attempt budget bounds us
-        return max(self.settings.hedge_min_s,
-                   self.settings.hedge_multiplier
-                   * statistics.median(latencies))
 
     # --------------------------------------------------------------- workers
 
@@ -431,20 +366,15 @@ class GridDispatcher:
 
     def _attempt(self, task: _Task, queue: "Queue[Optional[_Task]]",
                  task_finished) -> None:
-        """One dispatch attempt: place, send, validate, reconcile."""
-        with self._lock:
-            if task.done:
-                return
-            exclude = set(task.active_urls)
+        """One dispatch attempt: place, send, validate, then resolve or
+        re-queue.  Only the worker holding the point touches its
+        attempt state."""
+        node = None
+        if task.last_failed_url is not None:
             # Retry on a *different* node than the one that just failed
             # (soft preference: dropped if nobody else is usable).
-            if task.last_failed_url is not None:
-                exclude.add(task.last_failed_url)
-        node = self.registry.acquire(exclude=exclude)
-        if node is None and exclude:
-            # Better a repeat/duplicate node than no attempt at all.
-            node = self.registry.acquire(exclude=task.active_urls)
-        if node is None and task.active_urls:
+            node = self.registry.acquire(exclude=(task.last_failed_url,))
+        if node is None:
             node = self.registry.acquire()
         if node is None:
             self._run_local(
@@ -452,15 +382,7 @@ class GridDispatcher:
                 f"no usable backend for point {task.spec.label!r} and "
                 "local fallback is disabled")
             return
-        with self._lock:
-            if task.done:       # a hedge twin won while we were placing
-                self.registry.release(node)
-                return
-            task.attempts += 1
-            task.active += 1
-            task.active_urls.add(node.url)
-            task.last_dispatch = time.monotonic()
-        started = time.monotonic()
+        task.attempts += 1
         body = dict(task.body)
         body["deadline_s"] = self.settings.deadline_s
         trace = self._trace
@@ -481,7 +403,6 @@ class GridDispatcher:
                 # The request itself is condemned; no node can fix it.
                 permanent = (f"backend rejected point "
                              f"{task.spec.label!r}: {exc}")
-            outcome = "error"
         else:
             stats = self._validate(task, response)
             outcome = "ok" if stats is not None else "invalid"
@@ -491,65 +412,43 @@ class GridDispatcher:
 
         if stats is not None:
             self.registry.note_success(node)
-            with self._lock:
-                self._attempt_latencies.append(time.monotonic() - started)
-                del self._attempt_latencies[:-64]
             if trace is not None and isinstance(response.get("trace"), dict):
                 for record in response["trace"].get("spans", []):
                     if isinstance(record, dict):
                         trace.add_record(record)
-            self._reconcile(task, node, stats, {
+            self._resolve(task, stats, {
                 "stats": response["stats"],
                 "wall_s": float(response.get("wall_s", 0.0)),
-                "source": "grid"}, task_finished)
+                "source": "grid"}, "remote", task_finished)
             return
 
         # Failure path: an invalid payload is as damning as a refused
         # connection — the node produced garbage.
         self.registry.note_failure(node)
-        with self._lock:
-            if task.done:
-                return
-            task.active -= 1
-            task.active_urls.discard(node.url)
-            task.last_failed_url = node.url
-            retry = task.attempts < self.settings.max_remote_attempts
-            last_hope = task.active == 0
+        task.last_failed_url = node.url
         if permanent is not None:
             # The request is condemned, not just this node: no re-queue.
             self._run_local(task, task_finished, "request_condemned",
                             permanent)
-        elif retry:
+        elif task.attempts < self.settings.max_remote_attempts:
             queue.put(task)
-        elif last_hope:
+        else:
             self._run_local(
                 task, task_finished, "retries_exhausted",
                 f"point {task.spec.label!r} exhausted its remote attempts "
                 "and local fallback is disabled")
-        # else: a hedge twin is still in flight; if it also fails it will
-        # reach this branch with active == 0 and fall back locally.
 
-    # ---------------------------------------------------------- reconciling
+    # ------------------------------------------------------------ resolving
 
-    def _reconcile(self, task: _Task, node: GridNode, stats: SimStats,
-                   value: Dict[str, Any], task_finished) -> None:
-        """First-valid-wins: exactly one completion resolves the point.
-
-        Determinism note: the simulator guarantees every valid completion
-        of one point carries identical bits, so the race between a
-        primary and its hedge can only decide *who* reports the result,
-        never *what* it is.
-        """
+    def _resolve(self, task: _Task, stats: SimStats, value: Dict[str, Any],
+                 source: str, task_finished) -> None:
+        """Resolve ``task`` with a result and deliver it.  A point is
+        queued or in flight at most once, so this runs once per point."""
         with self._lock:
-            task.active -= 1
-            task.active_urls.discard(node.url)
-            if task.done:
-                self._m_duplicates.inc()
-                return
             task.done = True
             task.result = stats
             task_finished()
-        self._m_points.labels("remote").inc()
+        self._m_points.labels(source).inc()
         self._call(task, "on_result", value)
 
     def _validate(self, task: _Task,
@@ -590,9 +489,6 @@ class GridDispatcher:
         if not self.settings.local_fallback:
             self._resolve_permanent(task, error, task_finished)
             return
-        with self._lock:
-            if task.done:
-                return
         payload = dict(task.payload)
         trace = self._trace
         if trace is not None:
@@ -614,22 +510,12 @@ class GridDispatcher:
             for record in value.get("trace_spans", ()):
                 if isinstance(record, dict):
                     trace.add_record(record)
-        with self._lock:
-            if task.done:
-                self._m_duplicates.inc()
-                return
-            task.done = True
-            task.result = stats
-            task_finished()
-        self._m_points.labels("local").inc()
         value["source"] = "grid-local"
-        self._call(task, "on_result", value)
+        self._resolve(task, stats, value, "local", task_finished)
 
     def _resolve_permanent(self, task: _Task, message: str,
                            task_finished) -> None:
         with self._lock:
-            if task.done:
-                return
             task.done = True
             task.permanent_error = message
             task_finished()

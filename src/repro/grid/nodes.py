@@ -4,13 +4,14 @@ A :class:`NodeRegistry` owns one :class:`GridNode` per backend URL and
 answers the only two questions the dispatcher asks:
 
 * *"who should run this point?"* — :meth:`NodeRegistry.acquire` picks the
-  least-loaded eligible node (healthy, circuit not open, not already
-  attempting the same point) and accounts the in-flight slot;
+  least-loaded eligible node (healthy, or on probation past its
+  cooldown; optionally not the node that just failed the point) and
+  accounts the in-flight slot;
 * *"who is healthy?"* — a background poller probes every node's
   ``/readyz`` each ``probe_interval_s``, keeping the latest load signals
   (queue depth, in-flight count, engine list) for load-aware placement.
 
-Failure policy, mirroring the per-node circuit breaker one level up:
+Failure policy — the only per-node health state the grid keeps:
 
 * ``quarantine_after`` **consecutive** failures (probe or dispatch) move a
   node to quarantine — no traffic, no probes — for ``readmit_after_s``;
@@ -34,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.errors import GridError
 from repro.obs.metrics import Registry
-from repro.serve.client import BreakerPool, RetryPolicy, ServeClient
+from repro.serve.client import RetryPolicy, ServeClient
 
 
 def normalize_node_url(url: str) -> str:
@@ -47,19 +48,16 @@ def normalize_node_url(url: str) -> str:
     return url
 
 
-def default_client_factory(timeout_s: float,
-                           breakers: BreakerPool
-                           ) -> Callable[[str], ServeClient]:
-    """Per-node clients with a shared breaker pool and *short* internal
-    retries — the dispatcher owns cross-node retries, so the transport
-    only smooths over a single 429/hiccup instead of stalling a slot."""
+def default_client_factory(timeout_s: float) -> Callable[[str], ServeClient]:
+    """Per-node clients with *short* internal retries — the dispatcher
+    owns cross-node retries, so the transport only smooths over a single
+    429/hiccup instead of stalling a slot."""
 
     def make(url: str) -> ServeClient:
         return ServeClient(url,
                            retry=RetryPolicy(max_attempts=2,
                                              base_delay_s=0.05,
                                              max_delay_s=0.5),
-                           breakers=breakers,
                            timeout_s=timeout_s)
 
     return make
@@ -101,8 +99,6 @@ class GridNode:
             "quarantines": self.quarantines,
             "last_probe_ok": self.last_probe_ok,
             "last_ready": dict(self.last_ready),
-            "breaker": self.client.breaker.snapshot()
-            if hasattr(self.client, "breaker") else None,
         }
 
 
@@ -118,10 +114,7 @@ class NodeRegistry:
         request_timeout_s: socket timeout for dispatch clients built by
             the default factory.
         client_factory: ``url -> client``; injectable for tests.  The
-            default builds :class:`~repro.serve.client.ServeClient`s
-            sharing one per-node :class:`BreakerPool`.
-        breakers: optional shared breaker pool (one is created if
-            omitted).
+            default builds :class:`~repro.serve.client.ServeClient`s.
         clock: injectable monotonic clock for tests.
         metrics: obs registry receiving the transition counters.
     """
@@ -133,7 +126,6 @@ class NodeRegistry:
                  probe_timeout_s: float = 2.0,
                  request_timeout_s: float = 30.0,
                  client_factory: Optional[Callable[[str], Any]] = None,
-                 breakers: Optional[BreakerPool] = None,
                  clock: Callable[[], float] = time.monotonic,
                  metrics: Optional[Registry] = None):
         if not urls:
@@ -145,10 +137,8 @@ class NodeRegistry:
         self.probe_interval_s = probe_interval_s
         self.probe_timeout_s = probe_timeout_s
         self._clock = clock
-        self.breakers = breakers if breakers is not None else BreakerPool()
         if client_factory is None:
-            client_factory = default_client_factory(request_timeout_s,
-                                                    self.breakers)
+            client_factory = default_client_factory(request_timeout_s)
         self.metrics = metrics if metrics is not None else Registry()
         self._m_probes = self.metrics.counter(
             "grid_probes_total", "readyz probes by node and outcome",
@@ -173,15 +163,10 @@ class NodeRegistry:
     # ----------------------------------------------------------- accounting
 
     def _eligible(self, node: GridNode) -> bool:
-        """Lock held.  Healthy, or on probation past its cooldown; and
-        the node's circuit is not hard-open."""
-        if node.quarantined:
-            if self._clock() - node.quarantined_at < self.readmit_after_s:
-                return False
-        breaker = getattr(node.client, "breaker", None)
-        if breaker is not None and breaker.state == breaker.OPEN:
-            return False
-        return True
+        """Lock held.  Healthy, or on probation past its cooldown."""
+        return (not node.quarantined
+                or self._clock() - node.quarantined_at
+                >= self.readmit_after_s)
 
     def acquire(self, exclude: Sequence[str] = ()) -> Optional[GridNode]:
         """Pick the least-loaded eligible node (ties broken by URL, so
@@ -251,9 +236,7 @@ class NodeRegistry:
         signals fresh), quarantined ones only past their cooldown."""
         for node in list(self.nodes):
             with self._lock:
-                due = (not node.quarantined
-                       or self._clock() - node.quarantined_at
-                       >= self.readmit_after_s)
+                due = self._eligible(node)
             if due:
                 self.probe(node)
 

@@ -10,8 +10,8 @@ cache.  ``repro.serve`` turns the batch farm into that service:
   readiness/metrics endpoints, and graceful SIGTERM/SIGINT drain that
   finishes or checkpoints in-flight simulations and exits 0;
 * :mod:`repro.serve.client` — a client with exponential-backoff +
-  full-jitter retries honoring ``Retry-After``, a total deadline budget,
-  and a half-opening circuit breaker;
+  full-jitter retries honoring ``Retry-After`` and a total deadline
+  budget;
 * :mod:`repro.serve.protocol` — the validated request/response wire
   format (a bad request is a 400 with a message, never a traceback);
 * :mod:`repro.serve.cli` — the ``repro-serve`` command.
@@ -26,12 +26,7 @@ Quickstart::
     kill -TERM %1      # graceful drain, exit 0
 """
 
-from repro.serve.client import (
-    BreakerPool,
-    CircuitBreaker,
-    RetryPolicy,
-    ServeClient,
-)
+from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     parse_simulate_request,
@@ -41,8 +36,6 @@ from repro.serve.protocol import (
 from repro.serve.server import Metrics, ServeSettings, SimServer
 
 __all__ = [
-    "BreakerPool",
-    "CircuitBreaker",
     "Metrics",
     "PROTOCOL_VERSION",
     "RetryPolicy",

@@ -10,7 +10,7 @@ Usage::
 ``start`` serves until SIGINT/SIGTERM and then drains gracefully (stop
 accepting, finish or checkpoint in-flight simulations, exit 0).
 ``simulate`` is the retrying client: it backs off with jitter on 429/503,
-honors ``Retry-After``, and fails fast once its circuit breaker opens.
+honors ``Retry-After``, and gives up when its time budget runs out.
 ``metrics`` prints the server's Prometheus text exposition.
 The service's fault storm is ``repro-chaos serve`` (:mod:`repro.chaos`).
 """

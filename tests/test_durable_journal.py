@@ -264,8 +264,7 @@ def test_done_is_terminal_against_late_claims():
                 lease_s=30.0, deadline_unix=1e12, attempt=1),
         _record(2, "point_done", index=0, key=KEYS[0], cache_key=KEYS[0],
                 stats_sha256="ab" * 32),
-        # A straggler claim (e.g. a hedge) lands after done: it must not
-        # resurrect the point.
+        # A late claim lands after done: it must not resurrect the point.
         _record(3, "point_claimed", index=0, key=KEYS[0], owner="h:2",
                 lease_s=30.0, deadline_unix=1e12, attempt=2),
     ])

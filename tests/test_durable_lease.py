@@ -4,7 +4,7 @@ The durability PR's validation satellite: every retry/backoff/lease knob
 — :class:`~repro.durable.lease.DurableSettings`, the pool's
 heartbeat/lease arguments, :class:`~repro.grid.dispatcher.GridSettings`,
 :class:`~repro.serve.server.ServeSettings`, the serve client's
-:class:`~repro.serve.client.RetryPolicy` and circuit breaker — rejects
+:class:`~repro.serve.client.RetryPolicy` — rejects
 nonsense at construction time with :class:`ConfigurationError`, before
 any run starts.  Plus the live-lease table and owner-liveness probes.
 """
@@ -136,11 +136,7 @@ def test_pool_rejects_bad_liveness_params():
     (dict(attempt_budget_s=-3.0), "attempt_budget_s"),
     (dict(quarantine_after=0), "quarantine_after"),
     (dict(max_remote_attempts=0), "max_remote_attempts"),
-    (dict(max_hedges=-1), "max_hedges"),
     (dict(inflight_per_node=0), "inflight_per_node"),
-    (dict(hedge_after_s=0.0), "hedge_after_s"),
-    (dict(hedge_multiplier=0.0), "hedge_multiplier"),
-    (dict(hedge_min_s=0.0), "hedge_min_s"),
 ])
 def test_grid_settings_validation(kwargs, match):
     from repro.grid.dispatcher import GridSettings
@@ -173,7 +169,7 @@ def test_serve_settings_validation(kwargs, match):
 
 
 def test_serve_client_validation():
-    from repro.serve.client import CircuitBreaker, RetryPolicy
+    from repro.serve.client import RetryPolicy
 
     RetryPolicy()
     with pytest.raises(ConfigurationError, match="max_attempts"):
@@ -182,8 +178,3 @@ def test_serve_client_validation():
         RetryPolicy(base_delay_s=-0.1)
     with pytest.raises(ConfigurationError, match="max_delay_s"):
         RetryPolicy(base_delay_s=2.0, max_delay_s=1.0)
-    CircuitBreaker()
-    with pytest.raises(ConfigurationError, match="failure_threshold"):
-        CircuitBreaker(failure_threshold=0)
-    with pytest.raises(ConfigurationError, match="cooldown_s"):
-        CircuitBreaker(cooldown_s=0.0)

@@ -677,6 +677,9 @@ def test_variance_matches_report():
         mean, std, _, _, cv = table[metric]
         doc.cites("variance", f"{name} {rounded(mean, 3)} ± "
                               f"{rounded(std, 3)} (CV {rounded(cv, 1)} %)")
+    note = next(line for line in lines
+                if line.startswith("notes: "))[len("notes: "):]
+    doc.cites("variance", note[0].upper() + note[1:])
     assert doc.all_cited()
 
 

@@ -1,8 +1,8 @@
 """The grid dispatcher against scriptable fake backends: bit-identical
-results, retries, hedged re-dispatch reconciliation, the local-fallback
-guarantee that no point is ever lost, cancellation by a stop event, and
-``run_points``' cache, journal and telemetry around grid-executed
-points."""
+results, retries, one dispatch per point while its attempt is in flight,
+the local-fallback guarantee that no point is ever lost, cancellation by
+a stop event, and ``run_points``' cache, journal and telemetry around
+grid-executed points."""
 
 import json
 import sys
@@ -85,10 +85,6 @@ def _reset_fakes():
 def dispatcher(urls, **settings_kwargs):
     settings_kwargs.setdefault("probe_interval_s", 60.0)
     settings_kwargs.setdefault("attempt_budget_s", 10.0)
-    # Hedging off unless the test is about hedging: the fakes simulate
-    # in-process, so genuine CPU contention would otherwise trip the
-    # adaptive straggler threshold and break exact call-count asserts.
-    settings_kwargs.setdefault("hedge_after_s", 60.0)
     return GridDispatcher(list(urls),
                           settings=GridSettings(**settings_kwargs),
                           client_factory=FakeServeClient)
@@ -295,62 +291,21 @@ class TestRetries:
         assert total_calls == 1
 
 
-class TestHedging:
-    """Satellite: duplicate completions reconcile to exactly one result,
-    bit-identical to serial, even when one copy is corrupted."""
-
-    def test_duplicate_completions_yield_exactly_one_result(self):
-        wanted = specs(1)
+class TestSlowNode:
+    def test_slow_node_keeps_its_points(self):
+        """A point is queued or in flight at most once: a node that takes
+        1.5 s per call keeps its points until they answer, and no second
+        copy of any point is dispatched."""
+        wanted = specs(3)
         truth = serial(wanted)
-
-        def slow(body):
-            time.sleep(0.4)
-
-        FakeServeClient.behaviors["http://a-slow"] = slow
-        with dispatcher(["http://a-slow", "http://b-fast"],
-                        hedge_after_s=0.05, max_hedges=1) as grid:
+        FakeServeClient.behaviors["http://a"] = lambda body: time.sleep(1.5)
+        with dispatcher(["http://a", "http://b"]) as grid:
             got = grid.run_points(wanted)
-        assert len(got) == 1
         assert [s.to_dict() for s in got] == truth
-        assert grid._m_hedges.value == 1
-        # The straggler finished too; its copy was discarded, not lost,
-        # not double-counted.
-        assert grid._m_duplicates.value == 1
-        assert grid._m_points.value_of("remote") == 1
-
-    def test_corrupted_duplicate_never_wins(self):
-        wanted = specs(1)
-        truth = serial(wanted)
-
-        def slow(body):
-            time.sleep(0.4)
-
-        def corrupt(response):
-            response["stats"] = dict(response["stats"], cycles=1)
-
-        FakeServeClient.behaviors["http://a-slow"] = slow
-        FakeServeClient.mangles["http://a-slow"] = corrupt
-        with dispatcher(["http://a-slow", "http://b-fast"],
-                        hedge_after_s=0.05, max_hedges=1) as grid:
-            got = grid.run_points(wanted)
-        assert len(got) == 1
-        assert [s.to_dict() for s in got] == truth
-        assert grid._m_hedges.value == 1
-        assert grid._m_dispatch.value_of("http://a-slow", "invalid") == 1
-
-    def test_hedge_winner_is_deterministic_bits(self):
-        # Run the race twice; whoever wins, the bytes are the same.
-        wanted = specs(1)
-        outcomes = []
-        for _ in range(2):
-            def slow(body):
-                time.sleep(0.2)
-
-            FakeServeClient.behaviors = {"http://a-slow": slow}
-            with dispatcher(["http://a-slow", "http://b-fast"],
-                            hedge_after_s=0.05, max_hedges=1) as grid:
-                outcomes.append(grid.run_points(wanted)[0].to_dict())
-        assert outcomes[0] == outcomes[1]
+        assert "http://a" in FakeServeClient.calls
+        assert sum(len(c) for c in FakeServeClient.calls.values()) == 3
+        assert grid._m_dispatch.value == 3
+        assert grid._m_points.value_of("remote") == 3
 
 
 class TestDegradation:

@@ -54,7 +54,6 @@ def settings(**overrides):
     overrides.setdefault("probe_timeout_s", 2.0)
     overrides.setdefault("request_timeout_s", 10.0)
     overrides.setdefault("attempt_budget_s", 10.0)
-    overrides.setdefault("hedge_after_s", 60.0)
     overrides.setdefault("quarantine_after", 1)
     return GridSettings(**overrides)
 

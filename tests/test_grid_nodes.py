@@ -78,17 +78,6 @@ class TestPlacement:
         reg = registry()
         assert reg.acquire(exclude=["http://a", "http://b"]) is None
 
-    def test_open_breaker_excludes_node(self):
-        reg = registry()
-
-        class OpenBreaker:
-            OPEN = "open"
-            state = "open"
-
-        next(n for n in reg.nodes
-             if n.url == "http://a").client.breaker = OpenBreaker()
-        assert reg.acquire().url == "http://b"
-
 
 class TestQuarantine:
     def test_consecutive_failures_quarantine(self):

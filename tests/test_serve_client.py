@@ -1,18 +1,12 @@
 """Client defences in isolation: backoff with jitter, Retry-After as a
-floor, the total budget, and the circuit breaker's state machine."""
+floor, and the total budget."""
 
-import json
 import random
 
 import pytest
 
 from repro.errors import ServeError
-from repro.serve.client import (
-    BreakerPool,
-    CircuitBreaker,
-    RetryPolicy,
-    ServeClient,
-)
+from repro.serve.client import RetryPolicy, ServeClient
 
 
 class ScriptedClient(ServeClient):
@@ -37,7 +31,6 @@ def client(script, **kwargs):
     kwargs.setdefault("retry", RetryPolicy(max_attempts=4,
                                            base_delay_s=0.01,
                                            max_delay_s=0.05))
-    kwargs.setdefault("breaker", CircuitBreaker(failure_threshold=100))
     kwargs.setdefault("rng", random.Random(7))
     return ScriptedClient("http://test", **kwargs).begin(script)
 
@@ -112,116 +105,3 @@ class TestRetryPolicy:
         rng = random.Random(1)
         delays = {policy.delay(3, rng) for _ in range(20)}
         assert len(delays) > 1
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=5.0,
-                                 clock=lambda: clock[0])
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.allow() is False
-
-    def test_half_open_allows_exactly_one_probe(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
-                                 clock=lambda: clock[0])
-        breaker.record_failure()
-        clock[0] = 6.0
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.allow() is True   # the probe
-        assert breaker.allow() is False  # everyone else waits
-
-    def test_successful_probe_closes(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
-                                 clock=lambda: clock[0])
-        breaker.record_failure()
-        clock[0] = 6.0
-        assert breaker.allow() is True
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow() is True
-
-    def test_failed_probe_reopens(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
-                                 clock=lambda: clock[0])
-        breaker.record_failure()
-        clock[0] = 6.0
-        assert breaker.allow() is True
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.allow() is False
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-
-class TestBreakerPool:
-    def test_one_breaker_per_node_normalized(self):
-        pool = BreakerPool()
-        assert pool.for_node("http://a:1") is pool.for_node("http://a:1/")
-        assert pool.for_node("http://a:1") is not pool.for_node("http://b:2")
-
-    def test_one_dead_node_does_not_blind_the_pool(self):
-        pool = BreakerPool(failure_threshold=1, cooldown_s=60.0)
-        pool.for_node("http://dead").record_failure()
-        assert pool.for_node("http://dead").state == CircuitBreaker.OPEN
-        assert pool.for_node("http://alive").state == CircuitBreaker.CLOSED
-        assert pool.for_node("http://alive").allow() is True
-
-    def test_client_draws_its_breaker_from_the_pool(self):
-        pool = BreakerPool(failure_threshold=2, cooldown_s=60.0)
-        c = ScriptedClient("http://test", breakers=pool,
-                           retry=RetryPolicy(max_attempts=5,
-                                             base_delay_s=0.001,
-                                             max_delay_s=0.001),
-                           rng=random.Random(7)).begin([DOWN, DOWN])
-        with pytest.raises(ServeError, match="circuit breaker"):
-            c.simulate({}, budget_s=60)
-        assert pool.for_node("http://test").state == CircuitBreaker.OPEN
-        assert pool.for_node("http://other").state == CircuitBreaker.CLOSED
-
-    def test_snapshot_is_json_ready_per_node(self):
-        pool = BreakerPool(failure_threshold=1, cooldown_s=60.0)
-        pool.for_node("http://a/").record_failure()
-        pool.for_node("http://b")
-        snap = pool.snapshot()
-        assert json.loads(json.dumps(snap)) == snap
-        assert snap["http://a"]["state"] == CircuitBreaker.OPEN
-        assert snap["http://b"]["state"] == CircuitBreaker.CLOSED
-
-
-class TestClientWithBreaker:
-    def test_transport_failures_open_the_circuit(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=60.0)
-        c = client([DOWN, DOWN], breaker=breaker,
-                   retry=RetryPolicy(max_attempts=5, base_delay_s=0.001,
-                                     max_delay_s=0.001))
-        with pytest.raises(ServeError, match="circuit breaker"):
-            c.simulate({}, budget_s=60)
-        assert c.calls == 2  # third attempt failed fast, no transport
-
-    def test_http_errors_do_not_open_the_circuit(self):
-        # A 429 means the server is alive; the breaker guards against a
-        # *dead* server, not an unhappy one.
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=60.0)
-        c = client([SHED, SHED, SHED], breaker=breaker,
-                   retry=RetryPolicy(max_attempts=3, base_delay_s=0.001,
-                                     max_delay_s=0.001))
-        with pytest.raises(ServeError) as excinfo:
-            c.simulate({}, budget_s=60)
-        assert excinfo.value.status == 429
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert c.calls == 3
