@@ -19,9 +19,9 @@ def prepare():
     profile = default_suite(INSTRUCTIONS)[0]
     batch = SyntheticBenchmark(profile,
                                batch_size=INSTRUCTIONS).next_batch()
-    prepared = PreparedBatch.from_batch(batch, pid=1,
-                                        page_table=PageTable())
-    return prepared
+    il_shift = MemorySystem(base_architecture())._il_shift
+    return PreparedBatch.from_batch(batch, pid=1, page_table=PageTable(),
+                                    il_shift=il_shift)
 
 
 def test_simulator_throughput(benchmark):

@@ -27,13 +27,13 @@ The protocol between the two sides is deliberately narrow:
 * an engine is constructed with the :class:`MemorySystem` it drives;
 * ``run_slice(batch, start, deadline)`` executes instructions of a
   :class:`~repro.sched.process.PreparedBatch` and returns a
-  :class:`SliceResult`.  An engine first compacts the batch for the
-  machine's L1-I line size (``batch.compact(ms._il_shift)``), which
-  leaves its event columns, NumPy arrays, as its only copy; it converts
-  to Python values only the part one call can reach, and may keep
-  per-batch data with the events (the batched engine's hit thresholds),
-  freed with them.  Engines hold no other state between calls, so a
-  checkpoint restore needs no hook.
+  :class:`SliceResult`.  The batch is its event columns, NumPy arrays
+  built for the machine's L1-I line size when its process pulled it
+  (``MemorySystem.run_slice`` refuses one built for another size); an
+  engine converts to Python values only the part one call can reach,
+  and may keep per-batch data with the events (the batched engine's hit
+  thresholds), freed with them.  Engines hold no other state between
+  calls, so a checkpoint restore needs no hook.
 
 Policy and refill/timing handlers live in :mod:`repro.core.engine.policies`
 and :mod:`repro.core.engine.timing`; dispatch is resolved **once at

@@ -11,18 +11,17 @@ The event columns
 -----------------
 
 An instruction is an event when its L1-I line differs from the previous
-instruction's, or when it accesses data.  The first call on a
-:class:`~repro.sched.process.PreparedBatch`, under either engine,
-compacts it to its :class:`~repro.sched.process.Events`, NumPy columns
-of int32 wherever every value fits: their positions, each event's L1-I
-line, kind, address and partial flag, and the system-call positions.
-They are the batch's only copy from then on, and are freed with it.
-Each call finds the slice of the events it can reach (at one cycle per
-instruction, none past ``start + deadline - now``) and zips memoryviews
-of it, which yield one event at a time: a call converts only the events
-it runs.  Every value the loop passes on is a Python ``int`` or
-``bool``: a NumPy scalar would leak into statistics, obs events and
-``state_dict()``.
+instruction's, or when it accesses data.  A
+:class:`~repro.sched.process.PreparedBatch` is its events, built when
+its process pulled it: NumPy columns of int32 wherever every value
+fits, of their positions, each event's L1-I line, code (kind and
+partial flag in one byte) and address, and of the system-call
+positions.  Each call finds the slice of the events it can reach (at
+one cycle per instruction, none past ``start + deadline - now``) and
+zips memoryviews of its four columns, which yield one event at a time:
+a call converts only the events it runs.  Every value the loop passes
+on is a Python ``int`` or ``bool``: a NumPy scalar would leak into
+statistics, obs events and ``state_dict()``.
 
 Provable hits
 -------------
@@ -30,7 +29,8 @@ Provable hits
 Both L1s are direct-mapped, so a line stays resident through its
 *run*, the accesses to its set since another line last touched it.  Per
 event, :class:`HitThresholds` holds a *threshold*, built from the event
-columns on the first call that filters and kept with them: the position
+columns on the first call that filters and kept with them (a call that
+never filters never builds them): the position
 of the latest earlier access ``q`` of its run, in the batch, that proves
 it an L1 hit, or -1.
 
@@ -96,10 +96,14 @@ Why skipping is exact
 Inline stores and misses
 ------------------------
 
-Events run the reference loop's code.  The common cases of the miss and
-store handlers are finished inline, with no call; everything else calls
-the same bound handlers (``ms._ifetch_miss``, ``ms._load_miss``,
-``ms._store``).  The inline paths are:
+Events run the reference loop's code.  The common cases of the TLB
+probe and of the miss and store handlers are finished inline, with no
+call; everything else calls the same bound methods (``TLB.access``,
+``ms._ifetch_miss``, ``ms._load_miss``, ``ms._store``).  The inline
+paths are:
+
+* A probe of a page that is its TLB set's most recently used entry only
+  counts the probe, as ``TLB.access``'s hit on that entry does.
 
 * A write-back store hit sets the line's dirty mark and costs one extra
   cycle, as ``store_write_back``'s hit branch does.
@@ -123,9 +127,10 @@ the same bound handlers (``ms._ifetch_miss``, ``ms._load_miss``,
   (``push_write``'s direct-mapped hit, ``WriteBuffer.push`` without a
   stall), the refill cycles and the L1 install.
 
-Their counters (misses, L2 accesses and hits, refill and buffer stalls,
-L2 write accesses, buffer pushes, retirements and peak occupancy) are
-kept in locals and flushed at the end of the call, before the energy
+Their counters (TLB probes, misses, L2 accesses and hits, refill and
+buffer stalls, L2 write accesses, buffer pushes, retirements and peak
+occupancy) are kept in locals and flushed at the end of the call,
+before the statistics copy the TLBs' counters and before the energy
 fold.  Why the inline misses are exact:
 
 * The probes only read, and the wait touches only the buffer, because
@@ -167,14 +172,15 @@ from repro.core.engine import (
 )
 from repro.obs import runtime as _obs
 from repro.params import PAGE_WORDS, log2i
-from repro.sched.process import changes
+from repro.sched.process import PARTIAL, changes
+from repro.trace.record import KIND_LOAD, KIND_STORE
 
 _PAGE_SHIFT = log2i(PAGE_WORDS)
 
 
 #: A call skips provable hits only when the slice it can reach holds
 #: more than this many events.  Filtering costs a compare of that slice,
-#: an ``np.flatnonzero`` and a five-column ``take``, plus the batch's
+#: an ``np.flatnonzero`` and a four-column ``take``, plus the batch's
 #: thresholds on its first filtering call.  With every call filtering
 #: (and a boolean-mask compress in place of the ``take``), ``short_slice``
 #: (2,000-cycle slices: 5,871 calls reaching 966 events each on average,
@@ -232,24 +238,24 @@ def _run_witnesses(sets, lines, witness, provable, flagged=None,
 
 
 class HitThresholds:
-    """Per event of a batch's :class:`~repro.sched.process.Events`, the
+    """Per event of a :class:`~repro.sched.process.PreparedBatch`, the
     position of the latest earlier access in the batch that proves it an
     L1 hit, or -1 (``thresholds``, int32; see the module docstring).
 
     ``key`` is ``(i_mask, dl_shift, d_mask, write policy, whether stores
-    are proven)``: with the events' L1-I line size, all they depend on
+    are proven)``: with the batch's L1-I line size, all they depend on
     besides the batch.  ``proven_stores`` holds the positions and
     thresholds (int32) of the proven stores, if any.
     """
 
     __slots__ = ("key", "thresholds", "proven_stores")
 
-    def __init__(self, events, key: tuple):
+    def __init__(self, batch, key: tuple):
         i_mask, dl_shift, d_mask, policy, stores = key
-        il_shift = events.il_shift
-        positions = events.positions
-        lines = events.lines
-        kinds = events.kinds
+        il_shift = batch.il_shift
+        positions = batch.positions
+        lines = batch.lines
+        codes = batch.codes
         self.key = key
         self.proven_stores = None
         # L1-I side: a run of one line is one access to its set, proven
@@ -273,9 +279,10 @@ class HitThresholds:
         # the line readable: any access for a write-back load, a store
         # for a write-back store, a load for a write-through load, and
         # under subblock placement a load or full-word store of its word.
-        data = np.flatnonzero(kinds != 0)
-        addrs = events.addrs.take(data)
-        loads = kinds.take(data) == 1
+        data = np.flatnonzero(codes != 0)
+        addrs = batch.addrs.take(data)
+        codes = codes.take(data)
+        loads = codes == KIND_LOAD
         provable = ~changes(addrs >> _PAGE_SHIFT)
         at = positions.take(data)
         dlines = addrs >> dl_shift
@@ -285,7 +292,8 @@ class HitThresholds:
         else:
             provable &= loads
             if policy is WritePolicy.SUBBLOCK:
-                flagged = loads | ~events.partials.take(data)
+                # A load or a full-word store.
+                flagged = codes != (KIND_STORE | PARTIAL)
                 words = addrs & ((1 << dl_shift) - 1)
             elif policy is not WritePolicy.WRITE_BACK:
                 flagged = loads
@@ -322,9 +330,8 @@ class BatchedEngine(Engine):
         reason = REASON_END
         if start < n:
             il_shift = ms._il_shift
-            events = batch.compact(il_shift)
-            ev = events.positions
-            sys_pos = events.syscalls
+            ev = batch.positions
+            sys_pos = batch.syscalls
             # int32 queries: a Python int would make NumPy cast the
             # whole column to int64.
             j = sys_pos.searchsorted(np.int32(start))
@@ -338,8 +345,7 @@ class BatchedEngine(Engine):
                 (start, (reach if reach < last else last) + 1), np.int32)
             lo, hi = ev.searchsorted(bounds).tolist()
             columns = [column[lo:hi] for column in (
-                ev, events.lines, events.kinds, events.addrs,
-                events.partials)]
+                ev, batch.lines, batch.codes, batch.addrs)]
             skipped = ()
             filtered = hi - lo > FILTER_MIN_EVENTS
             if filtered:
@@ -349,9 +355,9 @@ class BatchedEngine(Engine):
                 # inline paths are.
                 key = (*self._key,
                        self._write_back and not ms._dirty_bit_bypass)
-                proofs = events.hits
+                proofs = batch.hits
                 if proofs is None or proofs.key != key:
-                    proofs = events.hits = HitThresholds(events, key)
+                    proofs = batch.hits = HitThresholds(batch, key)
                 run = np.flatnonzero(proofs.thresholds[lo:hi] < start)
                 columns = [column.take(run) for column in columns]
                 if proofs.proven_stores is not None:
@@ -365,15 +371,15 @@ class BatchedEngine(Engine):
                 # runs on positions moved one later per skipped store
                 # before them, so i + c stays the clock.
                 columns[0] = real + skipped.searchsorted(real)
-            # Memoryviews yield Python ints and bools, one per step, so
+            # Memoryviews yield Python ints, one per step, so
             # the loop converts only the events it reaches.
             positions, *rest = map(memoryview, columns)
             rows = zip(positions, *rest)
             if not positions or positions[0] != start:
                 # Not an event, so it accesses no data and is in the line
                 # of the event before it.
-                rows = chain(
-                    ((start, int(events.lines[lo - 1]), 0, 0, False),), rows)
+                rows = chain(((start, int(batch.lines[lo - 1]), 0, 0),),
+                             rows)
 
             itags = ms._itags
             ip_shift = _PAGE_SHIFT - il_shift
@@ -387,8 +393,14 @@ class BatchedEngine(Engine):
             dline_mask = ms._dline_mask
             d_full_valid = ms._d_full_valid
             tlb_on = ms._tlb_enabled
-            itlb_access = ms.itlb.access
-            dtlb_access = ms.dtlb.access
+            itlb = ms.itlb
+            dtlb = ms.dtlb
+            itlb_access = itlb.access
+            dtlb_access = dtlb.access
+            itlb_sets = itlb._sets
+            dtlb_sets = dtlb._sets
+            itlb_set_mask = itlb.sets - 1
+            dtlb_set_mask = dtlb.sets - 1
             tlb_penalty = ms._tlb_penalty
             ifetch_miss = ms._ifetch_miss
             load_miss = ms._load_miss
@@ -425,6 +437,7 @@ class BatchedEngine(Engine):
             victim_step = max(1, victim_cost - wb.overlap_cycles)
             max_occupancy = wb.max_occupancy
 
+            itlb_probes = dtlb_probes = 0
             loads = stores = write_hits = wt_hits = retired = 0
             i_misses = read_misses = wo_misses = write_misses = 0
             victims = stall_wb = 0
@@ -432,7 +445,7 @@ class BatchedEngine(Engine):
             # The clock after a free step at position i is i + c; only a
             # stall moves c.
             c = now + 1 - start
-            for i, iline, kind, addr, partial in rows:
+            for i, iline, code, addr in rows:
                 if i + c > cutoff:
                     # The deadline falls before i: k events ran.
                     k = bisect_left(positions, i)
@@ -443,7 +456,12 @@ class BatchedEngine(Engine):
                         page = iline >> ip_shift
                         if page != last_ipage:
                             last_ipage = page
-                            if not itlb_access(0, page):
+                            # TLB.access's hit on its set's most recently
+                            # used entry; keep them in step.
+                            tlb_set = itlb_sets[page & itlb_set_mask]
+                            if tlb_set and tlb_set[0] == (0, page):
+                                itlb_probes += 1
+                            elif not itlb_access(0, page):
                                 c += tlb_penalty
                                 st.stall_tlb += tlb_penalty
                     if itags[iline & i_mask] != iline:
@@ -463,18 +481,23 @@ class BatchedEngine(Engine):
                             itags[iline & i_mask] = iline
                         else:
                             c = ifetch_miss(i + c, iline) - i
-                if not kind:
+                if not code:
                     continue
                 if tlb_on:
                     page = addr >> _PAGE_SHIFT
                     if page != last_dpage:
                         last_dpage = page
-                        if not dtlb_access(0, page):
+                        # TLB.access's hit on its set's most recently
+                        # used entry; keep them in step.
+                        tlb_set = dtlb_sets[page & dtlb_set_mask]
+                        if tlb_set and tlb_set[0] == (0, page):
+                            dtlb_probes += 1
+                        elif not dtlb_access(0, page):
                             c += tlb_penalty
                             st.stall_tlb += tlb_penalty
                 dline = addr >> dl_shift
                 index = dline & d_mask
-                if kind == 1:
+                if code == KIND_LOAD:
                     loads += 1
                     if (dtags[index] == dline and not dwrite_only[index]
                             and (dvalid[index] >> (addr & dline_mask)) & 1):
@@ -512,12 +535,14 @@ class BatchedEngine(Engine):
                                     wt_hits += 1
                                     if occupancy >= max_occupancy:
                                         max_occupancy = occupancy + 1
-                                    if subblock and not partial:
+                                    if subblock and code == KIND_STORE:
                                         dvalid[index] |= 1 << (
                                             addr & dline_mask)
                                     ddirty[index] = ms._dirty_epoch
                                     continue
-                        c = store(i + c, addr, partial) - i
+                        # A store's code is KIND_STORE, with PARTIAL for
+                        # a partial-word one.
+                        c = store(i + c, addr, code != KIND_STORE) - i
                         continue
                 # A load miss, or a write-back store miss: both refill the
                 # line from L2-D.  The policy's miss branch, with
@@ -551,7 +576,7 @@ class BatchedEngine(Engine):
                             if not max_occupancy:
                                 max_occupancy = 1
                         c += d_refill
-                        if kind == 1:
+                        if code == KIND_LOAD:
                             read_misses += 1
                             if victim == dline and dwrite_only[index]:
                                 wo_misses += 1
@@ -563,10 +588,10 @@ class BatchedEngine(Engine):
                         dwrite_only[index] = 0
                         dvalid[index] = d_full_valid
                         continue
-                if kind == 1:
+                if code == KIND_LOAD:
                     c = load_miss(i + c, dline, index) - i
                 else:
-                    c = store(i + c, addr, partial) - i
+                    c = store(i + c, addr, code != KIND_STORE) - i
             else:
                 k = len(positions)  # every reachable event ran
             # The last instruction run: where free steps after the last
@@ -597,7 +622,8 @@ class BatchedEngine(Engine):
             if filtered:
                 # A skipped load still counts: count every load up to end.
                 m = ev.searchsorted(np.int32(end), "right")
-                loads = int(np.count_nonzero(events.kinds[lo:m] == 1))
+                loads = int(np.count_nonzero(
+                    batch.codes[lo:m] == KIND_LOAD))
             end += 1
             # The inline paths' counters, flushed before the energy fold.
             d_misses = read_misses + write_misses
@@ -621,6 +647,9 @@ class BatchedEngine(Engine):
             wb.retired += retired
             if max_occupancy > wb.max_occupancy:
                 wb.max_occupancy = max_occupancy
+            # TLB.access's probe count; keep them in step.
+            itlb.probes += itlb_probes
+            dtlb.probes += dtlb_probes
 
         consumed = end - start
         ms.now = now

@@ -7,11 +7,12 @@ L1-D load-hit check), TLB probes on page crossings, and cycle accounting
 into the Fig. 4 stall components.  Misses and stores dispatch through the
 policy and timing handlers bound on the memory system at construction.
 Each call rebuilds from the batch's event columns
-(:meth:`repro.sched.process.Events.window`) only the per-instruction
-window it can reach, and converts that to lists: it spends at least one
-cycle per instruction, so no more than ``max(1, deadline - now)``
-instructions.  The loop reads each instruction's L1-I line, not its
-``pc``: the line and its page are all the fetch side uses.
+(:meth:`repro.sched.process.PreparedBatch.window`) only the
+per-instruction window it can reach, and converts that to lists: it
+spends at least one cycle per instruction, so no more than
+``max(1, deadline - now)`` instructions.  The loop reads each
+instruction's L1-I line, not its ``pc``: the line and its page are all
+the fetch side uses.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ class ReferenceEngine(Engine):
         il_shift = ms._il_shift
         stop = min(len(batch), start + max(1, deadline - now))
         ilines, kinds, addrs, partials, syscalls = (
-            column.tolist()
-            for column in batch.compact(il_shift).window(start, stop))
+            column.tolist() for column in batch.window(start, stop))
 
         itags = ms._itags
         ip_shift = _PAGE_SHIFT - il_shift

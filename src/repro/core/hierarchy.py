@@ -429,19 +429,24 @@ class MemorySystem:
         system call is executed, or ``deadline`` (absolute cycle) is
         reached.
 
-        ``batch`` is a :class:`~repro.sched.process.PreparedBatch`,
-        already translated to physical addresses.  The first call on it
-        compacts it, under either engine, to its event columns for this
-        machine's L1-I line size
-        (:meth:`~repro.sched.process.PreparedBatch.compact`), which
-        replace its five per-instruction columns; the batched engine
-        keeps its hit thresholds with them, so both are built once per
-        batch rather than once per call.  The engine converts to Python
-        values only the part of the batch this call can reach.
-        Execution is delegated to the configured engine
+        ``batch`` is a :class:`~repro.sched.process.PreparedBatch`: the
+        event columns of a physically translated batch, built when its
+        process pulled it, for this machine's L1-I line size.  A batch
+        prepared for another line size raises
+        :class:`~repro.errors.SchedulingError` before any state changes.
+        The batched engine keeps its hit thresholds with the events, so
+        they are built once per batch rather than once per call.  The
+        engine converts to Python values only the part of the batch this
+        call can reach.  Execution is delegated to the configured engine
         (:mod:`repro.core.engine`); every engine produces bit-identical
         statistics and state.
         """
+        if batch.il_shift != self._il_shift:
+            from repro.errors import SchedulingError
+
+            raise SchedulingError(
+                f"batch prepared for {1 << batch.il_shift}-word L1-I "
+                f"lines, run with {1 << self._il_shift}-word lines")
         return self.engine.run_slice(batch, start, deadline)
 
     # ------------------------------------------------------------- inspection

@@ -41,9 +41,8 @@ _PAGE_SHIFT = log2i(PAGE_WORDS)
 #: :meth:`PageTable.translate_batch` looks pages up in a slot table over
 #: a column's page span when the span is at most this many slots per
 #: record, and sorts the column's page runs otherwise.  A full synthetic
-#: batch's ``addr`` column spans 1.5-2 slots per record (its non-data
-#: rows carry address 0, on page 0); a trace's short last batch spans
-#: 15-19 and is sorted.
+#: batch's data addresses span 2-4 slots per record and its event pcs a
+#: few pages; a trace's short last batch spans far more and is sorted.
 DENSE_SLOTS_PER_RECORD = 4
 
 

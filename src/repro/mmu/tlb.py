@@ -58,6 +58,9 @@ class TLB:
             if len(entry_set) > self.ways:
                 entry_set.pop()
             return False
+        # A hit on the set's most recently used entry (position 0) only
+        # counts the probe: the batched engine does that inline; keep
+        # them in step.
         if position:
             del entry_set[position]
             entry_set.insert(0, tag)

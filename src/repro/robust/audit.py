@@ -85,12 +85,10 @@ class InvariantAuditor:
 
     def observe(self, batch, pos: int, consumed: int) -> None:
         """Record the ``consumed`` instructions of ``batch`` starting at
-        ``pos`` that the timing model just executed (so the batch holds
-        its event columns)."""
+        ``pos`` that the timing model just executed."""
         if self._mirror is None or consumed <= 0:
             return
-        _, kinds, addrs, partials, _ = batch.events.window(pos,
-                                                           pos + consumed)
+        _, kinds, addrs, partials, _ = batch.window(pos, pos + consumed)
         mirror = self._mirror
         recent = self._recent
         for kind, addr, partial in zip(kinds.tolist(), addrs.tolist(),

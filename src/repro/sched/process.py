@@ -1,13 +1,12 @@
-"""A simulated process: a PID, a trace source, and translated batches.
+"""A simulated process: a PID, a trace source, and prepared batches.
 
 The paper's simulator multiplexes per-benchmark trace pipes through file
-descriptors; here each :class:`Process` pulls batches from its trace source,
-translates them to physical addresses through the shared page table (page
-coloring preserves cache index bits), and hands the simulator the columns
-as NumPy arrays.  The first run compacts a batch to its events for the
-machine's L1-I line size, which are then its only copy, and an engine
-converts to Python values only the part of a batch that one call can
-reach.
+descriptors; here each :class:`Process` pulls batches from its trace source
+and prepares each one as it pulls it: a :class:`PreparedBatch` holds the
+batch's *events* for the machine's L1-I line size, translated to physical
+addresses through the shared page table (page coloring preserves cache
+index bits), as NumPy columns.  An engine converts to Python values only
+the part of a batch that one call can reach.
 
 Every batch is validated before it reaches the hot loop: a corrupt trace
 record (unknown access kind, negative address, mismatched column lengths)
@@ -28,6 +27,10 @@ from repro.params import MAX_PROCESSES
 from repro.trace.record import KIND_STORE, TraceBatch
 from repro.trace.stream import TraceSource
 
+#: An event's code is its access kind (``repro.trace.record.KIND_*``) with
+#: this bit set for a partial-word store.
+PARTIAL = 1 << 2
+
 
 def changes(values: np.ndarray) -> np.ndarray:
     """Per value, whether it differs from the one before (the first
@@ -42,35 +45,102 @@ def _narrow(values: np.ndarray) -> np.ndarray:
     return values.astype(int_dtype(values), copy=False)
 
 
-class Events:
-    """A prepared batch's *events* for one L1-I line size, as NumPy
-    columns.
+def translate_events(page_table: PageTable, pid: int, pcs: np.ndarray,
+                     addr: np.ndarray, rows: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """The physical addresses of a batch's event pcs ``pcs`` and of the
+    addresses of its data rows ``rows`` in its virtual address column
+    ``addr``.
+
+    Frames are allocated exactly as translating the batch's whole pc
+    column, then its whole address column, would.  The event pcs cover
+    every page of the pc column, because a page's first instruction in a
+    batch is a line change.  The address column also holds the address
+    of every row without a data access, normally 0: then page 0 is
+    mapped (the phantom frame of DESIGN §6) before the data pages, which
+    is where ascending page order puts it.  A row without a data access
+    but with another address (only a foreign trace file has one) sends
+    the whole column through translation.
+    """
+    pcs = page_table.translate_batch(pid, pcs)
+    data = addr.take(rows)
+    if len(rows) < len(addr):
+        if np.count_nonzero(data) < np.count_nonzero(addr):
+            return pcs, page_table.translate_batch(pid, addr).take(rows)
+        page_table.translate_page(pid, 0)
+    return pcs, page_table.translate_batch(pid, data)
+
+
+class PreparedBatch:
+    """One trace batch, physically translated, as its *events* for one
+    L1-I line size.
 
     An instruction is an event when its L1-I line (``pc >> il_shift``)
     differs from the previous instruction's (the first one's always
     does) or when it accesses data.  ``positions`` (sorted) and
-    ``syscalls`` are positions in the batch; ``lines``, ``kinds``,
-    ``addrs`` and ``partials`` hold each event's L1-I line and data
-    access.  Positions are int32, and lines and addresses too when
-    every value fits (:func:`~repro.mmu.page_table.int_dtype`).
-    ``hits`` is where the batched engine keeps the batch's hit
-    thresholds (:class:`repro.core.engine.batched.HitThresholds`).
+    ``syscalls`` are positions in the batch, int32; ``lines``, ``codes``
+    and ``addrs`` hold each event's L1-I line, the code of its data
+    access (``kind | partial << 2``, uint8: :data:`PARTIAL` marks a
+    partial-word store) and its address (0 without a data access).
+    Lines and addresses are int32 when every value fits
+    (:func:`~repro.mmu.page_table.int_dtype`).  ``hits`` is where the
+    batched engine keeps the batch's hit thresholds
+    (:class:`repro.core.engine.batched.HitThresholds`).  No column is
+    per instruction: :meth:`window` rebuilds those.
+
+    The constructor takes five per-instruction columns (pcs, kinds,
+    addresses, partial and system-call flags): physical ones, as
+    hand-written tests pass them, or with ``page_table`` the virtual
+    ones of process ``pid``, of which it translates only what the events
+    keep (:func:`translate_events`).  :meth:`from_batch` validates a
+    trace batch first.  A batch belongs to one process, and a process to
+    one simulation, so a machine with another L1-I line size refuses it
+    (``MemorySystem.run_slice``).
     """
 
-    __slots__ = ("il_shift", "positions", "lines", "kinds", "addrs",
-                 "partials", "syscalls", "hits")
+    __slots__ = ("il_shift", "positions", "lines", "codes", "addrs",
+                 "syscalls", "hits", "dropped", "_length")
 
-    def __init__(self, batch: "PreparedBatch", il_shift: int):
-        lines = batch.pc >> il_shift
-        positions = np.flatnonzero((batch.kind != 0) | changes(lines))
+    def __init__(self, pc, kind, addr, partial, syscall, il_shift: int,
+                 dropped: int = 0, page_table: Optional[PageTable] = None,
+                 pid: int = 0):
+        pc = np.ascontiguousarray(pc, dtype=np.int64)
+        kind = np.ascontiguousarray(kind, dtype=np.uint8)
+        addr = np.ascontiguousarray(addr, dtype=np.int64)
+        partial = np.ascontiguousarray(partial, dtype=bool)
+        flags = changes(pc >> il_shift)
+        np.logical_or(flags, kind, out=flags)
+        positions = np.flatnonzero(flags)
+        del flags
+        codes = kind.take(positions)
+        # A partial flag counts on a store only, as a valid trace has it,
+        # and sets PARTIAL, bit 2.
+        codes |= (partial.take(positions)
+                  & (codes == KIND_STORE)).view(np.uint8) << 2
+        # A compare first: np.flatnonzero of a boolean column is several
+        # times faster than of a uint8 one.
+        data = np.flatnonzero(codes != 0)
+        rows = positions.take(data)
+        pcs = pc.take(positions)
+        if page_table is None:
+            addrs = addr.take(rows)
+        else:
+            pcs, addrs = translate_events(page_table, pid, pcs, addr, rows)
+        np.right_shift(pcs, il_shift, out=pcs)
         self.il_shift = il_shift
         self.positions = positions.astype(np.int32)
-        self.lines = _narrow(lines.take(positions))
-        self.kinds = batch.kind.take(positions)
-        self.addrs = _narrow(batch.addr.take(positions))
-        self.partials = batch.partial.take(positions)
-        self.syscalls = np.flatnonzero(batch.syscall).astype(np.int32)
+        self.lines = _narrow(pcs)
+        self.codes = codes
+        self.addrs = np.zeros(len(positions), int_dtype(addrs))
+        self.addrs[data] = addrs
+        self.syscalls = np.flatnonzero(syscall).astype(np.int32)
         self.hits = None
+        #: Malformed records dropped during preparation (skip mode only).
+        self.dropped = dropped
+        self._length = len(pc)
+
+    def __len__(self) -> int:
+        return self._length
 
     def window(self, start: int, stop: int) -> tuple:
         """The instructions at positions ``start`` to ``stop - 1`` as
@@ -86,82 +156,34 @@ class Events:
         lines = self.lines.take(positions.searchsorted(at, "right") - 1)
         lo, hi = positions.searchsorted(bounds).tolist()
         rows = positions[lo:hi] - start
-        kinds = np.zeros(len(at), np.uint8)
-        kinds[rows] = self.kinds[lo:hi]
+        codes = np.zeros(len(at), np.uint8)
+        codes[rows] = self.codes[lo:hi]
         addrs = np.zeros(len(at), self.addrs.dtype)
         addrs[rows] = self.addrs[lo:hi]
-        partials = np.zeros(len(at), bool)
-        partials[rows] = self.partials[lo:hi]
         syscalls = np.zeros(len(at), bool)
         first, last = self.syscalls.searchsorted(bounds).tolist()
         syscalls[self.syscalls[first:last] - start] = True
-        return lines, kinds, addrs, partials, syscalls
-
-
-class PreparedBatch:
-    """One trace batch, physically translated, held once.
-
-    It is made of five per-instruction NumPy columns: ``pc``, ``kind``,
-    ``addr``, ``partial`` and ``syscall``.  The first
-    ``MemorySystem.run_slice`` on it, under either engine, compacts it
-    to its :class:`Events` for that machine's L1-I line size
-    (:meth:`compact`) and drops the columns, which then read ``None``.
-    A batch belongs to one process, and a process to one simulation, so
-    compacting it again for another line size raises
-    :class:`~repro.errors.SchedulingError`.
-    """
-
-    __slots__ = ("pc", "kind", "addr", "partial", "syscall", "dropped",
-                 "events", "_length", "_trace")
-
-    def __init__(self, pc, kind, addr, partial, syscall, dropped: int = 0):
-        self.pc = np.ascontiguousarray(pc, dtype=np.int64)
-        self.kind = np.ascontiguousarray(kind, dtype=np.uint8)
-        self.addr = np.ascontiguousarray(addr, dtype=np.int64)
-        self.partial = np.ascontiguousarray(partial, dtype=bool)
-        self.syscall = np.ascontiguousarray(syscall, dtype=bool)
-        #: Malformed records dropped during preparation (skip mode only).
-        self.dropped = dropped
-        #: The batch's :class:`Events`, once it has run.
-        self.events: Optional[Events] = None
-        self._length = len(self.pc)
-        #: The untranslated batch, freed with the columns (:meth:`compact`).
-        self._trace: Optional[TraceBatch] = None
-
-    def __len__(self) -> int:
-        return self._length
-
-    def compact(self, il_shift: int) -> Events:
-        """The batch's events for L1-I lines of ``2 ** il_shift`` words,
-        built on the first call, which drops the per-instruction
-        columns."""
-        events = self.events
-        if events is None:
-            events = self.events = Events(self, il_shift)
-            # The columns and the untranslated batch are freed together,
-            # once the events exist: the next batch's preparation then
-            # reuses their memory.  Freeing the untranslated batch first,
-            # when ``Process.current`` returned, raised the minor page
-            # faults of a paper_l8 run from 4-6K to 12-14K, most of them
-            # in the next batch's translation, and cost fig5_sweep 3.6%
-            # of its instructions per second on a 2-vCPU host.
-            self.pc = self.kind = self.addr = None
-            self.partial = self.syscall = self._trace = None
-        elif events.il_shift != il_shift:
-            raise SchedulingError(
-                f"batch compacted for {1 << events.il_shift}-word L1-I "
-                f"lines, run with {1 << il_shift}-word lines")
-        return events
+        return (lines, codes & (PARTIAL - 1), addrs, (codes & PARTIAL) != 0,
+                syscalls)
 
     @staticmethod
     def from_batch(batch: TraceBatch, pid: int, page_table: PageTable,
+                   il_shift: int,
                    trace_errors: str = "raise") -> "PreparedBatch":
-        """Translate a virtual-address batch into physical columns.
+        """Prepare a virtual-address batch for L1-I lines of
+        ``2 ** il_shift`` words.
+
+        Its events are found on the virtual columns: they are the ones
+        the physical columns have, because a line never straddles a page
+        and the page table gives every page of a process its own frame.
+        Only the event pcs and the data rows' addresses are translated
+        (:func:`translate_events`).
 
         Args:
             batch: the raw virtual-address batch.
             pid: owning process id (page-table key).
             page_table: shared translation state.
+            il_shift: log2 of the machine's L1-I line size in words.
             trace_errors: ``"raise"`` rejects a corrupt batch with
                 :class:`~repro.errors.TraceError`; ``"skip"`` drops the
                 offending records and counts them in ``dropped``.
@@ -187,12 +209,9 @@ class PreparedBatch:
             if bad_rows:
                 dropped += bad_rows
                 batch = batch[~bad]
-        prepared = PreparedBatch(page_table.translate_batch(pid, batch.pc),
-                                 batch.kind,
-                                 page_table.translate_batch(pid, batch.addr),
-                                 batch.partial, batch.syscall, dropped)
-        prepared._trace = batch
-        return prepared
+        return PreparedBatch(batch.pc, batch.kind, batch.addr, batch.partial,
+                             batch.syscall, il_shift, dropped, page_table,
+                             pid)
 
 
 class Process:
@@ -210,6 +229,9 @@ class Process:
         self.source = source
         self.page_table = page_table
         self.trace_errors = trace_errors
+        #: log2 of the machine's L1-I line size in words, which the
+        #: batches are prepared for; the :class:`Scheduler` sets it.
+        self.il_shift: Optional[int] = None
         self._batch: Optional[PreparedBatch] = None
         self._pos = 0
         self.instructions_executed = 0
@@ -230,21 +252,32 @@ class Process:
         # A batch whose records were all corrupt and dropped is empty:
         # pull the next one.
         while self._batch is None or self._pos >= len(self._batch):
+            # The exhausted batch goes before the next one is prepared.
+            self._batch = None
             snapshot = (self.source.state_dict()
                         if hasattr(self.source, "state_dict") else None)
-            raw = self.source.next_batch()
-            if raw is None or len(raw) == 0:
+            batch = self._pull()
+            if batch is None:
                 self.finished = True
-                self._batch = None
                 self._pre_batch_state = None
                 return None, 0
             self._pre_batch_state = snapshot
-            self._batch = PreparedBatch.from_batch(raw, self.pid,
-                                                   self.page_table,
-                                                   self.trace_errors)
-            self.records_skipped += self._batch.dropped
+            self._batch = batch
+            self.records_skipped += batch.dropped
             self._pos = 0
         return self._batch, self._pos
+
+    def _pull(self) -> Optional[PreparedBatch]:
+        """The source's next batch, prepared, or ``None`` at its end."""
+        if self.il_shift is None:
+            raise SchedulingError(
+                f"process {self.name!r} has no machine: a Scheduler sets "
+                f"the L1-I line size its batches are prepared for")
+        raw = self.source.next_batch()
+        if raw is None or len(raw) == 0:
+            return None
+        return PreparedBatch.from_batch(raw, self.pid, self.page_table,
+                                        self.il_shift, self.trace_errors)
 
     def advance(self, consumed: int) -> None:
         """Record that ``consumed`` instructions of the current batch ran."""
@@ -311,15 +344,12 @@ class Process:
             self._pre_batch_state = None
             if state["has_batch"] and not self.finished:
                 self._pre_batch_state = state["source"]
-                raw = self.source.next_batch()
-                if raw is None or len(raw) == 0:
+                self._batch = self._pull()
+                if self._batch is None:
                     raise CheckpointError(
                         f"process {self.name!r} snapshot expects an in-flight "
                         f"batch but the source produced none"
                     )
-                self._batch = PreparedBatch.from_batch(raw, self.pid,
-                                                       self.page_table,
-                                                       self.trace_errors)
                 # The skipped count already includes this batch's drops.
                 self._pos = int(state["pos"])
                 if self._pos > len(self._batch):

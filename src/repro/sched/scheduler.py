@@ -59,6 +59,9 @@ class Scheduler:
         if level is not None and level <= 0:
             raise SchedulingError("multiprogramming level must be positive")
         self.memsys = memsys
+        for process in processes:
+            # Each process prepares its batches for this machine.
+            process.il_shift = memsys._il_shift
         self.time_slice = time_slice
         self.level = level or len(processes)
         self._all_processes: List[Process] = list(processes)
@@ -122,7 +125,9 @@ class Scheduler:
             if result.reason != REASON_END:
                 reason = result.reason
                 break
-            # Batch exhausted mid-slice: continue with the next batch.
+            # Batch exhausted mid-slice: continue with the next batch,
+            # released before it is prepared.
+            batch = None
         self._sync_skipped()
         if snapshot is not None:
             self.process_stats[process.name].add(

@@ -73,7 +73,8 @@ def run_ops(memsys: MemorySystem, ops: Iterable[Op]) -> int:
     syscalls = [False] * len(pcs)
     before = memsys.now
     result = memsys.run_slice(
-        PreparedBatch(pcs, kinds, addrs, partials, syscalls), 0, 1 << 60)
+        PreparedBatch(pcs, kinds, addrs, partials, syscalls,
+                      memsys._il_shift), 0, 1 << 60)
     assert result.consumed == len(pcs)
     return memsys.now - before
 

@@ -1,11 +1,12 @@
-"""A prepared batch compacted to its events still holds every instruction.
+"""A prepared batch, which holds only its events, still holds every
+instruction.
 
-The first run of a :class:`~repro.sched.process.PreparedBatch` keeps only
-its event columns and drops the five per-instruction ones, and from then
-on the reference engine and the invariant auditor read windows rebuilt
-from the events (:meth:`~repro.sched.process.Events.window`).  So
-``reference`` stays an oracle only if every window equals the raw
-columns: each instruction's L1-I line (``pc >> il_shift``, whose page is
+A :class:`~repro.sched.process.PreparedBatch` keeps only its event
+columns, and the reference engine and the invariant auditor read
+windows rebuilt from them
+(:meth:`~repro.sched.process.PreparedBatch.window`).  So ``reference``
+stays an oracle only if every window equals the raw columns: each
+instruction's L1-I line (``pc >> il_shift``, whose page is
 ``pc >> 12``), each data row's kind, address and partial flag, and the
 system-call flags.  Generated columns cover back-edges inside a line,
 line and page crossings, all three kinds, partial stores, system calls
@@ -92,19 +93,19 @@ def test_windows_rebuild_the_raw_columns():
         seen.update(features(raw, il_shift))
         pcs, kinds, addrs, partials, syscalls = (np.array(c) for c in raw)
         n = len(pcs)
-        batch = PreparedBatch(*raw)
-        events = batch.compact(il_shift)
-        assert batch.pc is None and len(batch) == n
-        for column, values in ((events.lines, pcs >> il_shift),
-                               (events.addrs, addrs)):
+        batch = PreparedBatch(*raw, il_shift)
+        assert len(batch) == n
+        for column, values in ((batch.lines, pcs >> il_shift),
+                               (batch.addrs, addrs)):
             wide = values.max() >= 1 << 31
             assert column.dtype == (np.int64 if wide else np.int32)
-        assert events.positions.dtype == events.syscalls.dtype == np.int32
+        assert batch.positions.dtype == batch.syscalls.dtype == np.int32
+        assert batch.codes.dtype == np.uint8
         start = data.draw(st.integers(0, n), label="start")
         for lo, hi in ((0, n), (start, data.draw(st.integers(start, n),
                                                  label="stop"))):
-            lines, kinds_, addrs_, partials_, syscalls_ = events.window(
-                lo, hi)
+            lines, kinds_, addrs_, partials_, syscalls_ = batch.window(lo,
+                                                                       hi)
             rows = slice(lo, hi)
             data_rows = kinds[rows] != 0
             assert np.array_equal(lines, pcs[rows] >> il_shift)

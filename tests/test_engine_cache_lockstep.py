@@ -97,7 +97,8 @@ def shadow_replay(config, pcs, kinds, addrs):
 
 def run_memsys(config, engine, columns):
     ms = MemorySystem(config, engine=engine)
-    ms.run_slice(PreparedBatch(*columns), start=0, deadline=DEADLINE)
+    ms.run_slice(PreparedBatch(*columns, ms._il_shift), start=0,
+                 deadline=DEADLINE)
     return ms
 
 

@@ -106,14 +106,13 @@ def test_thresholds_match_a_walk_of_the_batch(columns, il_shift, i_sets,
                                               dl_shift, d_sets, policy,
                                               stores):
     stores = stores and policy is WritePolicy.WRITE_BACK
-    events = PreparedBatch(*columns, [False] * len(columns[0])).compact(
-        il_shift)
-    hits = HitThresholds(events, (i_sets - 1, dl_shift, d_sets - 1, policy,
-                                  stores))
+    batch = PreparedBatch(*columns, [False] * len(columns[0]), il_shift)
+    hits = HitThresholds(batch, (i_sets - 1, dl_shift, d_sets - 1, policy,
+                                 stores))
     assert hits.thresholds.dtype == np.int32
     expected = walk(columns, il_shift, i_sets, dl_shift, d_sets, policy,
                     stores)
-    assert dict(zip(events.positions.tolist(),
+    assert dict(zip(batch.positions.tolist(),
                     hits.thresholds.tolist())) == expected
     if stores:
         kinds = columns[1]

@@ -11,12 +11,16 @@ somewhere, and compare every ``SliceResult``, the full ``SimStats`` and
 ``state_dict()`` after every call.
 
 Generated inputs cover every write policy and bypass mode the
-configuration rules allow, TLB on and off, write-buffer depth 1, 2 and
-4, concurrent I-refill, 4- and 8-word L1-I lines, and a direct-mapped or
-2-way L2 (an associative half goes through ``Cache.access``).  Most
-stores reuse the line of the previous data access, so write-through
-store hits reach the batched engine's inline path and fall back to the
-handler when the buffer is full.  Every example also runs on a twin of
+configuration rules allow, TLB on and off, with one or two ways,
+write-buffer depth 1, 2 and 4, concurrent I-refill, 4- and 8-word L1-I
+lines, and a direct-mapped or 2-way L2 (an associative half goes through
+``Cache.access``).  The batched engine counts a probe that hits its TLB
+set's most recently used entry itself and calls ``TLB.access`` for the
+others; the generated test asserts that both TLBs saw such hits, hits
+in the other way and misses.  Most stores reuse the line of the
+previous data access, so write-through store hits reach the batched
+engine's inline path and fall back to the handler when the buffer is
+full.  Every example also runs on a twin of
 its machine with the baseline buffer discipline and a direct-mapped L2,
 where the engine finishes L1 misses that hit in L2 itself, and the
 generated test asserts that it took every such branch.  The cases the skipping logic, the inline store
@@ -50,7 +54,7 @@ from repro.core.engine import REASON_END, REASON_SLICE, REASON_SYSCALL
 from repro.core.hierarchy import MemorySystem
 from repro.errors import SchedulingError
 from repro.obs.tracing import read_events
-from repro.params import PAGE_WORDS
+from repro.params import PAGE_WORDS, log2i
 from repro.sched.process import PreparedBatch
 
 ENGINES = ("reference", "batched")
@@ -74,10 +78,13 @@ D_LINE = 4
 
 def machine(policy=WritePolicy.WRITE_BACK, bypass=BypassMode.NONE,
             tlb=False, depth=4, i_refill=False, dirty_buffer=False,
-            i_line=4, l2_ways=1) -> SystemConfig:
-    """Four-line L1s, an L2 of a few lines and one- or two-entry TLBs,
-    with short penalties: misses, victims and TLB misses are frequent
-    and a stall fits inside a short slice."""
+            i_line=4, l2_ways=1, tlb_ways=1) -> SystemConfig:
+    """Four-line L1s, an L2 of a few lines, and one-way TLBs (one I-TLB
+    set, two D-TLB sets) or two-way ones (two sets each), with short
+    penalties: misses, victims and TLB misses are frequent and a stall
+    fits inside a short slice.  An I-TLB of one set probes only pages
+    other than its last one, so it never hits its most recently used
+    entry."""
     if policy is WritePolicy.WRITE_BACK:
         buffer = WriteBufferConfig(depth=depth, width_words=4,
                                    overlap_cycles=2)
@@ -103,20 +110,23 @@ def machine(policy=WritePolicy.WRITE_BACK, bypass=BypassMode.NONE,
         concurrency=ConcurrencyConfig(i_refill_during_wb_drain=i_refill,
                                       bypass=bypass,
                                       l2_dirty_buffer=dirty_buffer),
-        tlb=TLBConfig(itlb_entries=1, dtlb_entries=2, ways=1,
+        tlb=TLBConfig(itlb_entries=1 if tlb_ways == 1 else 4,
+                      dtlb_entries=2 * tlb_ways, ways=tlb_ways,
                       miss_penalty=3, enabled=tlb),
     )
 
 
 def prepared(pcs, kinds=None, addrs=None, partials=None,
-             syscalls=None) -> PreparedBatch:
-    """A physical-address batch as the scheduler hands it to an engine."""
+             syscalls=None, i_line=4) -> PreparedBatch:
+    """A physical-address batch as the scheduler hands it to an engine,
+    prepared for ``i_line``-word L1-I lines."""
     n = len(pcs)
     return PreparedBatch(pcs,
                          kinds if kinds is not None else [0] * n,
                          addrs if addrs is not None else [0] * n,
                          partials if partials is not None else [False] * n,
-                         syscalls if syscalls is not None else [False] * n)
+                         syscalls if syscalls is not None else [False] * n,
+                         log2i(i_line))
 
 
 def state(ms: MemorySystem) -> dict:
@@ -229,12 +239,13 @@ addresses = st.builds(lambda page, offset: page * PAGE_WORDS + offset,
 
 @st.composite
 def batches(draw):
-    """Mostly sequential code with jumps; loads, full and partial stores;
-    system calls anywhere, including the first and last instruction.
-    Three stores in four write into the line of the previous data
-    access, so they tend to hit in L1-D and L2-D and, back to back, to
-    fill the write buffer.  One load in four reads that line, so it may
-    find a line a write-only store miss allocated."""
+    """The columns (pcs, kinds, addresses, partial and system-call
+    flags) of mostly sequential code with jumps; loads, full and partial
+    stores; system calls anywhere, including the first and last
+    instruction.  Three stores in four write into the line of the
+    previous data access, so they tend to hit in L1-D and L2-D and, back
+    to back, to fill the write buffer.  One load in four reads that
+    line, so it may find a line a write-only store miss allocated."""
     n = draw(st.integers(1, 40))
     pcs, kinds, addrs, partials, syscalls = [], [], [], [], []
     last = None  # the previous data access's address
@@ -260,7 +271,7 @@ def batches(draw):
         addrs.append(addr)
         partials.append(kind == 2 and draw(st.booleans()))
         syscalls.append(draw(st.integers(0, 9)) == 0)
-    return prepared(pcs, kinds, addrs, partials, syscalls)
+    return pcs, kinds, addrs, partials, syscalls
 
 
 def inline_branches(config: SystemConfig, done: Counter) -> set:
@@ -295,6 +306,23 @@ def track_inline(pair: Pair, taken: set) -> None:
     pair.call = counted
 
 
+def track_tlbs(pair: Pair, seen: set) -> None:
+    """Wrap the reference system's TLB probes (it calls ``TLB.access``
+    for every one) so that each adds to ``seen`` what it found, as
+    ``(tlb, "mru hit" | "lru hit" | "miss")``."""
+    for name in ("itlb", "dtlb"):
+        tlb = getattr(pair.ref, name)
+
+        def probe(pid, page, tlb=tlb, name=name, access=tlb.access):
+            ways = tlb._sets[page & (tlb.sets - 1)]
+            tag = (pid, page)
+            seen.add((name, "miss" if tag not in ways
+                      else "mru hit" if ways[0] == tag else "lru hit"))
+            return access(pid, page)
+
+        tlb.access = probe
+
+
 def test_generated_schedules():
     """Each policy gets its own examples, and each example also runs on
     its machine's twin with the baseline buffer discipline and a
@@ -303,6 +331,7 @@ def test_generated_schedules():
     all machines at once went whole runs without a write-back or
     write-only machine of that kind."""
     taken = set()
+    probed = set()
     for policy in WritePolicy:
         # No shrink phase: shrinking a failing schedule took minutes and
         # hundreds of MB, so the first falsifying example is reported.
@@ -312,25 +341,33 @@ def test_generated_schedules():
                                       if m[0] is policy]),
                dirty_buffer=st.booleans(), i_line=st.sampled_from((4, 8)),
                l2_ways=st.sampled_from((1, 2)),
+               tlb_ways=st.sampled_from((1, 2)),
                processes=st.lists(st.lists(batches(), min_size=1,
                                            max_size=3),
                                   min_size=1, max_size=3),
                slices=st.lists(st.integers(1, 50), min_size=1, max_size=6),
                probe_end=st.booleans())
-        def run(combo, dirty_buffer, i_line, l2_ways, processes, slices,
-                probe_end):
+        def run(combo, dirty_buffer, i_line, l2_ways, tlb_ways, processes,
+                slices, probe_end):
             policy, bypass, tlb, depth, i_refill = combo
+            processes = [[prepared(*columns, i_line=i_line)
+                          for columns in process] for process in processes]
             twins = dict.fromkeys(((bypass, l2_ways), (BypassMode.NONE, 1)))
             for discipline, ways in twins:
                 pair = Pair(machine(policy, discipline, tlb, depth, i_refill,
-                                    dirty_buffer, i_line, ways))
+                                    dirty_buffer, i_line, ways, tlb_ways))
                 track_inline(pair, taken)
+                track_tlbs(pair, probed)
                 schedule(pair, processes, slices, probe_end)
 
         run()
     # Every inline miss branch ran, and agreed with ``reference``.
     assert taken == {"i_misses", "read_misses", "write_misses", "wo_misses",
                      "victims", "d_wait", "i_wait"}
+    # Both TLBs hit their most recently used entry (which the batched
+    # loop counts itself), hit the other way and missed.
+    assert probed == {(name, found) for name in ("itlb", "dtlb")
+                      for found in ("mru hit", "lru hit", "miss")}
 
 
 # -- pinned cases ----------------------------------------------------------
@@ -520,10 +557,10 @@ def test_store_hit_whose_l2d_line_was_evicted(policy):
 
 def test_one_batch_binds_one_l1i_line_size():
     # A process belongs to one simulation, so its batches to one machine:
-    # the first call compacts a batch for that machine's L1-I line size,
-    # under either engine, and a machine with another line size is
-    # refused before it changes any state.  An 8-word-line machine tries
-    # to take turns with a 4-word one on one batch, a few cycles a call.
+    # a batch is prepared for that machine's L1-I line size, and a
+    # machine with another line size is refused, under either engine,
+    # before it changes any state.  An 8-word-line machine tries to take
+    # turns with a 4-word one on one batch, a few cycles a call.
     n = 48
     batch = prepared(list(range(24)) + list(range(64, 88)),
                      kinds=[1 if i % 6 == 3 else 2 if i % 10 == 7 else 0
@@ -536,7 +573,7 @@ def test_one_batch_binds_one_l1i_line_size():
         consumed, _ = pair.call(batch, pos, pair.now + 7)
         pos += consumed
         calls += 1
-        assert batch.pc is None and batch.events.il_shift == 2
+        assert batch.il_shift == 2
         for ms in others:
             before = state(ms)
             if pos < n:

@@ -36,9 +36,8 @@ def every_call_filters():
 
 def skippable(batch, start: int) -> list:
     """The events a filtering call from ``start`` skips, by position."""
-    events = batch.events
-    return [p for p, q in zip(events.positions.tolist(),
-                              events.hits.thresholds.tolist()) if q >= start]
+    return [p for p, q in zip(batch.positions.tolist(),
+                              batch.hits.thresholds.tolist()) if q >= start]
 
 
 def test_far_call_to_the_same_set_between_two_fetches():

@@ -1,11 +1,11 @@
 """EXPERIMENTS.md cites the committed reports, cell for cell.
 
 The Table 1, Fig. 2 to Fig. 11, ``l1size``, ``scaling``, ``variance``,
-``clockrate``, ``pareto``, ``tech`` and write-path ablation sections
-quote ``results/table1.txt``, ``fig2.txt`` to ``fig11.txt``,
-``l1size.txt``, ``scaling.txt``, ``variance.txt``, ``clockrate.txt``,
-``pareto.txt``, ``tech.txt``, ``wbdepth.txt``, ``wboverlap.txt`` and
-``coloring.txt``.  These tests
+``clockrate``, ``pareto``, ``tech``, ``perbench`` and write-path
+ablation sections quote ``results/table1.txt``, ``fig2.txt`` to
+``fig11.txt``, ``l1size.txt``, ``scaling.txt``, ``variance.txt``,
+``clockrate.txt``, ``pareto.txt``, ``tech.txt``, ``perbench.txt``,
+``wbdepth.txt``, ``wboverlap.txt`` and ``coloring.txt``.  These tests
 parse the markdown tables and the numbers in the findings and check
 each against the report, so a regenerated report and the document
 cannot drift apart.  Where a test checks a column or a paragraph, every
@@ -680,6 +680,44 @@ def test_variance_matches_report():
     note = next(line for line in lines
                 if line.startswith("notes: "))[len("notes: "):]
     doc.cites("variance", note[0].upper() + note[1:])
+    assert doc.all_cited()
+
+
+#: The C programs of the Table 1 suite (``repro.trace.benchmarks``).
+INTEGER_CODES = ("eqntott", "espresso", "gcc", "li")
+
+
+def test_perbench_matches_report():
+    # benchmark: instructions, L1-I, L1-D and L2 miss ratios, CPI
+    _, findings, lines = report("perbench")
+    rule = next(i for i, line in enumerate(lines) if set(line) == {"-"})
+    table = {row[0]: [Decimal(value) for value in row[2:4]]
+             for row in map(str.split,
+                            lines[rule + 1:lines.index("findings:")])}
+    integer = [name for name in sorted(table) if name in INTEGER_CODES]
+    fp = [name for name in sorted(table) if name not in INTEGER_CODES]
+    assert len(integer) == len(fp) == 4
+    i_int, i_fp = (sum(table[name][0] for name in group) / len(group)
+                   for group in (integer, fp))
+    l1d_int, l1d_fp = ([table[name][1] for name in group]
+                       for group in (integer, fp))
+    assert min(l1d_int) < min(l1d_fp) <= max(l1d_fp) < max(l1d_int)
+    top = max(integer, key=lambda name: table[name][1])
+    doc = paragraph("perbench")
+    doc.cites("perbench",
+              f"The integer codes ({', '.join(integer)}) average an L1-I "
+              f"miss ratio of {rounded(i_int, 4)}, "
+              f"{rounded(i_int / i_fp, 1)} times the FP codes' "
+              f"({', '.join(fp)}) {rounded(i_fp, 4)}.")
+    doc.cites("perbench",
+              f"the FP codes' L1-D miss ratios ({min(l1d_fp)} to "
+              f"{max(l1d_fp)}) lie inside the integer codes' range "
+              f"({min(l1d_int)} to {max(l1d_int)}), whose top is {top}'s.")
+    note = next(line for line in lines
+                if line.startswith("notes: "))[len("notes: "):]
+    doc.cites("perbench", f'"{note[0].upper() + note[1:]}"')
+    doc.cites("perbench", f"Attribution coverage is exactly "
+                          f"{findings['attribution_coverage']} of executed")
     assert doc.all_cited()
 
 

@@ -45,7 +45,7 @@ def warm_memsys(policy=WritePolicy.WRITE_BACK) -> MemorySystem:
 
 def prepare(batch, trace_errors="raise"):
     return PreparedBatch.from_batch(batch, pid=1, page_table=PageTable(),
-                                    trace_errors=trace_errors)
+                                    il_shift=2, trace_errors=trace_errors)
 
 
 class TestTraceFaultsDetected:

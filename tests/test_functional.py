@@ -138,13 +138,15 @@ class TestCrossModelEquivalence:
             if op == 0:
                 functional.load(addr)
                 timing.run_slice(
-                    PreparedBatch([0], [1], [addr], [False], [False]),
+                    PreparedBatch([0], [1], [addr], [False], [False],
+                                  timing._il_shift),
                     0, 1 << 60)
             else:
                 partial = op == 2
                 functional.store(addr, 1, partial=partial)
                 timing.run_slice(
-                    PreparedBatch([0], [2], [addr], [partial], [False]),
+                    PreparedBatch([0], [2], [addr], [partial], [False],
+                                  timing._il_shift),
                     0, 1 << 60)
         for addr in touched:
             t_state = timing.l1d_line_state(addr)

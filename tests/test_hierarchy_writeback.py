@@ -146,7 +146,8 @@ class TestSliceMechanics:
         kinds = [0] * 100
         addrs = [0] * 100
         result = ms.run_slice(
-            PreparedBatch(pcs, kinds, addrs, [False] * 100, [False] * 100),
+            PreparedBatch(pcs, kinds, addrs, [False] * 100, [False] * 100,
+                          ms._il_shift),
             0, ms.now + 153)
         # The first instruction costs 150 cycles; a couple more fit.
         assert result.reason == "slice"
@@ -156,7 +157,8 @@ class TestSliceMechanics:
         ms = fresh()
         syscalls = [False, True, False]
         result = ms.run_slice(
-            PreparedBatch([0, 1, 2], [0] * 3, [0] * 3, [False] * 3, syscalls),
+            PreparedBatch([0, 1, 2], [0] * 3, [0] * 3, [False] * 3, syscalls,
+                          ms._il_shift),
             0, 1 << 60)
         assert result.reason == "syscall"
         assert result.consumed == 2
@@ -166,7 +168,7 @@ class TestSliceMechanics:
         ms = fresh()
         result = ms.run_slice(
             PreparedBatch([0, 1, 2], [0] * 3, [0] * 3, [False] * 3,
-                          [False] * 3), 2, 1 << 60)
+                          [False] * 3, ms._il_shift), 2, 1 << 60)
         assert result.consumed == 1
         assert ms.stats.instructions == 1
 

@@ -152,20 +152,20 @@ _columns = st.lists(st.one_of(_long_run, _alternating, _far, _scatter),
 
 class TestPhantomPageZero:
     def test_preparing_a_batch_maps_page_0(self):
-        # Non-data rows carry address 0 and from_batch translates the
-        # whole addr column, so preparing a Table 1 batch for pid 3 maps
-        # (3, 0), though none of the batch's fetches or data accesses is
-        # on page 0 (DESIGN §6).  The phantom frame takes a slot of its
-        # colour, so the next page of that colour lands one colour span
-        # (256 frames, 1,024 KW) higher than without it: only frame bits
-        # above the colour bits move.
+        # Non-data rows carry address 0 and from_batch maps page 0 as
+        # translating the whole addr column would, so preparing a Table 1
+        # batch for pid 3 maps (3, 0), though none of the batch's fetches
+        # or data accesses is on page 0 (DESIGN §6).  The phantom frame
+        # takes a slot of its colour, so the next page of that colour
+        # lands one colour span (256 frames, 1,024 KW) higher than
+        # without it: only frame bits above the colour bits move.
         batch = SyntheticBenchmark(default_suite()[0]).next_batch()
         data = batch.kind != KIND_NONE
         assert not data.all()
         assert (batch.pc // PAGE_WORDS).min() > 0
         assert (batch.addr[data] // PAGE_WORDS).min() > 0
         table, without = PageTable(), PageTable()
-        PreparedBatch.from_batch(batch, pid=3, page_table=table)
+        PreparedBatch.from_batch(batch, pid=3, page_table=table, il_shift=2)
         without.translate_batch(3, batch.pc)
         without.translate_batch(3, batch.addr[data])
 
@@ -231,59 +231,99 @@ class TestBatchTranslationOracle:
         assert out.dtype == np.int64 and len(out) == 0
         assert table.frames_allocated == 0
 
-    @given(rows=st.lists(st.tuples(
-               _offsets | st.integers(0, 2**21),
-               st.sampled_from([KIND_NONE, KIND_LOAD, KIND_STORE]),
-               st.integers(0, 40), st.booleans(),
-               st.sampled_from(["ok", "ok", "ok", "pc", "addr", "kind",
-                                "partial"])),
-               max_size=120),
-           pid=st.integers(0, 7), warm=st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_prepared_batch_in_both_modes(self, rows, pid, warm):
-        pcs, kinds, addrs, partials, bad = [], [], [], [], []
-        for pc, kind, page, partial, fault in rows:
-            addr = _word(page, pc) if kind != KIND_NONE else 0
-            partial = partial and kind == KIND_STORE
-            if fault == "pc":
-                pc = -1 - pc
-            elif fault == "addr":
-                addr = -1 - addr
-            elif fault == "kind":
-                kind = 3
-            elif fault == "partial":
-                partial, kind = True, KIND_LOAD
-            pcs.append(pc)
-            kinds.append(kind)
-            addrs.append(addr)
-            partials.append(partial)
-            bad.append(fault != "ok")
-        batch = TraceBatch(pc=np.array(pcs, dtype=np.int64),
-                           kind=np.array(kinds, dtype=np.uint8),
-                           addr=np.array(addrs, dtype=np.int64),
-                           partial=np.array(partials, dtype=bool),
-                           syscall=np.zeros(len(rows), dtype=bool))
-        good = [i for i, b in enumerate(bad) if not b]
-        for mode in ("raise", "skip"):
-            table, oracle = PageTable(), PageTable()
-            if warm:
-                warm_column = np.arange(0, 9 * PAGE_WORDS, PAGE_WORDS)
-                table.translate_batch(pid, warm_column)
-                oracle_translate(oracle, pid, warm_column)
+    def test_prepared_batch_in_both_modes(self):
+        # Preparation translates only what a batch's events keep: the
+        # event pcs and the data rows' addresses.  Each event's L1-I line
+        # and each data event's address must still be what translating
+        # the whole pc column, then the whole address column, gives, and
+        # so must every frame allocated, in order, after every batch.  A
+        # non-data row carries address 0, as a trace's do, except in a
+        # foreign trace file, where its address may be any (stray).
+        rows = st.lists(st.tuples(
+            _offsets | st.integers(0, 2**21),
+            st.sampled_from([KIND_NONE, KIND_LOAD, KIND_STORE]),
+            st.integers(0, 40), st.booleans(),
+            st.sampled_from(["ok", "ok", "ok", "pc", "addr", "kind",
+                             "partial"]),
+            st.integers(0, 3)), max_size=120)
+        seen = set()
+
+        @given(batches=st.lists(st.tuples(rows, st.integers(0, 7)),
+                                min_size=1, max_size=3),
+               il_shift=st.sampled_from((0, 2, 3)), warm=st.booleans(),
+               foreign=st.booleans())
+        @settings(max_examples=120, deadline=None)
+        def check(batches, il_shift, warm, foreign):
+            for mode in ("raise", "skip"):
+                table, oracle = PageTable(), PageTable()
+                if warm:
+                    warm_column = np.arange(0, 9 * PAGE_WORDS, PAGE_WORDS)
+                    table.translate_batch(batches[0][1], warm_column)
+                    oracle_translate(oracle, batches[0][1], warm_column)
+                for raw, pid in batches:
+                    prepare_and_compare(raw, pid, il_shift, foreign, mode,
+                                        table, oracle)
+
+        def prepare_and_compare(raw, pid, il_shift, foreign, mode, table,
+                                oracle):
+            pcs, kinds, addrs, partials, bad = [], [], [], [], []
+            for pc, kind, page, partial, fault, stray in raw:
+                if kind != KIND_NONE:
+                    addr = _word(page, pc)
+                else:
+                    addr = _word(page, pc) if foreign and not stray else 0
+                partial = partial and kind == KIND_STORE
+                if fault == "pc":
+                    pc = -1 - pc
+                elif fault == "addr":
+                    addr = -1 - addr
+                elif fault == "kind":
+                    kind = 3
+                elif fault == "partial":
+                    partial, kind = True, KIND_LOAD
+                pcs.append(pc)
+                kinds.append(kind)
+                addrs.append(addr)
+                partials.append(partial)
+                bad.append(fault != "ok")
+            batch = TraceBatch(pc=np.array(pcs, dtype=np.int64),
+                               kind=np.array(kinds, dtype=np.uint8),
+                               addr=np.array(addrs, dtype=np.int64),
+                               partial=np.array(partials, dtype=bool),
+                               syscall=np.zeros(len(raw), dtype=bool))
             if mode == "raise" and any(bad):
                 with pytest.raises(TraceError):
-                    PreparedBatch.from_batch(batch, pid, table, mode)
+                    PreparedBatch.from_batch(batch, pid, table, il_shift,
+                                             mode)
                 assert_same_tables(table, oracle)
-                continue
-            prepared = PreparedBatch.from_batch(batch, pid, table, mode)
-            # from_batch translates the pc column, then the addr column.
+                return
+            prepared = PreparedBatch.from_batch(batch, pid, table, il_shift,
+                                                mode)
+            good = [i for i, b in enumerate(bad) if not b]
+            kinds = np.array(kinds, dtype=np.uint8)[good]
+            addrs = np.array(addrs, dtype=np.int64)[good]
+            non_data = kinds == KIND_NONE
+            seen.add("stray address" if addrs[non_data].any()
+                     else "page 0" if non_data.any()
+                     else "data only" if good else "empty")
             expected_pc = oracle_translate(oracle, pid,
                                            [pcs[i] for i in good])
-            expected_addr = oracle_translate(oracle, pid,
-                                             [addrs[i] for i in good])
-            assert prepared.dropped == len(rows) - len(good)
-            assert np.array_equal(prepared.pc, expected_pc)
-            assert np.array_equal(prepared.addr, expected_addr)
-            assert np.array_equal(prepared.kind,
-                                  np.array(kinds, dtype=np.uint8)[good])
+            expected_addr = oracle_translate(oracle, pid, addrs)
+            assert prepared.dropped == len(raw) - len(good)
+            assert len(prepared) == len(good)
+            lines = expected_pc >> il_shift
+            event = ~non_data
+            event[:1] = True
+            event[1:] |= lines[1:] != lines[:-1]
+            events = np.flatnonzero(event)
+            assert np.array_equal(prepared.positions, events)
+            assert np.array_equal(prepared.lines, lines[events])
+            data = ~non_data[events]
+            assert np.array_equal(prepared.codes & 3, kinds[events])
+            assert np.array_equal(prepared.addrs[data],
+                                  expected_addr[events][data])
+            assert not prepared.addrs[~data].any()
             assert_same_tables(table, oracle)
+
+        check()
+        assert {"stray address", "page 0", "data only"} <= seen

@@ -19,56 +19,56 @@ from conftest import make_batch, tiny_config
 
 
 def make_process(pid: int, batches, table=None) -> Process:
-    return Process(pid=pid, name=f"p{pid}", source=BatchSource(batches),
-                   page_table=table or PageTable())
+    """A process that prepares its batches for 4-word L1-I lines, as a
+    :class:`Scheduler` over such a machine would have it do."""
+    process = Process(pid=pid, name=f"p{pid}", source=BatchSource(batches),
+                      page_table=table or PageTable())
+    process.il_shift = 2
+    return process
 
 
 class TestPreparedBatch:
     def test_translation_preserves_offsets(self):
+        # One-word L1-I lines: each line is its physical pc.
         table = PageTable()
         batch = make_batch(pcs=[5, 4096 + 7], kinds=[1, 2], addrs=[9, 11])
-        prepared = PreparedBatch.from_batch(batch, pid=3, page_table=table)
-        assert prepared.pc[0] % 4096 == 5
-        assert prepared.pc[1] % 4096 == 7
-        assert prepared.addr[0] % 4096 == 9
+        prepared = PreparedBatch.from_batch(batch, pid=3, page_table=table,
+                                            il_shift=0)
+        assert prepared.lines[0] % 4096 == 5
+        assert prepared.lines[1] % 4096 == 7
+        assert prepared.addrs[0] % 4096 == 9
         assert len(prepared) == 2
 
     def test_columns_are_numpy(self):
-        # Five per-instruction columns, 19 bytes a record, until the
-        # first run compacts the batch to its events (every record but
-        # the last, which continues pc 9's line): int32 positions, L1-I
-        # lines and addresses, uint8 kinds and bool partial flags, 14
-        # bytes an event, and int32 system-call positions.
+        # The pulled batch holds only its events (every record but the
+        # last, which continues pc 9's line): int32 positions, L1-I lines
+        # and addresses, and uint8 codes (kind | partial << 2), 13 bytes
+        # an event, and int32 system-call positions.
         process = make_process(1, [make_batch(
             pcs=[1, 2, 3, 9, 10], kinds=[0, 1, 2, 0, 0],
-            addrs=[0, 5, 6, 0, 0], syscall=[False, True, False, False,
-                                            False])])
+            addrs=[0, 5, 6, 0, 0], partial=[False, False, True, False,
+                                            False],
+            syscall=[False, True, False, False, False])])
         batch, _ = process.current()
-        columns = (batch.pc, batch.kind, batch.addr, batch.partial,
-                   batch.syscall)
-        assert all(isinstance(column, np.ndarray)
-                   and column.flags.c_contiguous and len(column) == 5
-                   for column in columns)
-        assert [column.dtype for column in columns] == [
-            np.int64, np.uint8, np.int64, np.bool_, np.bool_]
-        assert sum(column.nbytes for column in columns) == 19 * 5
-        memsys = MemorySystem(tiny_config())
-        assert memsys.run_slice(batch, 0, 1 << 40).consumed == 2
         assert len(batch) == 5
-        assert (batch.pc, batch.kind, batch.addr, batch.partial,
-                batch.syscall) == (None,) * 5
-        events = batch.events
-        columns = (events.positions, events.lines, events.kinds,
-                   events.addrs, events.partials)
+        columns = (batch.positions, batch.lines, batch.codes, batch.addrs)
         assert all(isinstance(column, np.ndarray)
                    and column.flags.c_contiguous and len(column) == 4
                    for column in columns)
         assert [column.dtype for column in columns] == [
-            np.int32, np.int32, np.uint8, np.int32, np.bool_]
-        assert sum(column.nbytes for column in columns) == 14 * 4
-        assert events.positions.tolist() == [0, 1, 2, 3]
-        assert events.syscalls.dtype == np.int32
-        assert events.syscalls.tolist() == [1]
+            np.int32, np.int32, np.uint8, np.int32]
+        assert sum(column.nbytes for column in columns) == 13 * 4
+        assert batch.positions.tolist() == [0, 1, 2, 3]
+        assert batch.codes.tolist() == [0, 1, 6, 0]
+        assert batch.syscalls.dtype == np.int32
+        assert batch.syscalls.tolist() == [1]
+        # Nothing else it holds is an array.
+        arrays = [name for name in PreparedBatch.__slots__
+                  if isinstance(getattr(batch, name), np.ndarray)]
+        assert sorted(arrays) == sorted(
+            ("positions", "lines", "codes", "addrs", "syscalls"))
+        memsys = MemorySystem(tiny_config())
+        assert memsys.run_slice(batch, 0, 1 << 40).consumed == 2
 
     def test_batched_call_converts_no_full_batch(self):
         # A batch of an odd length that nothing else in the process has.
@@ -77,12 +77,8 @@ class TestPreparedBatch:
         n = len(batch)
         assert n == 5003
         memsys = MemorySystem(base_architecture(), engine="batched")
+        assert batch.il_shift == memsys._il_shift
         memsys.run_slice(batch, pos, memsys.now + 4000)
-        events = batch.events
-        assert events.il_shift == memsys._il_shift
-        assert all(isinstance(array, np.ndarray) for array in (
-            events.positions, events.lines, events.kinds, events.addrs,
-            events.partials, events.syscalls))
         gc.collect()
         assert not [obj for obj in gc.get_objects()
                     if isinstance(obj, list) and len(obj) == n]
@@ -116,6 +112,7 @@ class TestProcess:
         process = Process(pid=1, name="p1",
                           source=BatchSource(corrupt + [make_batch(pcs=[5])]),
                           page_table=PageTable(), trace_errors="skip")
+        process.il_shift = 2
         batch, pos = process.current()
         assert (len(batch), pos) == (1, 0)
         assert process.records_skipped == 20_000
@@ -157,6 +154,42 @@ class TestScheduler:
         assert scheduler.done
         assert stats.instructions == 100
         assert all(p.finished for p in processes)
+
+    def test_processes_prepare_batches_for_the_machine(self):
+        # A process prepares its batches for its machine's L1-I line
+        # size, which the scheduler hands it; without one it pulls none.
+        source = BatchSource([make_batch(pcs=list(range(40)))])
+        process = Process(pid=1, name="p1", source=source,
+                          page_table=PageTable())
+        with pytest.raises(SchedulingError, match="no machine"):
+            process.current()
+        memsys = MemorySystem(tiny_config(l1_line=8))
+        Scheduler(memsys, [process]).run()
+        assert process.il_shift == memsys._il_shift == 3
+        assert memsys.stats.instructions == 40
+        assert memsys.stats.l1i_misses == 5
+
+    def test_exhausted_batch_released_before_the_next_is_prepared(self):
+        def prepared_batches() -> int:
+            gc.collect()
+            return sum(isinstance(obj, PreparedBatch)
+                       for obj in gc.get_objects())
+
+        class Source(BatchSource):
+            def next_batch(self):
+                live.append(prepared_batches())
+                return super().next_batch()
+
+        live = []
+        batches = [make_batch(pcs=list(range(i, i + 30)))
+                   for i in range(0, 120, 30)]
+        process = Process(pid=1, name="p1", source=Source(batches),
+                          page_table=PageTable())
+        scheduler = Scheduler(MemorySystem(tiny_config()), [process],
+                              time_slice=10**6)
+        before = prepared_batches()
+        scheduler.run()
+        assert live == [before] * 5
 
     def test_round_robin_rotates(self):
         scheduler, processes = self.make_scheduler(time_slice=5)

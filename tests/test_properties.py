@@ -232,7 +232,7 @@ class TestHierarchyEquivalence:
         n = len(ops)
         ms.run_slice(PreparedBatch([0] * n, [k for k, _ in ops],
                                    [a for _, a in ops], [False] * n,
-                                   [False] * n), 0, 1 << 60)
+                                   [False] * n, ms._il_shift), 0, 1 << 60)
         observed = ms.stats.l1d_read_misses + ms.stats.l1d_write_misses
         assert observed == expected_misses
 
@@ -243,6 +243,6 @@ class TestHierarchyEquivalence:
         n = len(ops)
         ms.run_slice(PreparedBatch([0] * n, [k for k, _ in ops],
                                    [a for _, a in ops], [False] * n,
-                                   [False] * n), 0, 1 << 60)
+                                   [False] * n, ms._il_shift), 0, 1 << 60)
         assert ms.stats.cycles >= ms.stats.instructions
         assert ms.stats.memory_stall_cycles >= 0

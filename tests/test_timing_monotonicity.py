@@ -32,8 +32,8 @@ def run_cycles(config, ops) -> int:
     kinds = [k for k, _, _ in ops]
     addrs = [a for _, a, _ in ops]
     n = len(ops)
-    ms.run_slice(PreparedBatch(pcs, kinds, addrs, [False] * n, [False] * n),
-                 0, 1 << 60)
+    ms.run_slice(PreparedBatch(pcs, kinds, addrs, [False] * n, [False] * n,
+                               ms._il_shift), 0, 1 << 60)
     return ms.now
 
 
@@ -81,7 +81,8 @@ class TestMonotonicity:
         kinds = [k for k, _, _ in ops]
         addrs = [a for _, a, _ in ops]
         n = len(ops)
-        batch = PreparedBatch(pcs, kinds, addrs, [False] * n, [False] * n)
+        batch = PreparedBatch(pcs, kinds, addrs, [False] * n, [False] * n,
+                              slow._il_shift)
         for ms in (slow, fast):
             ms.run_slice(batch, 0, 1 << 60)
         assert slow.stats.l1i_misses == fast.stats.l1i_misses
