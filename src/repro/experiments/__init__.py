@@ -26,16 +26,26 @@ from repro.experiments.common import (
 
 def run_experiment(experiment_id: str,
                    scale: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
-    """Run one experiment by id (see ``REGISTRY`` for the list)."""
+    """Run one experiment by id (see ``REGISTRY`` for the list).
+
+    This is the committed scenario with a ``[workload]`` overlay for
+    ``scale``, so at the default scale its points share the cache keys
+    of ``repro-experiments <id>``.
+    """
+    from dataclasses import asdict
+
     # Populate the registry on demand.
     from repro.experiments import runner  # noqa: F401
+    from repro.scenario import (builtin_scenario_path, resolve_scenario,
+                                run_scenario)
 
     if experiment_id not in REGISTRY:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; "
             f"available: {', '.join(sorted(REGISTRY))}"
         )
-    return REGISTRY[experiment_id](scale)
+    return run_scenario(resolve_scenario(builtin_scenario_path(experiment_id),
+                                         [{"workload": asdict(scale)}]))
 
 
 def experiment_registry():

@@ -12,7 +12,6 @@ together to close the gap.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -148,17 +147,15 @@ def register(experiment_id: str, description: str = "",
              axes: Sequence[str] = ()):
     """Decorator adding an experiment's ``run`` function to the registry.
 
-    The wrapped function takes ``(scale, params)`` where ``params`` is a
+    The function takes ``(scale, params)`` where ``params`` is a
     :class:`~repro.scenario.params.ScenarioParams` carrying the base
-    machine and the named sweep axes from a scenario document.  The
-    registered callable keeps the legacy ``runner(scale)`` shape: called
-    without params it resolves the experiment's committed scenario
-    (``scenarios/<id>.toml``) — so ``repro-experiments fig5`` and
-    ``repro-experiments run scenarios/fig5.toml`` execute identically,
-    inside the same :func:`~repro.farm.context.scenario_scope`.
+    machine and the named sweep axes from a scenario document.  It is
+    registered as it is: :func:`repro.scenario.run_scenario` binds a
+    resolved document's params and identity, and calls it.
 
     Args:
-        experiment_id: the CLI id (``fig5``, ``table1``, ...).
+        experiment_id: the CLI id (``fig5``, ``table1``, ...), which also
+            names its committed scenario (``scenarios/<id>.toml``).
         description: one-line summary shown by ``--list``; defaults to the
             first line of the function's docstring.
         axes: sweep axis names the experiment reads via ``params.axis``;
@@ -166,32 +163,17 @@ def register(experiment_id: str, description: str = "",
     """
 
     def wrap(fn: Callable[..., ExperimentResult]):
-        @functools.wraps(fn)
-        def runner(scale: ExperimentScale, params=None) -> ExperimentResult:
-            from repro.farm.context import scenario_scope
-
-            if params is None:
-                from repro.scenario.driver import default_params
-
-                params = default_params(experiment_id)
-            with scenario_scope(params.scenario_sha256):
-                return fn(scale, params)
-
-        REGISTRY[experiment_id] = runner
+        REGISTRY[experiment_id] = fn
         EXPERIMENT_AXES[experiment_id] = tuple(axes)
         doc_line = (fn.__doc__ or "").strip().splitlines()
         DESCRIPTIONS[experiment_id] = (description
                                        or (doc_line[0] if doc_line else ""))
-        runner.experiment_id = experiment_id
-        runner.description = DESCRIPTIONS[experiment_id]
-        runner.axes = tuple(axes)
-        return runner
+        return fn
 
     return wrap
 
 
-def experiment_registry() -> Dict[str, Callable[[ExperimentScale],
-                                                ExperimentResult]]:
+def experiment_registry() -> Dict[str, Callable[..., ExperimentResult]]:
     """A read-only view of the experiment registry.
 
     Note: the registry fills as experiment modules import; use

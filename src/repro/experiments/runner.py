@@ -7,12 +7,17 @@ Usage::
     python -m repro.experiments all --instructions 1000000
     repro-experiments all --jobs 4 --out results/      # parallel + cached
     repro-experiments fig6 --level 8 --out results/
-    repro-experiments run scenarios/fig5.toml          # scenario-driven
+    repro-experiments scenarios/fig5.toml --overlay tiny.toml
+    repro-experiments run scenarios/fig5.toml          # same as `fig5`
     repro-experiments validate scenarios/fig5.toml     # resolve + check
 
-Every experiment's machine and sweep grid now live in a committed
-scenario document (``scenarios/<id>.toml``); the legacy ``fig5``-style
-invocation resolves the same file, so both paths are bit-identical (see
+Every experiment's machine, workload and sweep grid live in a committed
+scenario document, and an experiment id names it: ``fig5`` runs
+``scenarios/fig5.toml``.  Each target resolves into one scenario, with
+the ``--overlay`` files and then the scale, ``--engine`` and
+``--energy`` flags that were given merged on top, and
+:func:`repro.scenario.run_scenario` runs it.  So the spellings of one
+workload share one ``scenario_sha256``, cache namespace and report (see
 :mod:`repro.scenario`).
 
 Every experiment regenerates one of the paper's tables or figures and
@@ -20,9 +25,9 @@ prints it as an ASCII table along with the scalar findings EXPERIMENTS.md
 tracks.
 
 Execution goes through :mod:`repro.farm`: the sweep points of every
-requested experiment run in one fan-out (``render_all``) over ``--jobs
-N`` forked workers or the ``--nodes`` grid, and every point is memoized
-in a content-addressed result cache (``--cache-dir``, disable with
+target run in one fan-out (``render_all``) over ``--jobs N`` forked
+workers or the ``--nodes`` grid, and every point is memoized in a
+content-addressed result cache (``--cache-dir``, disable with
 ``--no-cache``), so re-running a figure skips the simulation work.
 Reports are bit-identical regardless of ``--jobs``, ``--nodes`` or
 cache state.  ``--manifest`` writes the run's telemetry (per-point wall
@@ -37,8 +42,9 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 import repro.obs as obs
 from repro.core.engine import DEFAULT_ENGINE, ENGINE_NAMES
@@ -49,11 +55,12 @@ from repro.experiments.common import (
     REGISTRY,
     ExperimentScale,
 )
-from repro.farm.cache import ResultCache
 from repro.farm.context import farm_session, render_all
 from repro.farm.telemetry import RunTelemetry
 from repro.robust.atomic import atomic_write_text
 from repro.robust.signals import SignalDrain
+from repro.scenario import (builtin_scenario_path, resolve_scenario,
+                            run_scenario)
 
 # Importing the modules populates REGISTRY.
 from repro.experiments import (  # noqa: F401  (imported for registration)
@@ -90,21 +97,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-experiments",
         description="Regenerate the paper's tables and figures.",
     )
-    parser.add_argument("experiments", nargs="*",
-                        help="experiment ids (or 'all')")
+    parser.add_argument("experiments", nargs="*", metavar="TARGET",
+                        help="experiment ids (each runs its committed "
+                             "scenarios/<id>.toml), 'all', or scenario "
+                             "files")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments and exit")
-    parser.add_argument("--instructions", type=int,
-                        default=DEFAULT_SCALE.instructions_per_benchmark,
-                        help="instructions per benchmark (default %(default)s)")
-    parser.add_argument("--level", type=int, default=DEFAULT_SCALE.level,
-                        help="multiprogramming level (default %(default)s)")
-    parser.add_argument("--time-slice", type=int,
-                        default=DEFAULT_SCALE.time_slice,
-                        help="scheduler time slice in cycles")
-    parser.add_argument("--warmup-fraction", type=float,
-                        default=DEFAULT_SCALE.warmup_fraction,
-                        help="fraction of the run excluded from statistics")
+    parser.add_argument("--overlay", type=Path, action="append",
+                        default=[], metavar="FILE",
+                        help="scenario overlay merged onto every target "
+                             "(repeatable; later overlays win)")
+    parser.add_argument("--instructions", type=int, default=None,
+                        help="instructions per benchmark (default: the "
+                             "scenario's)")
+    parser.add_argument("--level", type=int, default=None,
+                        help="multiprogramming level (default: the "
+                             "scenario's)")
+    parser.add_argument("--time-slice", type=int, default=None,
+                        help="scheduler time slice in cycles (default: "
+                             "the scenario's)")
+    parser.add_argument("--warmup-fraction", type=float, default=None,
+                        help="fraction of the run excluded from statistics "
+                             "(default: the scenario's)")
     parser.add_argument("--out", type=Path, default=None,
                         help="directory to also write per-experiment reports")
     parser.add_argument("--resume", action="store_true",
@@ -114,16 +128,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="draw an ASCII chart of each result")
     parser.add_argument("--config", type=Path, default=None,
                         help="run a custom machine from a SystemConfig "
-                             "JSON file (ignores experiment ids)")
+                             "JSON file (ignores targets and --overlay)")
     parser.add_argument("--engine", choices=list(ENGINE_NAMES),
-                        default=DEFAULT_ENGINE,
+                        default=None,
                         help="simulation engine for every sweep point "
-                             "(engines are bit-identical; 'batched' "
-                             "executes only events)")
+                             "(default: the scenario's; engines are "
+                             "bit-identical; 'batched' executes only "
+                             "events)")
     parser.add_argument("--energy", choices=_energy_choices(), default=None,
                         help="enable per-event energy accounting under this "
                              "technology for every sweep point (default: "
-                             "disabled; timing results are unaffected)")
+                             "the scenario's, usually disabled; timing "
+                             "results are unaffected)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the sweep points of all "
                              "requested experiments (default %(default)s; "
@@ -325,18 +341,53 @@ def _filter_resume(wanted: List[str], out: Optional[Path],
     return remaining
 
 
+def _flag_overlay(args: argparse.Namespace) -> Dict[str, Any]:
+    """The scale, engine and energy flags given, as one overlay document
+    (empty when none is given, so the scenario's own values stand)."""
+    workload = {key: value for key, value in (
+        ("instructions_per_benchmark", args.instructions),
+        ("level", args.level),
+        ("time_slice", args.time_slice),
+        ("warmup_fraction", args.warmup_fraction)) if value is not None}
+    overlay: Dict[str, Any] = {}
+    if workload:
+        overlay["workload"] = workload
+    if args.engine is not None:
+        overlay["engine"] = {"name": args.engine}
+    if args.energy is not None:
+        overlay["energy"] = {"technology": args.energy}
+    return overlay
+
+
+def _scenario_paths(targets: List[str]) -> Tuple[List[Path], List[str]]:
+    """Each target's scenario file, and the targets that name none: an
+    experiment id is its committed scenario, ``all`` every one of them,
+    and a ``.toml``/``.json`` path a scenario file."""
+    paths: List[Path] = []
+    unknown: List[str] = []
+    for target in targets:
+        if target == "all":
+            paths.extend(map(builtin_scenario_path, sorted(REGISTRY)))
+        elif target in REGISTRY:
+            paths.append(builtin_scenario_path(target))
+        elif Path(target).suffix.lower() in (".toml", ".json"):
+            paths.append(Path(target))
+        else:
+            unknown.append(target)
+    return paths, unknown
+
+
 @cli_errors
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in ("run", "validate"):
-        # Scenario subcommands: declarative documents through the
-        # generic driver (see repro.scenario).
-        from repro.scenario.cli import cmd_run, cmd_validate
+    if argv and argv[0] == "validate":
+        from repro.scenario.cli import cmd_validate
 
-        handler = cmd_run if argv[0] == "run" else cmd_validate
-        return handler(argv[1:])
+        return cmd_validate(argv[1:])
+    if argv and argv[0] == "run":
+        argv = argv[1:]  # `run scenarios/fig5.toml` spells `fig5`
     args = build_parser().parse_args(argv)
     if args.heartbeat is not None and args.heartbeat <= 0:
         print("--heartbeat must be a positive number of seconds",
@@ -365,13 +416,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run(args: argparse.Namespace, telemetry: RunTelemetry) -> int:
     """The runner body; ``main`` owns tracing/heartbeat setup around it."""
-    scale = ExperimentScale(
-        instructions_per_benchmark=args.instructions,
-        level=args.level,
-        time_slice=args.time_slice,
-        warmup_fraction=args.warmup_fraction,
-    )
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.journal is not None and args.no_cache:
         print("--journal requires the result cache (drop --no-cache): "
               "the journal records digests, the cache holds the results",
@@ -390,11 +434,14 @@ def _run(args: argparse.Namespace, telemetry: RunTelemetry) -> int:
     if clamp_warning is not None:
         print(f"[warning: {clamp_warning}]", file=sys.stderr)
     session = functools.partial(
-        farm_session, jobs=jobs, cache=cache, no_cache=args.no_cache,
-        telemetry=telemetry, engine=args.engine, energy=args.energy,
-        nodes=nodes, journal=args.journal)
+        farm_session, jobs=jobs, cache_dir=args.cache_dir,
+        no_cache=args.no_cache, telemetry=telemetry, nodes=nodes,
+        journal=args.journal)
+    flags = _flag_overlay(args)
     if args.config is not None:
-        with session():
+        scale = replace(DEFAULT_SCALE, **flags.get("workload", {}))
+        with session(engine=args.engine or DEFAULT_ENGINE,
+                     energy=args.energy):
             print(render_all(
                 [lambda: run_custom_config(args.config, scale)])[0])
         if args.manifest is not None:
@@ -407,10 +454,7 @@ def _run(args: argparse.Namespace, telemetry: RunTelemetry) -> int:
             description = DESCRIPTIONS.get(experiment_id, "")
             print(f"  {experiment_id:<{width}} — {description}")
         return 0
-    wanted = list(args.experiments)
-    if wanted == ["all"]:
-        wanted = sorted(REGISTRY)
-    unknown = [e for e in wanted if e not in REGISTRY]
+    paths, unknown = _scenario_paths(args.experiments)
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(sorted(REGISTRY))}", file=sys.stderr)
@@ -418,9 +462,13 @@ def _run(args: argparse.Namespace, telemetry: RunTelemetry) -> int:
     if args.resume and args.out is None:
         print("--resume requires --out", file=sys.stderr)
         return 2
+    overlays = [*args.overlay, flags] if flags else args.overlay
+    scenarios = [resolve_scenario(path, overlays) for path in paths]
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-    wanted = _filter_resume(wanted, args.out, args.resume)
+    remaining = _filter_resume([s.name for s in scenarios], args.out,
+                               args.resume)
+    scenarios = [s for s in scenarios if s.name in remaining]
 
     reports: Dict[str, str] = {}
     interrupted = False
@@ -432,26 +480,25 @@ def _run(args: argparse.Namespace, telemetry: RunTelemetry) -> int:
     with SignalDrain(on_signal=lambda _signum: stop.set(),
                      reraise=False) as latch, session():
         try:
-            results = render_all([functools.partial(REGISTRY[e], scale)
-                                  for e in wanted], stop_event=stop)
-            reports = {e: render_report(result, args.chart)
-                       for e, result in zip(wanted, results)}
+            results = render_all([functools.partial(run_scenario, s)
+                                  for s in scenarios], stop_event=stop)
+            reports = {s.name: render_report(result, args.chart)
+                       for s, result in zip(scenarios, results)}
         except FarmCancelled:
             interrupted = True  # pool already reaped its children
         interrupted = interrupted or latch.triggered
         latch.consume()
 
-    for experiment_id, report in reports.items():
+    for name, report in reports.items():
         print(report + "\n")
         if args.out is not None:
             # Atomic: an interrupted run never leaves a truncated report,
             # which --resume would otherwise happily treat as complete.
-            atomic_write_text(args.out / f"{experiment_id}.txt",
-                              report + "\n")
+            atomic_write_text(args.out / f"{name}.txt", report + "\n")
     if reports:
         print(f"[{' '.join(reports)} completed in "
               f"{time.time() - started:.1f}s]\n")
-    if wanted:
+    if scenarios:
         print(f"[farm: {telemetry.format_summary()}]")
     if args.manifest is not None:
         telemetry.write_manifest(args.manifest)

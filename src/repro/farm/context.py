@@ -101,12 +101,14 @@ def farm_session(jobs: int = 1,
         quiet: create the default telemetry without a progress stream.
         task_timeout: per-point wall-clock limit in seconds.
         retries: crash/timeout re-run budget per point.
-        engine: simulation engine for every point in the session
+        engine: simulation engine for the session's points
             (``repro.core.engine.ENGINE_NAMES``); part of each point's
-            cache key.
-        energy: energy technology name for every point in the session
+            cache key.  A scenario run inside binds its own (see
+            :func:`scenario_scope`).
+        energy: energy technology name for the session's points
             (``repro.energy.ENERGY_TECHNOLOGIES``); ``None`` disables
             accounting.  The derived model joins each point's cache key.
+            A scenario run inside binds its own.
         nodes: serve-backend URLs; when given, a
             :class:`repro.grid.GridDispatcher` over those nodes executes
             every uncached point in the session (with local in-process
@@ -121,7 +123,7 @@ def farm_session(jobs: int = 1,
             overriding lease/heartbeat/retry-budget timing.
         scenario: ``scenario_sha256`` of the resolved scenario document
             this session runs (see :mod:`repro.scenario`); joins every
-            point's cache key.
+            point's cache key.  A scenario run inside binds its own.
     """
     if journal is not None and no_cache:
         from repro.errors import JournalError
@@ -154,23 +156,19 @@ def farm_session(jobs: int = 1,
 
 
 @contextmanager
-def scenario_scope(scenario: Optional[str]):
-    """Bind a scenario identity to the ambient farm policy.
+def scenario_scope(scenario: str, engine: str = DEFAULT_ENGINE,
+                   energy: Optional[str] = None):
+    """Bind a scenario's identity, engine and energy to the ambient policy.
 
     Pushes a copy of the innermost context (or a bare one, outside any
-    session) with ``scenario`` set, so every point executed inside runs —
-    and is cached — under that scenario's ``scenario_sha256``.  The
-    experiment registry wraps each experiment in this scope, which is
-    how ``repro-experiments fig5`` and ``repro-experiments run
-    scenarios/fig5.toml`` land on identical cache keys.  ``scenario=None``
-    is a no-op (the ambient context, whatever it is, stays active).
+    session) with all three set, so every point executed inside runs —
+    and is cached — under that scenario's ``scenario_sha256``, engine and
+    energy technology.  :func:`repro.scenario.run_scenario` binds each
+    scenario it runs this way, so one session can run several scenarios.
     """
-    if scenario is None:
-        yield current_context()
-        return
     base = current_context()
-    ctx = (replace(base, scenario=scenario) if base is not None
-           else FarmContext(scenario=scenario))
+    ctx = replace(base if base is not None else FarmContext(),
+                  scenario=scenario, engine=engine, energy=energy)
     _STACK.append(ctx)
     try:
         yield ctx

@@ -70,9 +70,9 @@ def execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Returns a picklable dict: the stats snapshot plus wall-clock so the
     parent's telemetry can attribute time spent in workers, and an ``obs``
-    snapshot of this process's global metrics registry so forked workers
-    ship their counters back over the existing result channel (the parent
-    folds them in; see :func:`run_points`).
+    snapshot of a registry holding this task's counters, which forked
+    workers ship back over the existing result channel (the parent folds
+    it in; see :func:`run_points`).
 
     This is the farm's process-fault boundary: when the chaos harness arms
     :data:`repro.robust.faults.WORKER_FAULT_ENV`, the injected crash/stall
@@ -123,10 +123,14 @@ def execute_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     else:
         stats = sim.run(max_instructions=payload["max_instructions"])
     wall_s = time.monotonic() - started
-    # Per-task registry, not the global one: a forked worker inherits the
-    # parent's global counters and the inline pool *is* the parent, so
-    # shipping a delta-free global snapshot would double-count.  The
-    # receiving side merges this exactly once.
+    if obs.runtime.tracer is not None:
+        # A forked worker exits without running exit hooks: flush now, or
+        # the tail of its per-pid event log is lost.
+        obs.runtime.tracer.flush()
+    # A fresh registry per task: one a forked worker inherited would carry
+    # the parent's counts too (and the inline pool *is* the parent), so
+    # its snapshot would double-count.  The receiving side merges this
+    # exactly once.
     task_metrics = obs.Registry()
     task_metrics.counter("sim_runs_total", "simulations executed").inc()
     task_metrics.counter("sim_instructions_total",

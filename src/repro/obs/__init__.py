@@ -45,7 +45,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     Registry,
-    global_registry,
     histogram_quantiles,
     merge_snapshots,
     quantile_from_buckets,
@@ -131,11 +130,6 @@ def enable_from_env() -> bool:
     return True
 
 
-def registry() -> Registry:
-    """The process-global metrics registry."""
-    return global_registry()
-
-
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
@@ -154,12 +148,10 @@ __all__ = [
     "enable",
     "enable_from_env",
     "export_chrome_trace",
-    "global_registry",
     "is_enabled",
     "merge_snapshots",
     "new_trace_id",
     "read_events",
-    "registry",
     "runtime",
     "span",
     "to_chrome_trace",

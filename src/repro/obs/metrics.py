@@ -562,13 +562,3 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
                          f"{_prom_number(value.get('sum', 0.0))}")
             lines.append(f"{pname}_count{plain} {total}")
     return "\n".join(lines) + "\n" if lines else ""
-
-
-#: The process-global registry: core/farm instrumentation that has no
-#: subsystem registry of its own lands here, and forked workers snapshot it.
-GLOBAL = Registry()
-
-
-def global_registry() -> Registry:
-    """The process-global :class:`Registry`."""
-    return GLOBAL

@@ -74,9 +74,12 @@ class Tracer:
         self._file = open(self.path, "a", encoding="utf-8")
 
     def _rebind_after_fork(self) -> None:
-        """First emit in a forked child: divert to a per-pid sibling file."""
+        """First emit in a forked child: divert to a per-pid sibling file.
+
+        The caller holds the lock, so the child's meta record goes
+        straight into the buffer (``emit`` would wait on the lock forever).
+        """
         pid = os.getpid()
-        self._buffer = []        # parent's pending records are not ours
         try:
             self._file.close()   # close inherited fd without flushing
         except OSError:
@@ -85,9 +88,12 @@ class Tracer:
         self.path = self.path.with_name(
             f"{self.path.stem}-{pid}{self.path.suffix}")
         self._open()
-        self.records_emitted = 0
-        self.emit("meta", version=TRACE_VERSION, pid=pid,
-                  started_unix=round(time.time(), 3), forked=True)
+        # The parent's pending records are not ours.
+        self._buffer = [json.dumps(
+            {"ev": "meta", "version": TRACE_VERSION, "pid": pid,
+             "started_unix": round(time.time(), 3), "forked": True},
+            separators=(",", ":"))]
+        self.records_emitted = 1
 
     def emit(self, ev: str, **fields: Any) -> None:
         """Append one record; flushes when the buffer fills."""

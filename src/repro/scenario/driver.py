@@ -11,69 +11,35 @@ Two execution shapes:
   document path (``machine.dcache.size_kw``, ``workload.level``) and
   the grid is expanded point by point over the base document.
 
-This module also owns the *default params* lookup: a registered
-experiment invoked the legacy way (``repro-experiments fig5``) resolves
-``scenarios/fig5.toml`` for its grid, which is what makes the committed
-scenario files the single source of truth for every figure.
+An experiment id names its committed scenario
+(:func:`builtin_scenario_path`): ``repro-experiments fig5`` runs
+``scenarios/fig5.toml`` through :func:`run_scenario`, the one run body
+every spelling shares.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.serialization import did_you_mean
 from repro.errors import ConfigurationError
 from repro.scenario.params import ScenarioParams
 from repro.scenario.resolve import ResolvedScenario, resolve_scenario
-
-#: Environment override for the committed scenario directory (tests point
-#: this at fixtures; workers inherit it across fork/spawn).
-SCENARIO_DIR_ENV = "REPRO_SCENARIO_DIR"
-
-
-def scenario_dir() -> Path:
-    """The directory holding the committed per-experiment scenarios."""
-    override = os.environ.get(SCENARIO_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / "scenarios"
+from repro.scenario.schema import validate_document
 
 
 def builtin_scenario_path(experiment_id: str) -> Path:
     """The committed scenario file for a registered experiment."""
-    return scenario_dir() / f"{experiment_id}.toml"
-
-
-_DEFAULT_CACHE: Dict[Tuple[str, str], ScenarioParams] = {}
+    return (Path(__file__).resolve().parents[3] / "scenarios"
+            / f"{experiment_id}.toml")
 
 
 def default_params(experiment_id: str) -> ScenarioParams:
-    """Resolve the committed scenario for an experiment id (memoized).
-
-    ``repro-experiments fig5`` lands here: the legacy invocation path
-    and ``repro-experiments run scenarios/fig5.toml`` resolve the same
-    document, so they share one ``scenario_sha256`` — and therefore one
-    cache namespace and bit-identical reports.
-    """
-    key = (experiment_id, str(scenario_dir()))
-    if key in _DEFAULT_CACHE:
-        return _DEFAULT_CACHE[key]
-    path = builtin_scenario_path(experiment_id)
-    if not path.exists():
-        raise ConfigurationError(
-            f"no committed scenario for experiment {experiment_id!r} "
-            f"(expected {path}); set {SCENARIO_DIR_ENV} or add the file")
-    resolved = resolve_scenario(path)
-    if resolved.experiment != experiment_id:
-        raise ConfigurationError(
-            f"{path} declares scenario.experiment = "
-            f"{resolved.experiment!r}, expected {experiment_id!r}")
-    params = bind_params(resolved, experiment_id)
-    _DEFAULT_CACHE[key] = params
-    return params
+    """The bound params of an experiment's committed scenario."""
+    return bind_params(resolve_scenario(builtin_scenario_path(experiment_id)),
+                       experiment_id)
 
 
 def bind_params(resolved: ResolvedScenario,
@@ -105,8 +71,7 @@ def bind_params(resolved: ResolvedScenario,
             f"scenario {resolved.name!r} is missing sweep axes required "
             f"by experiment {experiment_id!r}: "
             f"{', '.join(sorted(missing))}")
-    return ScenarioParams(machine=resolved.machine, axes=dict(resolved.axes),
-                          scenario_sha256=resolved.scenario_sha256)
+    return ScenarioParams(machine=resolved.machine, axes=dict(resolved.axes))
 
 
 def expand_grid(axes: Dict[str, Tuple[Any, ...]],
@@ -142,11 +107,16 @@ def _set_path(doc: Dict[str, Any], dotted: str, value: Any) -> None:
     node[parts[-1]] = value
 
 
-def _generic_sweep(resolved: ResolvedScenario):
-    """Sweep dotted-path axes over the base document, one run per point."""
+def generic_points(resolved: ResolvedScenario
+                   ) -> List[Tuple[Dict[str, Any], ResolvedScenario]]:
+    """Build every point of a generic sweep without running it.
+
+    Returns ``(assignment, point)`` pairs in grid order, each point the
+    base document with its axis values set, validated and resolved; so a
+    bad axis fails here, for ``validate`` and ``run`` alike.
+    """
     import copy
 
-    from repro.experiments.common import ExperimentResult, run_system
     from repro.scenario.resolve import _build
 
     for name in resolved.axes:
@@ -156,14 +126,23 @@ def _generic_sweep(resolved: ResolvedScenario):
                 f"generic sweep axis {name!r} must start with 'machine.' "
                 "or 'workload.' (or set scenario.experiment to drive a "
                 "registered experiment)")
-    points = expand_grid(resolved.axes, resolved.sweep_mode)
-    headers = [*resolved.axes, "CPI", "memory CPI"]
-    rows: List[List[Any]] = []
-    for assignment in points or [{}]:
+    points = []
+    for assignment in expand_grid(resolved.axes, resolved.sweep_mode) or [{}]:
         doc = copy.deepcopy(resolved.document)
         for dotted, value in assignment.items():
             _set_path(doc, dotted, value)
-        point = _build(doc, None)
+        validate_document(doc)
+        points.append((assignment, _build(doc, None)))
+    return points
+
+
+def _generic_sweep(resolved: ResolvedScenario):
+    """Sweep dotted-path axes over the base document, one run per point."""
+    from repro.experiments.common import ExperimentResult, run_system
+
+    headers = [*resolved.axes, "CPI", "memory CPI"]
+    rows: List[List[Any]] = []
+    for assignment, point in generic_points(resolved):
         stats = run_system(point.machine, point.scale)
         cpi = stats.cpi(point.machine.cpu_stall_cpi)
         rows.append([*assignment.values(), round(cpi, 3),
@@ -178,15 +157,9 @@ def _generic_sweep(resolved: ResolvedScenario):
     )
 
 
-def run_scenario(resolved: ResolvedScenario, scale=None):
-    """Execute a resolved scenario; returns an ``ExperimentResult``.
-
-    The caller owns the surrounding :func:`~repro.farm.context.
-    farm_session` (jobs, cache, nodes, journal, and the scenario's
-    ``scenario_sha256``); this function only decides *what* to run.
-    """
-    if resolved.experiment is None:
-        return _generic_sweep(resolved)
+def bind_experiment(resolved: ResolvedScenario
+                    ) -> Tuple[Callable[..., Any], ScenarioParams]:
+    """The registered experiment a scenario drives, and its bound params."""
     from repro.experiments import experiment_registry
 
     registry = experiment_registry()
@@ -196,7 +169,24 @@ def run_scenario(resolved: ResolvedScenario, scale=None):
             f"{resolved.experiment!r}"
             f"{did_you_mean(resolved.experiment, registry)}; "
             f"available: {', '.join(sorted(registry))}")
-    params = bind_params(resolved, resolved.experiment)
-    return registry[resolved.experiment](scale if scale is not None
-                                         else resolved.scale,
-                                         params=params)
+    return (registry[resolved.experiment],
+            bind_params(resolved, resolved.experiment))
+
+
+def run_scenario(resolved: ResolvedScenario):
+    """Execute a resolved scenario; returns an ``ExperimentResult``.
+
+    Every point it runs is bound to the scenario's ``scenario_sha256``,
+    engine and energy technology, and the workload scale is the
+    document's.  The caller owns the surrounding
+    :func:`~repro.farm.context.farm_session` (jobs, cache, nodes,
+    journal); this function only decides *what* to run.
+    """
+    from repro.farm.context import scenario_scope
+
+    with scenario_scope(resolved.scenario_sha256, resolved.engine,
+                        resolved.energy):
+        if resolved.experiment is None:
+            return _generic_sweep(resolved)
+        run, params = bind_experiment(resolved)
+        return run(resolved.scale, params)

@@ -2,15 +2,14 @@
 
 Experiments no longer own module-level grid constants; they take a
 :class:`ScenarioParams` carrying the base machine and the named sweep
-axes the scenario declared.  ``repro-experiments fig5`` and
-``repro-experiments run scenarios/fig5.toml`` both end up here — the
-former by resolving the committed scenario file as defaults.
+axes the scenario declared.  :func:`repro.scenario.run_scenario` binds
+them from the resolved document, whichever spelling named it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.serialization import did_you_mean
@@ -26,9 +25,6 @@ class ScenarioParams:
     #: Named sweep axes (``axis name -> tuple of values``); what the
     #: experiment's axes declaration promised is present.
     axes: Dict[str, Tuple[Any, ...]] = field(default_factory=dict)
-    #: Identity of the resolved document these params came from; binds
-    #: every point the experiment runs to the scenario's cache namespace.
-    scenario_sha256: Optional[str] = None
 
     def axis(self, name: str) -> Tuple[Any, ...]:
         """The values of one named axis; loud about typos."""

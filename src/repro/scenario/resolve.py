@@ -98,20 +98,22 @@ def resolve_scenario(path,
                      overlays: Sequence = ()) -> ResolvedScenario:
     """Resolve a scenario file (plus CLI overlays) into one object.
 
-    Overlay files are plain documents merged on top, left to right; they
-    may not themselves ``extends`` anything (composition is the CLI's
-    job, not the overlay's).  The result is validated, canonicalized,
-    and hashed.
+    Overlays are plain documents merged on top, left to right: files, or
+    dicts already in memory (the runner's scale flags arrive as one).
+    They may not themselves ``extends`` anything (composition is the
+    CLI's job, not the overlay's).  The result is validated,
+    canonicalized, and hashed.
     """
     path = Path(path)
     merged, chain_base = _resolve_chain(path)
     base_doc = chain_base
-    for overlay_path in overlays:
-        overlay = load_document(overlay_path)
+    for source in overlays:
+        overlay = (source if isinstance(source, dict)
+                   else load_document(source))
         if isinstance(overlay.get("scenario"), dict) \
                 and "extends" in overlay["scenario"]:
             raise ConfigurationError(
-                f"{overlay_path}: overlays may not use scenario.extends "
+                f"{source}: overlays may not use scenario.extends "
                 "(stack multiple --overlay flags instead)")
         if base_doc is None:
             base_doc = merged  # diff overlays against the bare file

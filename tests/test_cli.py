@@ -9,7 +9,13 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args([])
         assert args.experiments == []
-        assert args.instructions > 0
+        # The scale, engine and energy come from the scenario unless given.
+        assert args.instructions is None
+        assert args.level is None
+        assert args.time_slice is None
+        assert args.warmup_fraction is None
+        assert args.engine is None and args.energy is None
+        assert args.overlay == []
 
     def test_overrides(self):
         args = build_parser().parse_args(

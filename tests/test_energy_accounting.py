@@ -272,12 +272,11 @@ class TestParetoExperiment:
                            for q in frontier)
 
     def test_report_renders(self, points):
-        from repro.experiments.common import ExperimentScale
-        from repro.experiments.pareto import run as run_pareto
+        from repro.experiments import ExperimentScale, run_experiment
 
         scale = ExperimentScale(instructions_per_benchmark=3_000, level=1,
                                 time_slice=1_500, warmup_fraction=0.0)
-        result = run_pareto(scale)
+        result = run_experiment("pareto", scale)
         report = result.render()
         assert "frontier (ascending CPI):" in report
         assert "EPI (pJ)" in report

@@ -94,8 +94,13 @@ def test_every_experiment_renders_at_most_twice():
 
 
 @pytest.mark.skipif(not fork_available(), reason="platform cannot fork")
-def test_sigterm_in_point_pass_exits_130_then_resumes(tmp_path):
-    flags = ["fig5", "fig6", "--instructions", "30000", "--level", "2",
+@pytest.mark.parametrize("targets, reports", [
+    pytest.param(["fig5", "fig6"], ["fig5", "fig6"], id="ids"),
+    pytest.param(["run", "scenarios/fig5.toml"], ["fig5"], id="run"),
+])
+def test_sigterm_in_point_pass_exits_130_then_resumes(tmp_path, targets,
+                                                      reports):
+    flags = [*targets, "--instructions", "30000", "--level", "2",
              "--time-slice", "10000"]
     command = [sys.executable, "-m", "repro.experiments", *flags,
                "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
@@ -134,6 +139,8 @@ def test_sigterm_in_point_pass_exits_130_then_resumes(tmp_path):
     assert experiments_main(
         [*flags, "--jobs", "1", "--no-cache",
          "--out", str(tmp_path / "serial")]) == 0
-    for experiment_id in ("fig5", "fig6"):
-        assert (tmp_path / "out" / f"{experiment_id}.txt").read_bytes() \
-            == (tmp_path / "serial" / f"{experiment_id}.txt").read_bytes()
+    assert sorted(p.stem for p in (tmp_path / "out").glob("*.txt")) \
+        == reports
+    for name in reports:
+        assert (tmp_path / "out" / f"{name}.txt").read_bytes() \
+            == (tmp_path / "serial" / f"{name}.txt").read_bytes()

@@ -1,6 +1,9 @@
 """Event tracing: sink, spans, sampler, Chrome export, CLI, fast path."""
 
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -47,6 +50,35 @@ class TestTracer:
         # Buffered: meta + x may not be on disk yet; close flushes.
         tracer.close()
         assert len(read_events(path)) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_rebinds_on_first_emit(self, tmp_path):
+        """A forked child's first emit opens its own per-pid file; it
+        used to wait forever on the lock it already held."""
+        tracer = Tracer(tmp_path / "t.jsonl")
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                tracer.emit("x")
+                tracer.close()
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 10
+        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung on its first emit")
+            time.sleep(0.05)
+        tracer.close()
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+        events = read_events(tmp_path / f"t-{pid}.jsonl")
+        assert [e["ev"] for e in events] == ["meta", "x"]
+        assert events[0]["pid"] == pid and events[0]["forked"] is True
+        assert [e["ev"] for e in read_events(tmp_path / "t.jsonl")] \
+            == ["meta"]
 
     def test_read_events_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "bad.jsonl"

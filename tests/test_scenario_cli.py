@@ -1,4 +1,4 @@
-"""The ``run`` and ``validate`` subcommands of repro-experiments.
+"""The ``run`` spelling and the ``validate`` subcommand of repro-experiments.
 
 Routing goes through :func:`repro.experiments.runner.main`, so these
 also pin the cli_errors contract: schema problems are one ``error:``
@@ -69,6 +69,23 @@ levls = [1, 2]
 """)
         assert main(["validate", str(bad)]) == 1
         assert "did you mean 'levels'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis, message", [
+        ('"engine.name" = ["reference", "batched"]', "must start with"),
+        ('"machine.l2.acess_time" = [4, 8]', "did you mean 'access_time'"),
+    ], ids=["engine-axis", "misspelled-axis"])
+    def test_generic_sweep_rejected_as_run_rejects_it(self, tmp_path, capsys,
+                                                      axis, message):
+        path = tmp_path / "sweep.toml"
+        path.write_text("[scenario]\nname = 'bad'\n" + TINY_WORKLOAD
+                        + "[sweep.axes]\n" + axis + "\n")
+        assert main(["run", str(path), "--no-cache"]) == 1
+        run_err = capsys.readouterr().err
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == run_err
+        assert message in run_err
+        assert "ok" not in captured.out.split()
 
     def test_missing_file_is_nonzero(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.toml")]) == 1

@@ -1,7 +1,7 @@
 """scenario_sha256 threads through cache keys, journal, grid, and serve.
 
-The hash is the cross-layer identity the ISSUE introduces; these tests
-pin each consumer so a layer can't silently drop it.
+The hash is a run's cross-layer identity; these tests pin each consumer
+so a layer can't silently drop it.
 """
 
 import json
@@ -108,50 +108,49 @@ class TestJournalMeta:
 
 
 class TestEndToEnd:
-    def test_legacy_and_scenario_share_cache_keys(self, tmp_path,
-                                                  monkeypatch, capsys):
-        """The acceptance condition: both invocation paths hit one cache.
+    def test_legacy_and_scenario_share_cache_keys(self, tmp_path, capsys):
+        """Three spellings of one workload are one identity.
 
-        A private scenario dir declares fig2 at tiny scale; the legacy
-        CLI (same flags) and the scenario runner must produce identical
-        reports AND the second run must be all cache hits — proof the
-        scenario_sha256 and every other key component agree.
+        Committed fig2 at tiny scale, asked for as an id with scale flags,
+        as the file with the same workload in an overlay, and as the file
+        with the flags: identical reports, the later runs all cache hits,
+        and the journal records the hash ``validate`` prints.
         """
+        from repro.durable.journal import read_records
         from repro.experiments.runner import main
-        from repro.scenario.driver import _DEFAULT_CACHE
 
-        sdir = tmp_path / "scenarios"
-        sdir.mkdir()
-        (sdir / "fig2.toml").write_text("""
-[scenario]
-name = "fig2"
-experiment = "fig2"
-[workload]
-instructions_per_benchmark = 2000
-level = 2
-time_slice = 2000
-warmup_fraction = 0.4
-[sweep.axes]
-levels = [1, 2]
-""")
-        monkeypatch.setenv("REPRO_SCENARIO_DIR", str(sdir))
-        _DEFAULT_CACHE.clear()
-        cache = tmp_path / "cache"
-        assert main(["fig2", "--instructions", "2000", "--level", "2",
-                     "--time-slice", "2000",
-                     "--out", str(tmp_path / "legacy"),
-                     "--cache-dir", str(cache)]) == 0
+        flags = ["--instructions", "2000", "--level", "2",
+                 "--time-slice", "2000"]
+        overlay = tmp_path / "tiny.toml"
+        overlay.write_text("[workload]\ninstructions_per_benchmark = 2000\n"
+                           "level = 2\ntime_slice = 2000\n")
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        spellings = {
+            "id": ["fig2", *flags, "--journal", str(tmp_path / "journal")],
+            "overlay": ["run", "scenarios/fig2.toml",
+                        "--overlay", str(overlay)],
+            "path": ["scenarios/fig2.toml", *flags],
+        }
+        reports = {}
+        for name, argv in spellings.items():
+            out = tmp_path / name
+            manifest = tmp_path / f"{name}.json"
+            assert main([*argv, *cache, "--out", str(out),
+                         "--manifest", str(manifest)]) == 0
+            reports[name] = (out / "fig2.txt").read_text()
+            summary = json.loads(manifest.read_text())["summary"]
+            assert summary["points"] > 0
+            hits = 0 if name == "id" else summary["points"]
+            assert summary["cache_hits"] == hits, name
+        assert reports["overlay"] == reports["id"] == reports["path"]
+
         capsys.readouterr()
-        manifest = tmp_path / "manifest.json"
-        assert main(["run", str(sdir / "fig2.toml"),
-                     "--out", str(tmp_path / "scenario"),
-                     "--cache-dir", str(cache),
-                     "--manifest", str(manifest)]) == 0
-        capsys.readouterr()
-        legacy = (tmp_path / "legacy" / "fig2.txt").read_text()
-        scenario = (tmp_path / "scenario" / "fig2.txt").read_text()
-        assert scenario == legacy
-        summary = json.loads(manifest.read_text())["summary"]
-        assert summary["points"] > 0
-        assert summary["cache_hits"] == summary["points"]
-        _DEFAULT_CACHE.clear()
+        assert main(["validate", "scenarios/fig2.toml",
+                     "--overlay", str(overlay)]) == 0
+        [sha] = [line.split(": ", 1)[1]
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("scenario_sha256: ")]
+        [wal] = (tmp_path / "journal").glob("*.wal")
+        records, _ = read_records(wal)
+        [opened] = [r for r in records if r.get("rec") == "run_open"]
+        assert opened["meta"]["scenario_sha256"] == sha

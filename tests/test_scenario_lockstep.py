@@ -1,21 +1,30 @@
-"""Scenario-driven runs are bit-identical to the legacy invocation path.
+"""Every spelling of an experiment runs its committed scenario.
 
-Every registered experiment is executed twice at tiny scale — once the
-legacy way (registry callable, committed scenario resolved implicitly)
-and once through the generic scenario driver — and the rendered reports
-must match byte for byte.  This battery is what allowed the per-figure
-grid constants to be deleted from the experiment modules.
+An experiment id names ``scenarios/<id>.toml``, and
+:func:`~repro.experiments.run_experiment` is that document with a
+``[workload]`` overlay for its scale.  So every registered experiment,
+asked for at tiny scale through ``run_experiment`` and through the
+document resolved with the same workload as an overlay file, must render
+byte-identical reports under one cache namespace.
 """
+
+import dataclasses
 
 import pytest
 
 import repro.experiments.runner  # noqa: F401  (fills REGISTRY)
+import repro.scenario
 from repro.experiments import REGISTRY, ExperimentScale, run_experiment
+from repro.farm.context import farm_session
+from repro.farm.telemetry import RunTelemetry
 from repro.scenario import resolve_scenario
 from repro.scenario.driver import builtin_scenario_path, run_scenario
 
 TINY = ExperimentScale(instructions_per_benchmark=8_000, level=2,
                        time_slice=4_000, warmup_fraction=0.25)
+
+TINY_TOML = "[workload]\n" + "".join(
+    f"{key} = {value}\n" for key, value in dataclasses.asdict(TINY).items())
 
 ALL_IDS = sorted(REGISTRY)
 
@@ -28,13 +37,24 @@ def test_every_experiment_has_a_committed_scenario():
 
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
-def test_scenario_run_matches_legacy(experiment_id):
-    resolved = resolve_scenario(builtin_scenario_path(experiment_id))
+def test_scenario_run_matches_legacy(experiment_id, tmp_path):
+    """The scale-argument spelling and the overlay file share one
+    identity: the second run's points are all cache hits."""
+    overlay = tmp_path / "tiny.toml"
+    overlay.write_text(TINY_TOML)
+    resolved = resolve_scenario(builtin_scenario_path(experiment_id),
+                                [overlay])
     assert resolved.name == experiment_id
     assert resolved.experiment == experiment_id
-    legacy = run_experiment(experiment_id, TINY)
-    scenario = run_scenario(resolved, scale=TINY)
+    telemetry = RunTelemetry(stream=None)
+    with farm_session(cache_dir=tmp_path / "cache", telemetry=telemetry):
+        legacy = run_experiment(experiment_id, TINY)
+        first = telemetry.summary()
+        scenario = run_scenario(resolved)
     assert scenario.render() == legacy.render()
+    summary = telemetry.summary()
+    assert summary["points"] == 2 * first["points"]
+    assert summary["cache_hits"] - first["cache_hits"] == first["points"]
 
 
 def test_axes_come_from_the_committed_documents():
@@ -53,19 +73,21 @@ def test_axes_come_from_the_committed_documents():
 def test_overlay_changes_grid_without_code_changes(tmp_path):
     """The point of the refactor: reshape a figure from a TOML overlay."""
     overlay = tmp_path / "narrow.toml"
-    overlay.write_text("""
+    overlay.write_text(TINY_TOML + """
 [sweep.axes]
 levels = [1, 4]
 """)
     resolved = resolve_scenario(builtin_scenario_path("fig2"), [overlay])
-    result = run_scenario(resolved, scale=TINY)
+    result = run_scenario(resolved)
     assert [row[0] for row in result.rows] == [1, 4]
 
 
-def test_shared_sha_between_paths():
-    """Legacy default params and an explicit resolve agree on the hash."""
-    from repro.scenario.driver import default_params
-
-    resolved = resolve_scenario(builtin_scenario_path("fig2"))
-    assert default_params("fig2").scenario_sha256 == \
-        resolved.scenario_sha256
+def test_shared_sha_between_paths(monkeypatch):
+    """At the default scale ``run_experiment`` runs the committed document
+    itself, so its points keep the keys of ``repro-experiments fig2``."""
+    seen = []
+    monkeypatch.setattr(repro.scenario, "run_scenario", seen.append)
+    run_experiment("fig2")
+    [resolved] = seen
+    assert resolved.scenario_sha256 == \
+        resolve_scenario(builtin_scenario_path("fig2")).scenario_sha256

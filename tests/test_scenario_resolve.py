@@ -240,7 +240,7 @@ class TestBindParams:
                                   "[sweep.axes]\nlevels = [1, 2]\n")
         params = bind_params(resolved, "fig2")
         assert params.axis("levels") == (1, 2)
-        assert params.scenario_sha256 == resolved.scenario_sha256
+        assert params.machine == resolved.machine
 
     def test_missing_axis_is_error(self, tmp_path):
         import repro.experiments.runner  # noqa: F401
