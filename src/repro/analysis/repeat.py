@@ -100,8 +100,8 @@ def repeat_simulation(config: SystemConfig,
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     chosen = metrics if metrics is not None else DEFAULT_METRICS
-    jobs, cache, telemetry, timeout, retries, engine, energy, dispatcher, \
-        journal, durable, scenario = _resolve(jobs, None, None)
+    jobs, cache, telemetry, engine, energy, dispatcher, journal, durable, \
+        scenario = _resolve(jobs, None, None)
     specs = [
         PointSpec(label=f"{config.name}/seed{offset}", config=config,
                   profiles=tuple(reseed_profiles(profiles, offset)),
@@ -111,8 +111,7 @@ def repeat_simulation(config: SystemConfig,
         for offset in range(seeds)
     ]
     stats_list = run_points(specs, jobs=jobs, cache=cache,
-                            telemetry=telemetry, timeout=timeout,
-                            retries=retries, dispatcher=dispatcher,
+                            telemetry=telemetry, dispatcher=dispatcher,
                             journal=journal, durable=durable)
     samples: Dict[str, List[float]] = {
         name: [extract(stats) for stats in stats_list]

@@ -18,7 +18,7 @@ without new plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.engine import DEFAULT_ENGINE
@@ -50,8 +50,6 @@ def _resolve(jobs: Optional[int], cache, telemetry,
         cache = ctx.cache
     if telemetry is None and ctx is not None:
         telemetry = ctx.telemetry
-    timeout = ctx.task_timeout if ctx is not None else None
-    retries = ctx.retries if ctx is not None else 1
     if engine is None:
         engine = ctx.engine if ctx is not None else DEFAULT_ENGINE
     if energy is None and ctx is not None:
@@ -60,8 +58,8 @@ def _resolve(jobs: Optional[int], cache, telemetry,
     journal = ctx.journal if ctx is not None else None
     durable = ctx.durable if ctx is not None else None
     scenario = ctx.scenario if ctx is not None else None
-    return jobs, cache, telemetry, timeout, retries, engine, energy, \
-        dispatcher, journal, durable, scenario
+    return jobs, cache, telemetry, engine, energy, dispatcher, journal, \
+        durable, scenario
 
 
 def run_point(config: SystemConfig, profiles: Sequence[BenchmarkProfile],
@@ -79,8 +77,8 @@ def run_point(config: SystemConfig, profiles: Sequence[BenchmarkProfile],
     cache; otherwise this is a plain in-process simulation.  ``engine``
     and ``energy`` default to the ambient session's settings.
     """
-    _, cache, telemetry, _, _, engine, energy, dispatcher, journal, \
-        durable, scenario = _resolve(1, cache, None, engine, energy)
+    _, cache, telemetry, engine, energy, dispatcher, journal, durable, \
+        scenario = _resolve(1, cache, None, engine, energy)
     spec = PointSpec(label=config.name, config=config,
                      profiles=tuple(profiles), time_slice=time_slice,
                      level=level, warmup_instructions=warmup_instructions,
@@ -97,7 +95,6 @@ def run_sweep(configs: Sequence[Tuple[str, SystemConfig]],
               level: Optional[int] = None,
               warmup_instructions: int = 0,
               max_instructions: Optional[int] = None,
-              progress: Optional[Callable[[str], None]] = None,
               jobs: Optional[int] = None,
               cache: Optional[ResultCache] = None,
               telemetry=None,
@@ -110,16 +107,13 @@ def run_sweep(configs: Sequence[Tuple[str, SystemConfig]],
             farm session's setting, else 1).
         cache: content-addressed result cache (``None`` = ambient).
         telemetry: per-point event sink (``None`` = ambient).
-        progress: legacy per-label hook, called in input order as each
-            point's processing starts.
         engine: simulation engine for every point (``None`` = ambient
             farm session's engine, else the default engine).
         energy: energy technology for every point (``None`` = ambient
             farm session's setting, else disabled).
     """
-    jobs, cache, telemetry, timeout, retries, engine, energy, dispatcher, \
-        journal, durable, scenario = _resolve(jobs, cache, telemetry,
-                                              engine, energy)
+    jobs, cache, telemetry, engine, energy, dispatcher, journal, durable, \
+        scenario = _resolve(jobs, cache, telemetry, engine, energy)
     specs = [
         PointSpec(label=label, config=config, profiles=tuple(profiles),
                   time_slice=time_slice, level=level,
@@ -129,10 +123,8 @@ def run_sweep(configs: Sequence[Tuple[str, SystemConfig]],
         for label, config in configs
     ]
     stats_list = run_points(specs, jobs=jobs, cache=cache,
-                            telemetry=telemetry, timeout=timeout,
-                            retries=retries, on_point=progress,
-                            dispatcher=dispatcher, journal=journal,
-                            durable=durable)
+                            telemetry=telemetry, dispatcher=dispatcher,
+                            journal=journal, durable=durable)
     return [SweepPoint(label=label, config=config, stats=stats)
             for (label, config), stats in zip(configs, stats_list)]
 

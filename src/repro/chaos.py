@@ -508,7 +508,7 @@ def _coordinator_child(specs: List[PointSpec], workdir: Path, jobs: int,
     write its results (or its error) to ``workdir/out.json`` — unless an
     armed crash kills it first."""
     os.environ.update(env)
-    telemetry = RunTelemetry(stream=None, tag="durable-chaos")
+    telemetry = RunTelemetry(stream=None)
     out: Dict[str, Any] = {}
     try:
         results = run_points(

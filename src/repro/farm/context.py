@@ -10,7 +10,9 @@ codebase.  Instead the runner (or any caller) opens a session::
 
 and ``run_point`` / ``run_sweep`` consult :func:`current_context` for the
 active cache, telemetry sink, and default job count.  Sessions nest; the
-innermost wins.
+innermost wins.  A session's telemetry registry is the run's one obs
+registry: a ``nodes=`` session builds its grid dispatcher on it, so the
+run manifest carries the grid's dispatch, point and probe counters.
 
 :func:`render_all` gives the runner one point-level fan-out per run;
 pool workers run single points and open no session.
@@ -40,10 +42,6 @@ class FarmContext:
     jobs: int = 1
     cache: Optional[ResultCache] = None
     telemetry: Optional[RunTelemetry] = None
-    #: Per-task wall-clock limit (seconds); ``None`` disables.
-    task_timeout: Optional[float] = None
-    #: Re-runs granted to a crashed or timed-out worker.
-    retries: int = 1
     #: Simulation engine every point in the session runs under.
     engine: str = DEFAULT_ENGINE
     #: Energy technology every point accounts under (``None`` = disabled).
@@ -82,8 +80,6 @@ def farm_session(jobs: int = 1,
                  no_cache: bool = False,
                  telemetry: Optional[RunTelemetry] = None,
                  quiet: bool = False,
-                 task_timeout: Optional[float] = None,
-                 retries: int = 1,
                  engine: str = DEFAULT_ENGINE,
                  energy: Optional[str] = None,
                  nodes: Optional[Sequence[str]] = None,
@@ -99,8 +95,6 @@ def farm_session(jobs: int = 1,
         no_cache: disable result caching entirely.
         telemetry: an existing telemetry sink; one is created if omitted.
         quiet: create the default telemetry without a progress stream.
-        task_timeout: per-point wall-clock limit in seconds.
-        retries: crash/timeout re-run budget per point.
         engine: simulation engine for the session's points
             (``repro.core.engine.ENGINE_NAMES``); part of each point's
             cache key.  A scenario run inside binds its own (see
@@ -113,8 +107,9 @@ def farm_session(jobs: int = 1,
             :class:`repro.grid.GridDispatcher` over those nodes executes
             every uncached point in the session (with local in-process
             fallback), and its health poller is stopped when the session
-            closes.  The session's cache, journal and telemetry still
-            wrap every point (see :func:`repro.farm.points.run_points`).
+            closes.  It counts on the telemetry's registry.  The
+            session's cache, journal and telemetry still wrap every
+            point (see :func:`repro.farm.points.run_points`).
         journal: write-ahead run journal (path, directory, or
             :class:`repro.durable.RunJournal`): every sweep in the
             session becomes crash-resumable exactly-once (see
@@ -141,9 +136,8 @@ def farm_session(jobs: int = 1,
     if nodes:
         from repro.grid import GridDispatcher  # deferred: optional layer
 
-        dispatcher = GridDispatcher(nodes)
+        dispatcher = GridDispatcher(nodes, metrics=telemetry.registry)
     ctx = FarmContext(jobs=jobs, cache=cache, telemetry=telemetry,
-                      task_timeout=task_timeout, retries=retries,
                       engine=engine, energy=energy, dispatcher=dispatcher,
                       journal=journal, durable=durable, scenario=scenario)
     _STACK.append(ctx)
@@ -233,8 +227,6 @@ def render_all(renders: Sequence[Callable[[], T]],
             stats = run_points(list(table.unknown.values()),
                                jobs=session.jobs, cache=session.cache,
                                telemetry=session.telemetry,
-                               timeout=session.task_timeout,
-                               retries=session.retries,
                                stop_event=stop_event,
                                dispatcher=session.dispatcher,
                                journal=session.journal,

@@ -169,8 +169,6 @@ def run_points(specs: Sequence[PointSpec],
                cache: Optional[ResultCache] = None,
                telemetry: Optional[RunTelemetry] = None,
                timeout: Optional[float] = None,
-               retries: int = 1,
-               on_point=None,
                stop_event=None,
                dispatcher=None,
                journal=None,
@@ -190,15 +188,12 @@ def run_points(specs: Sequence[PointSpec],
         cache: optional result cache probed/filled per point.
         telemetry: optional sink for per-point events.
         timeout: per-point wall-clock limit (parallel mode).
-        retries: crash/timeout re-run budget per point.
-        on_point: called with each label as its processing starts, in
-            input order (the legacy ``progress`` hook of ``run_sweep``).
         stop_event: optional cancellation token forwarded to the
             executor; once it is set, the pool or the dispatcher raises
             :class:`~repro.errors.FarmCancelled`.
         dispatcher: a :class:`repro.grid.GridDispatcher` to run the
-            misses instead of the local pool (``jobs``, ``timeout`` and
-            ``retries`` are then ignored).
+            misses instead of the local pool (``jobs`` and ``timeout``
+            are then ignored).
         journal: a :class:`repro.durable.RunJournal`, journal file path,
             or journal directory; when set, the whole sweep runs under a
             write-ahead journal (see :mod:`repro.durable`) and is
@@ -208,6 +203,7 @@ def run_points(specs: Sequence[PointSpec],
             overriding lease/heartbeat/retry-budget timing.
     """
     run = None
+    retries = 1   # a crashed or timed-out worker's re-runs
     heartbeat_s = lease_s = None
     if journal is not None:
         from repro.durable import DurableRun, DurableSettings
@@ -226,8 +222,6 @@ def run_points(specs: Sequence[PointSpec],
         keys: List[Optional[str]] = [None] * len(specs)
         todo: List[int] = []
         for i, spec in enumerate(specs):
-            if on_point is not None:
-                on_point(spec.label)
             hit = recovered.get(i)
             if hit is None and cache is not None:
                 keys[i] = spec.key()

@@ -13,10 +13,12 @@ simulated, or a cache hit that replaced one — and can
 Only the parent records: :func:`repro.farm.points.run_points` records
 each point as its result comes back from a pool worker or a grid node.
 
-Counting is backed by a :class:`repro.obs.metrics.Registry` (one per
-telemetry instance, so concurrent runs in one test process never
-double-count): ``farm_points_total`` and ``farm_instructions_total`` are
-labeled by ``source`` (``simulated`` vs ``cached``), and
+The telemetry's :class:`repro.obs.metrics.Registry` is the run's one
+registry: the grid dispatcher and the run journal count on it too, and
+forked workers' snapshots merge into it.  Points are counted by
+:func:`count_point`, which a serve node calls on its own registry:
+``farm_points_total`` and ``farm_instructions_total`` are labeled by
+``source`` (``simulated`` vs ``cached``), and
 ``farm_point_wall_seconds`` is a histogram over simulated points only.
 Throughput is reported against **simulated** instructions — a cache hit
 replays instructions without spending wall-clock on them, so folding hits
@@ -30,9 +32,9 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
-from repro.obs.metrics import Registry
+from repro.obs.metrics import Counter, Histogram, Registry
 from repro.robust.atomic import atomic_write_text
 
 PathLike = Union[str, os.PathLike]
@@ -41,27 +43,44 @@ MANIFEST_MAGIC = "repro-farm-manifest"
 MANIFEST_VERSION = 1
 
 
+def point_metrics(registry: Registry
+                  ) -> Tuple[Counter, Counter, Histogram]:
+    """Declare the ``farm_*`` point families on ``registry`` (idempotent)
+    and return them: points and instructions by source, and the wall
+    time of simulated points."""
+    return (
+        registry.counter("farm_points_total",
+                         "sweep points completed, by source",
+                         labels=("source",)),
+        registry.counter(
+            "farm_instructions_total",
+            "instructions accounted to completed points, by source",
+            labels=("source",)),
+        registry.histogram(
+            "farm_point_wall_seconds",
+            "wall-clock seconds per simulated (non-cached) point"))
+
+
+def count_point(registry: Registry, instructions: int, wall_s: float,
+                cached: bool) -> None:
+    """Count one completed point (simulated, or answered from the cache)."""
+    points, instruction_total, wall = point_metrics(registry)
+    source = "cached" if cached else "simulated"
+    points.labels(source).inc()
+    instruction_total.labels(source).inc(int(instructions))
+    if not cached:
+        wall.observe(float(wall_s))
+
+
 class RunTelemetry:
     """Accumulates farm events and renders progress / a run manifest."""
 
-    def __init__(self, stream: Optional[TextIO] = sys.stderr,
-                 tag: str = "farm",
-                 registry: Optional[Registry] = None):
+    def __init__(self, stream: Optional[TextIO] = sys.stderr):
         self.stream = stream
-        self.tag = tag
         self.events: List[Dict[str, Any]] = []
         self._started = time.monotonic()
-        self.registry = registry if registry is not None else Registry()
-        self._m_points = self.registry.counter(
-            "farm_points_total", "sweep points completed, by source",
-            labels=("source",))
-        self._m_instructions = self.registry.counter(
-            "farm_instructions_total",
-            "instructions accounted to completed points, by source",
-            labels=("source",))
-        self._m_wall = self.registry.histogram(
-            "farm_point_wall_seconds",
-            "wall-clock seconds per simulated (non-cached) point")
+        self.registry = Registry()
+        point_metrics(self.registry)
 
     # ------------------------------------------------------------- recording
 
@@ -75,11 +94,7 @@ class RunTelemetry:
             "wall_s": round(float(wall_s), 6),
             "cached": bool(cached),
         })
-        source = "cached" if cached else "simulated"
-        self._m_points.labels(source).inc()
-        self._m_instructions.labels(source).inc(int(instructions))
-        if not cached:
-            self._m_wall.observe(float(wall_s))
+        count_point(self.registry, instructions, wall_s, cached)
         if self.stream is not None:
             if cached:
                 detail = "cache hit"
@@ -87,15 +102,10 @@ class RunTelemetry:
                 rate = instructions / wall_s if wall_s > 0 else 0.0
                 detail = (f"{wall_s:.1f}s, {instructions:,} instr, "
                           f"{rate / 1e6:.2f} M instr/s")
-            print(f"[{self.tag}] point {len(self.events)}: {label} "
-                  f"({detail})",
+            print(f"[farm] point {len(self.events)}: {label} ({detail})",
                   file=self.stream, flush=True)
 
     # ------------------------------------------------------------- summaries
-
-    @property
-    def elapsed_s(self) -> float:
-        return time.monotonic() - self._started
 
     def summary(self) -> Dict[str, Any]:
         points = self.events
@@ -104,7 +114,7 @@ class RunTelemetry:
         simulated = sum(e["instructions"] for e in points if not e["cached"])
         cached = sum(e["instructions"] for e in points if e["cached"])
         point_wall = sum(e["wall_s"] for e in points if not e["cached"])
-        elapsed = self.elapsed_s
+        elapsed = time.monotonic() - self._started
         # Throughput counts only simulated instructions: a cache hit costs
         # no simulation wall-clock, so folding its instructions in would
         # inflate the rate (the warm-cache pathology this fixes).
@@ -130,11 +140,6 @@ class RunTelemetry:
                 f"{s['elapsed_s']:.1f}s "
                 f"({s['instructions_per_second'] / 1e6:.2f} M simulated "
                 f"instr/s)")
-
-    def print_summary(self) -> None:
-        if self.stream is not None:
-            print(f"[{self.tag}] {self.format_summary()}",
-                  file=self.stream, flush=True)
 
     # -------------------------------------------------------------- manifest
 

@@ -46,7 +46,6 @@ from repro.obs.metrics import (
     Histogram,
     Registry,
     histogram_quantiles,
-    merge_snapshots,
     quantile_from_buckets,
     render_prometheus,
 )
@@ -149,7 +148,6 @@ __all__ = [
     "enable_from_env",
     "export_chrome_trace",
     "is_enabled",
-    "merge_snapshots",
     "new_trace_id",
     "read_events",
     "runtime",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.tracing import read_events
+from repro.obs.tracing import read_run_events
 
 #: Synthetic pid/tid for counter tracks derived from simulated time.
 _SAMPLE_PID = 0
@@ -96,9 +96,10 @@ def to_chrome_trace(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def export_chrome_trace(jsonl_path, out_path) -> Dict[str, Any]:
-    """Read a JSONL event log and write the Chrome trace next to it."""
+    """Read a run's JSONL event log (with its forked workers' logs) and
+    write the Chrome trace."""
     from repro.robust.atomic import atomic_write_text
 
-    document = to_chrome_trace(read_events(jsonl_path))
+    document = to_chrome_trace(read_run_events(jsonl_path))
     atomic_write_text(out_path, json.dumps(document, indent=1) + "\n")
     return document

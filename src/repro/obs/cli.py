@@ -12,7 +12,9 @@ Usage::
 range of a run; ``timeline`` draws the per-interval series with the shared
 ASCII plotter; ``export`` writes a ``chrome://tracing``-loadable file;
 ``diff`` compares two runs event class by event class — the quick answer to
-"why is this sweep point 10x slower than its neighbor".  ``metrics``
+"why is this sweep point 10x slower than its neighbor".  Each of those four
+reads the log together with the ``<stem>-<pid>`` logs a parallel run's
+forked workers wrote beside it.  ``metrics``
 renders a saved registry snapshot — a farm manifest or a bare
 :meth:`Registry.snapshot` dump — as a readable table or
 (``--prometheus``) as text exposition.
@@ -27,7 +29,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ObsError, cli_errors
 from repro.obs.chrome import export_chrome_trace
-from repro.obs.tracing import read_events
+from repro.obs.tracing import read_run_events
 
 #: Metrics ``timeline`` can plot, mapped to sample-record fields
 #: (``epi_pj`` appears only in runs that enabled energy accounting).
@@ -124,7 +126,7 @@ def format_summary(path: str, summary: Dict[str, Any]) -> str:
 
 
 def _cmd_summarize(args) -> int:
-    summary = summarize_events(read_events(args.log))
+    summary = summarize_events(read_run_events(args.log))
     if args.json:
         print(json.dumps(summary, indent=1))
     else:
@@ -135,7 +137,7 @@ def _cmd_summarize(args) -> int:
 def _cmd_timeline(args) -> int:
     from repro.analysis.ascii_plot import line_chart
 
-    events = read_events(args.log)
+    events = read_run_events(args.log)
     samples = [e for e in events if e["ev"] == "sample"]
     if not samples:
         raise ObsError(
@@ -166,8 +168,8 @@ def _format_delta(a, b) -> str:
 
 
 def _cmd_diff(args) -> int:
-    before = summarize_events(read_events(args.log))
-    after = summarize_events(read_events(args.other))
+    before = summarize_events(read_run_events(args.log))
+    after = summarize_events(read_run_events(args.other))
     print(f"== diff: {args.log} -> {args.other} ==")
     all_events = sorted(set(before["event_counts"])
                         | set(after["event_counts"]))

@@ -1,12 +1,15 @@
 """Process-wide metrics: counters, gauges, histograms with labeled children.
 
-One :class:`Registry` holds every metric of a process (or of one subsystem —
-the serve and farm layers each own one so independent servers in the same
-test process never double-count).  Everything is thread-safe, and a registry
-is **mergeable**: :meth:`Registry.snapshot` renders the whole registry as a
-plain JSON-safe dict, and :meth:`Registry.merge` folds such a snapshot back
-into live metrics — that is how forked farm workers ship their metrics to
-the parent over the existing result channel (the snapshot rides in the
+One :class:`Registry` holds every metric of a process: a run counts on
+its :class:`~repro.farm.telemetry.RunTelemetry`'s registry (grid dispatcher
+and run journal included), a serve node on
+:attr:`~repro.serve.server.SimServer.registry`.  Each run or server owns
+its registry, so independent ones in the same test process never
+double-count.  Everything is thread-safe, and a registry is **mergeable**:
+:meth:`Registry.snapshot` renders the whole registry as a plain JSON-safe
+dict, and :meth:`Registry.merge` folds such a snapshot back into live
+metrics — that is how forked farm workers ship their metrics to the
+parent over the existing result channel (the snapshot rides in the
 worker's result dict; see :func:`repro.farm.points.execute_point`).
 
 Merge semantics:
@@ -342,10 +345,6 @@ class Registry:
         with self._lock:
             return self._metrics.get(name)
 
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
     # --------------------------------------------------------- snapshot/merge
 
     def snapshot(self) -> Dict[str, Any]:
@@ -425,20 +424,6 @@ class Registry:
             else:
                 raise ObsError(
                     f"snapshot metric {name!r} has unknown type {kind!r}")
-
-    def reset(self) -> None:
-        """Drop every metric (tests and fresh CLI processes)."""
-        with self._lock:
-            self._metrics.clear()
-
-
-def merge_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
-    """Merge snapshot dicts into one (same fold rules as Registry.merge)."""
-    merged = Registry()
-    for snap in snapshots:
-        if snap:
-            merged.merge(snap)
-    return merged.snapshot()
 
 
 # ------------------------------------------------------- Prometheus exposition

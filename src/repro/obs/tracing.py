@@ -18,7 +18,8 @@ and in the server's JSONL event log under the same ID.
 
 The tracer is fork-aware: a forked worker inheriting an open tracer rebinds
 to a sibling ``<stem>-<pid>`` file on first emit, so parent and child never
-interleave writes into one file.
+interleave writes into one file.  :func:`read_run_events` reads a run's log
+together with those siblings.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import contextvars
 import json
 import os
+import re
 import threading
 import time
 import uuid
@@ -259,4 +261,40 @@ def read_events(path: PathLike) -> List[Dict[str, Any]]:
                 events.append(record)
     except OSError as exc:
         raise ObsError(f"cannot read event log {path}: {exc}") from exc
+    return events
+
+
+def _forked_log_start(path: Path) -> Optional[float]:
+    """When the forked worker that wrote ``path`` started, or ``None``
+    when the file does not open with a forked worker's ``meta`` record."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = json.loads(fh.readline())
+    except (OSError, ValueError):
+        return None
+    if (isinstance(first, dict) and first.get("ev") == "meta"
+            and first.get("forked") is True):
+        return float(first.get("started_unix", 0.0))
+    return None
+
+
+def read_run_events(path: PathLike) -> List[Dict[str, Any]]:
+    """Load a run's event log and the logs its forked workers wrote beside
+    it (``<stem>-<pid><suffix>``, in the order the workers started).
+
+    A sibling counts only when its first record is a ``meta`` with
+    ``"forked": true``, so an unrelated ``run-2.jsonl`` is not swept in.
+    """
+    path = Path(path)
+    events = read_events(path)
+    name = re.compile(re.escape(path.stem) + r"(-\d+)+"
+                      + re.escape(path.suffix))
+    siblings = []
+    for sibling in path.parent.iterdir():
+        if name.fullmatch(sibling.name):
+            started = _forked_log_start(sibling)
+            if started is not None:
+                siblings.append((started, sibling))
+    for _, sibling in sorted(siblings):
+        events.extend(read_events(sibling))
     return events

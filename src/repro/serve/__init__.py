@@ -33,10 +33,9 @@ from repro.serve.protocol import (
     render_result,
     stats_digest,
 )
-from repro.serve.server import Metrics, ServeSettings, SimServer
+from repro.serve.server import ServeSettings, SimServer
 
 __all__ = [
-    "Metrics",
     "PROTOCOL_VERSION",
     "RetryPolicy",
     "ServeClient",

@@ -27,6 +27,7 @@ from typing import List, Optional
 from repro.core.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.errors import ServeError, cli_errors
 from repro.farm.cache import ResultCache
+from repro.farm.telemetry import point_metrics
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,20 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def drain_summary(telemetry) -> str:
-    """A node's closing line: its points and cache hits, the instructions
-    it simulated over the summed wall time of those simulations, and the
-    instructions it answered from the cache.  A node idles between
-    requests, so its uptime would measure the traffic, not the
-    simulator."""
-    s = telemetry.summary()
-    wall = s["point_wall_s"]
-    rate = s["simulated_instructions"] / wall if wall > 0 else 0.0
-    return (f"{s['points']} points, {s['cache_hits']} cache hits "
-            f"({100.0 * s['cache_hit_rate']:.1f}%), "
-            f"{s['simulated_instructions']:,} instructions simulated in "
-            f"{wall:.3f}s ({rate / 1e6:.2f} M instr/s), "
-            f"{s['cached_instructions']:,} from the cache")
+def drain_summary(registry) -> str:
+    """A node's closing line, read from its registry's ``farm_*``
+    counters: its points and cache hits, the instructions it simulated
+    over the summed wall time of those simulations, and the instructions
+    it answered from the cache.  A node idles between requests, so its
+    uptime would measure the traffic, not the simulator."""
+    points, instructions, wall = point_metrics(registry)
+    total, hits = points.value, points.value_of("cached")
+    hit_rate = hits / total if total else 0.0
+    simulated = instructions.value_of("simulated")
+    rate = simulated / wall.sum if wall.sum > 0 else 0.0
+    return (f"{total} points, {hits} cache hits ({100.0 * hit_rate:.1f}%), "
+            f"{simulated:,} instructions simulated in "
+            f"{wall.sum:.3f}s ({rate / 1e6:.2f} M instr/s), "
+            f"{instructions.value_of('cached'):,} from the cache")
 
 
 def _cmd_start(args) -> int:
@@ -118,7 +120,7 @@ def _cmd_start(args) -> int:
         isolation=args.isolation, checkpoint_dir=args.checkpoint_dir)
     server = SimServer(settings, cache=cache)
     code = server.run_until_signal(port_file=args.port_file)
-    print(f"[serve] drained; {drain_summary(server.telemetry)}",
+    print(f"[serve] drained; {drain_summary(server.registry)}",
           file=sys.stderr)
     return code
 

@@ -32,9 +32,11 @@ Failure model (see DESIGN.md §10 for the full policy):
   isolation) so the work is resumable.  The process then exits 0.
 
 Observability: ``GET /healthz`` (liveness), ``GET /readyz`` (admission
-state), ``GET /metrics`` (the Prometheus 0.0.4 text exposition of the
-per-class response counts, executor outcomes, queue gauges, cache size
-and :class:`~repro.farm.telemetry.RunTelemetry` counters).
+state), ``GET /metrics`` (the Prometheus 0.0.4 text exposition of
+:attr:`SimServer.registry`, the node's one obs registry: per-class
+response counts, executor outcomes, the ``farm_*`` point counters, the
+forked workers' ``sim_*`` counters, and the queue and cache gauges set
+at each scrape).
 """
 
 from __future__ import annotations
@@ -59,13 +61,8 @@ from repro.errors import (
 from repro.farm.cache import ResultCache
 from repro.farm.points import PointSpec, cache_meta, execute_point
 from repro.farm.pool import fork_available, run_tasks
-from repro.farm.telemetry import RunTelemetry
-from repro.obs.metrics import (
-    PROMETHEUS_CONTENT_TYPE,
-    Registry,
-    merge_snapshots,
-    render_prometheus,
-)
+from repro.farm.telemetry import count_point, point_metrics
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, Registry
 from repro.obs.tracing import Trace, span
 from repro.robust.signals import SignalDrain
 from repro.serve.protocol import (
@@ -146,65 +143,18 @@ class ServeSettings:
         return self.isolation
 
 
-#: Response classes pre-seeded so ``/metrics`` always shows every class.
-_RESPONSE_CLASSES = ("ok", "bad_request", "not_found", "shed",
-                     "unavailable", "deadline_expired", "internal_error")
+#: Simulate response class by HTTP status; any other status is
+#: ``internal_error``.  Every class is pre-seeded, so ``/metrics`` always
+#: shows each one.
+_RESPONSE_CLASSES = {200: "ok", 400: "bad_request", 404: "not_found",
+                     429: "shed", 503: "unavailable",
+                     504: "deadline_expired", 500: "internal_error"}
 #: Executor outcomes, likewise pre-seeded.
 _EXECUTOR_OUTCOMES = ("cache_hits", "simulated", "cancelled",
                       "checkpointed", "failed", "expired_in_queue")
-
-
-class Metrics:
-    """Service counters on a :class:`repro.obs.metrics.Registry`.
-
-    ``serve_responses_total`` counts what simulate clients were told,
-    exactly one bump per simulate request; ``serve_executor_total``
-    counts what the execution side did (a request the handler answered
-    504 can still show up as ``outcome="cancelled"`` — that is the
-    abandoned work being reaped, not a second response).  Per-instance
-    registries keep concurrent servers in one test process independent.
-    """
-
-    def __init__(self, registry: Optional[Registry] = None) -> None:
-        self.registry = registry if registry is not None else Registry()
-        self._requests = self.registry.counter(
-            "serve_requests_total", "HTTP requests by endpoint",
-            labels=("endpoint",))
-        self._responses = self.registry.counter(
-            "serve_responses_total", "simulate responses by class",
-            labels=("class",))
-        self._executor = self.registry.counter(
-            "serve_executor_total", "executor outcomes",
-            labels=("outcome",))
-        self._lease_renewals = self.registry.counter(
-            "serve_lease_renewals_total",
-            "forked-worker heartbeats observed on long-deadline requests")
-        self._latency = self.registry.histogram(
-            "serve_request_seconds",
-            "request wall-clock seconds by endpoint",
-            labels=("endpoint",))
-        for name in _RESPONSE_CLASSES:
-            self._responses.labels(name)
-        for name in _EXECUTOR_OUTCOMES:
-            self._executor.labels(name)
-
-    def hit(self, endpoint: str) -> None:
-        self._requests.labels(endpoint).inc()
-
-    def count_response(self, status: int) -> None:
-        name = {200: "ok", 400: "bad_request", 404: "not_found",
-                429: "shed", 503: "unavailable",
-                504: "deadline_expired"}.get(status, "internal_error")
-        self._responses.labels(name).inc()
-
-    def count_executor(self, outcome: str) -> None:
-        self._executor.labels(outcome).inc()
-
-    def count_lease_renewal(self) -> None:
-        self._lease_renewals.inc()
-
-    def observe_latency(self, endpoint: str, seconds: float) -> None:
-        self._latency.labels(endpoint).observe(seconds)
+#: ``serve_requests_total`` endpoint label by GET path.
+_GET_ENDPOINTS = {"/healthz": "healthz", "/readyz": "readyz",
+                  "/metrics": "metrics"}
 
 
 class _Job:
@@ -247,15 +197,44 @@ class _Expired(Exception):
 
 
 class SimServer:
-    """The service: HTTP front end, bounded queue, executor pool, drain."""
+    """The service: HTTP front end, bounded queue, executor pool, drain.
+
+    :attr:`registry` holds every count of the node.
+    ``serve_responses_total`` counts what simulate clients were told,
+    exactly one bump per simulate request; ``serve_executor_total``
+    counts what the execution side did (a request the handler answered
+    504 can still show up as ``outcome="cancelled"`` — that is the
+    abandoned work being reaped, not a second response).  Each server
+    owns its registry, so concurrent servers in one test process stay
+    independent.
+    """
 
     def __init__(self, settings: Optional[ServeSettings] = None,
-                 cache: Optional[ResultCache] = None,
-                 telemetry: Optional[RunTelemetry] = None):
+                 cache: Optional[ResultCache] = None):
         self.settings = settings or ServeSettings()
         self.cache = cache
-        self.telemetry = telemetry or RunTelemetry(stream=None, tag="serve")
-        self.metrics = Metrics()
+        self.registry = Registry()
+        self._requests = self.registry.counter(
+            "serve_requests_total", "HTTP requests by endpoint",
+            labels=("endpoint",))
+        self._responses = self.registry.counter(
+            "serve_responses_total", "simulate responses by class",
+            labels=("class",))
+        self._executor = self.registry.counter(
+            "serve_executor_total", "executor outcomes",
+            labels=("outcome",))
+        self._lease_renewals = self.registry.counter(
+            "serve_lease_renewals_total",
+            "forked-worker heartbeats observed on long-deadline requests")
+        self._latency = self.registry.histogram(
+            "serve_request_seconds",
+            "request wall-clock seconds by endpoint",
+            labels=("endpoint",))
+        for name in _RESPONSE_CLASSES.values():
+            self._responses.labels(name)
+        for name in _EXECUTOR_OUTCOMES:
+            self._executor.labels(name)
+        point_metrics(self.registry)
         self.queue: "queue.Queue[_Job]" = queue.Queue(
             maxsize=self.settings.queue_depth)
         self._jobs: List[_Job] = []            # live (admitted, not done)
@@ -385,35 +364,32 @@ class SimServer:
         }
 
     def prometheus_body(self) -> str:
-        """The ``/metrics`` document: the merged service + telemetry
-        registries plus the point-in-time load gauges a scraper cannot
-        derive from counters."""
-        gauges = Registry()
-        gauges.gauge("serve_queue_depth",
-                     "admitted requests waiting for an executor"
-                     ).set(self.queue.qsize())
-        gauges.gauge("serve_queue_capacity",
-                     "admission queue bound (beyond it requests shed)"
-                     ).set(self.settings.queue_depth)
-        gauges.gauge("serve_in_flight",
-                     "requests currently executing").set(self._in_flight)
-        gauges.gauge("serve_draining",
-                     "1 while a graceful drain is in progress"
-                     ).set(1.0 if self._draining else 0.0)
-        gauges.gauge("serve_uptime_seconds", "seconds since start").set(
+        """The ``/metrics`` document: the registry, after setting the
+        point-in-time load gauges a scraper cannot derive from
+        counters."""
+        gauge = self.registry.gauge
+        gauge("serve_queue_depth",
+              "admitted requests waiting for an executor"
+              ).set(self.queue.qsize())
+        gauge("serve_queue_capacity",
+              "admission queue bound (beyond it requests shed)"
+              ).set(self.settings.queue_depth)
+        gauge("serve_in_flight",
+              "requests currently executing").set(self._in_flight)
+        gauge("serve_draining",
+              "1 while a graceful drain is in progress"
+              ).set(1.0 if self._draining else 0.0)
+        gauge("serve_uptime_seconds", "seconds since start").set(
             round(time.monotonic() - self._started, 3))
         if self.cache is not None:
             stats = self.cache.stats()
-            gauges.gauge("serve_cache_entries",
-                         "entries in the content-addressed result cache"
-                         ).set(stats.get("entries", 0))
-            gauges.gauge("serve_cache_bytes",
-                         "bytes in the content-addressed result cache"
-                         ).set(stats.get("bytes", 0))
-        return render_prometheus(merge_snapshots(
-            self.metrics.registry.snapshot(),
-            self.telemetry.registry.snapshot(),
-            gauges.snapshot()))
+            gauge("serve_cache_entries",
+                  "entries in the content-addressed result cache"
+                  ).set(stats.get("entries", 0))
+            gauge("serve_cache_bytes",
+                  "bytes in the content-addressed result cache"
+                  ).set(stats.get("bytes", 0))
+        return self.registry.prometheus()
 
     # -------------------------------------------------------------- admission
 
@@ -450,7 +426,7 @@ class SimServer:
             try:
                 self._execute(job)
             except Exception as exc:  # defence: a worker must never die
-                self.metrics.count_executor("failed")
+                self._executor.labels("failed").inc()
                 job.finish(500, error_body(
                     500, f"{type(exc).__name__}: {exc}"))
             finally:
@@ -463,11 +439,11 @@ class SimServer:
         job.trace.add_span("queue_wait", job.enqueued_wall, time.time(),
                            cat="serve")
         if job.stop.is_set():
-            self.metrics.count_executor("cancelled")
+            self._executor.labels("cancelled").inc()
             job.finish(503, error_body(503, "dropped while queued (drain)"))
             return
         if now >= job.deadline:
-            self.metrics.count_executor("expired_in_queue")
+            self._executor.labels("expired_in_queue").inc()
             job.finish(504, error_body(
                 504, f"deadline of {job.deadline_s:g}s expired in queue"))
             return
@@ -475,10 +451,9 @@ class SimServer:
             with span("cache_probe", cat="serve", trace=job.trace):
                 hit = self.cache.get(job.key)
             if hit is not None:
-                self.metrics.count_executor("cache_hits")
-                self.telemetry.record_point(job.spec.label,
-                                            hit.instructions, 0.0,
-                                            cached=True)
+                self._executor.labels("cache_hits").inc()
+                count_point(self.registry, hit.instructions, 0.0,
+                            cached=True)
                 job.finish(200, render_result(job.spec, hit, job.key,
                                               cached=True, wall_s=0.0))
                 return
@@ -491,28 +466,28 @@ class SimServer:
             else:
                 stats, wall_s = self._execute_inline(job)
         except FarmCancelled:
-            self.metrics.count_executor("cancelled")
+            self._executor.labels("cancelled").inc()
             job.finish(503, error_body(503, "cancelled (drain or "
                                             "abandoned deadline)"))
             return
         except _Drained as drained:
             if drained.checkpoint:
-                self.metrics.count_executor("checkpointed")
+                self._executor.labels("checkpointed").inc()
                 body = error_body(503, "draining; simulation checkpointed",
                                   checkpoint=drained.checkpoint)
             else:
-                self.metrics.count_executor("cancelled")
+                self._executor.labels("cancelled").inc()
                 body = error_body(503, "draining; simulation cancelled")
             job.finish(503, body)
             return
         except _Expired:
-            self.metrics.count_executor("failed")
+            self._executor.labels("failed").inc()
             job.finish(504, error_body(
                 504, f"deadline of {job.deadline_s:g}s expired "
                      "mid-simulation"))
             return
         except FarmError as exc:
-            self.metrics.count_executor("failed")
+            self._executor.labels("failed").inc()
             # The pool's timeout is this request's deadline; report it as
             # such rather than as a server fault.
             if "timed out" in str(exc):
@@ -523,14 +498,14 @@ class SimServer:
                 job.finish(500, error_body(500, f"simulation failed: {exc}"))
             return
         except (ConfigurationError, ReproError) as exc:
-            self.metrics.count_executor("failed")
+            self._executor.labels("failed").inc()
             job.finish(500, error_body(500, f"simulation failed: {exc}"))
             return
-        self.metrics.count_executor("simulated")
+        self._executor.labels("simulated").inc()
         job.trace.add_span("execute", started_wall, time.time(), cat="serve",
                            isolation=self.settings.effective_isolation())
-        self.telemetry.record_point(job.spec.label, stats.instructions,
-                                    wall_s, cached=False)
+        count_point(self.registry, stats.instructions, wall_s,
+                    cached=False)
         if self.cache is not None:
             self.cache.put(job.key, stats, meta=cache_meta(
                 job.spec, stats, wall_s, source="repro-serve"))
@@ -559,7 +534,7 @@ class SimServer:
             heartbeat = self.settings.worker_heartbeat_s
 
             def on_heartbeat(_index: int) -> None:
-                self.metrics.count_lease_renewal()
+                self._lease_renewals.inc()
         value = run_tasks(execute_point, [payload],
                           jobs=2,  # parallel path: one child, killable
                           timeout=remaining,
@@ -572,7 +547,7 @@ class SimServer:
         for record in value.get("trace_spans", ()):
             job.trace.add_record(record)
         if value.get("obs"):
-            self.telemetry.registry.merge(value["obs"])
+            self.registry.merge(value["obs"])
         return SimStats.from_dict(value["stats"]), value["wall_s"]
 
     def _execute_inline(self, job: _Job):
@@ -652,15 +627,15 @@ def _make_handler(server: SimServer):
         def do_GET(self) -> None:  # noqa: N802 - stdlib API
             try:
                 path = self.path.partition("?")[0]
+                server._requests.labels(
+                    _GET_ENDPOINTS.get(path, "other")).inc()
                 if path == "/healthz":
-                    server.metrics.hit("healthz")
                     self._respond(200, {
                         "ok": True,
                         "uptime_s": round(
                             time.monotonic() - server._started, 3),
                     })
                 elif path == "/readyz":
-                    server.metrics.hit("readyz")
                     # The status code is the contract (200 accepting,
                     # 503 draining); the body carries the load signals a
                     # dispatcher needs for placement.
@@ -671,12 +646,10 @@ def _make_handler(server: SimServer):
                     else:
                         self._respond(200, {"ready": True, **body})
                 elif path == "/metrics":
-                    server.metrics.hit("metrics")
                     self._respond_bytes(
                         200, server.prometheus_body().encode("utf-8"),
                         PROMETHEUS_CONTENT_TYPE)
                 else:
-                    server.metrics.hit("other")
                     self._respond(404, error_body(404, "unknown path"))
             except Exception as exc:  # never a traceback on the wire
                 self._respond(500, error_body(
@@ -686,19 +659,20 @@ def _make_handler(server: SimServer):
 
         def do_POST(self) -> None:  # noqa: N802 - stdlib API
             if self.path != "/v1/simulate":
-                server.metrics.hit("other")
+                server._requests.labels("other").inc()
                 self._respond(404, error_body(404, "unknown path"))
                 return
-            server.metrics.hit("simulate")
+            server._requests.labels("simulate").inc()
             started = time.monotonic()
             try:
                 status, body, headers = self._simulate()
             except Exception as exc:  # never a traceback on the wire
                 status, body, headers = 500, error_body(
                     500, f"{type(exc).__name__}: {exc}"), None
-            server.metrics.count_response(status)
-            server.metrics.observe_latency("simulate",
-                                           time.monotonic() - started)
+            server._responses.labels(
+                _RESPONSE_CLASSES.get(status, "internal_error")).inc()
+            server._latency.labels("simulate").observe(
+                time.monotonic() - started)
             self._respond(status, body, headers)
 
         def _simulate(self):

@@ -115,14 +115,19 @@ class TraceBatch:
                 )
 
     def validate(self) -> None:
-        """Raise :class:`TraceError` if the batch violates trace invariants."""
+        """Raise :class:`TraceError` if the batch violates trace invariants.
+
+        Reductions answer each check without a full-length temporary; the
+        partial flag is checked only on the rows that set it."""
         self.check_columns()
-        if np.any(self.pc < 0) or np.any(self.addr < 0):
+        if not len(self):
+            return
+        if self.pc.min() < 0 or self.addr.min() < 0:
             raise TraceError("negative address in trace batch")
-        if np.any(self.kind > KIND_STORE):
+        if self.kind.max() > KIND_STORE:
             raise TraceError("unknown access kind in trace batch")
-        partial_non_store = self.partial & (self.kind != KIND_STORE)
-        if np.any(partial_non_store):
+        if (self.partial.any()
+                and (self.kind[self.partial] != KIND_STORE).any()):
             raise TraceError("partial flag set on a non-store instruction")
 
     def invalid_mask(self) -> np.ndarray:

@@ -40,7 +40,7 @@ def journal_file(journal_dir):
 
 
 def quiet_telemetry():
-    return RunTelemetry(stream=None, tag="test")
+    return RunTelemetry(stream=None)
 
 
 # ----------------------------------------------------------- plain vs WAL

@@ -134,12 +134,11 @@ class TestCacheIsInvisible:
 
 
 class TestSweepSemantics:
-    def test_progress_hook_fires_in_input_order(self):
+    def test_points_return_in_input_order(self):
         configs = ALL_CONFIGS[:3]
-        seen = []
-        run_sweep(configs, SUITE, time_slice=TIME_SLICE, jobs=1,
-                  max_instructions=2_000, progress=seen.append)
-        assert seen == [label for label, _ in configs]
+        points = run_sweep(configs, SUITE, time_slice=TIME_SLICE, jobs=1,
+                           max_instructions=2_000)
+        assert [p.label for p in points] == [label for label, _ in configs]
 
     def test_repeat_simulation_parallel_matches_serial(self):
         if not fork_available():

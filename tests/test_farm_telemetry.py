@@ -24,18 +24,18 @@ class TestRecording:
 
     def test_progress_lines_reach_the_stream(self):
         stream = io.StringIO()
-        tel = RunTelemetry(stream=stream, tag="test-farm")
+        tel = RunTelemetry(stream=stream)
         tel.record_point("base@4", 120_000, 0.25, cached=False)
         tel.record_point("base@6", 120_000, 0.0, cached=True)
         out = stream.getvalue()
-        assert "[test-farm] point 1: base@4" in out
+        assert "[farm] point 1: base@4" in out
         assert "M instr/s" in out
         assert "cache hit" in out
 
-    def test_silent_when_streamless(self):
+    def test_silent_when_streamless(self, capsys):
         tel = RunTelemetry(stream=None)
         tel.record_point("a", 1, 0.1, cached=False)
-        tel.print_summary()  # must not raise
+        assert capsys.readouterr() == ("", "")
 
     def test_format_summary_mentions_hit_rate(self):
         tel = RunTelemetry(stream=None)

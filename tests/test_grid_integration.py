@@ -2,6 +2,8 @@
 is bit-identical to serial, survives a killed node and a draining node,
 and stitches the caller's trace across the wire."""
 
+import json
+
 import pytest
 
 import repro.obs as obs
@@ -128,3 +130,26 @@ class TestDegradedPool:
             got = grid.run_points(wanted)
         assert [s.to_dict() for s in got] == truth
         assert grid._m_points.value_of("local") == 2
+
+
+def test_nodes_run_manifest_records_the_grid(servers, tmp_path, capsys):
+    """A ``--nodes`` run counts on its telemetry's registry, so its
+    manifest carries the dispatcher's and the node probes' counters."""
+    from repro.experiments.runner import main
+
+    manifest = tmp_path / "run.json"
+    assert main(["fig2", "--instructions", "2000", "--level", "2",
+                 "--time-slice", "2000", "--nodes", ",".join(urls(servers)),
+                 "--no-cache", "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    doc = json.loads(manifest.read_text())
+    for family in ("grid_dispatch_total", "grid_points_total",
+                   "grid_probes_total", "grid_quarantines_total",
+                   "grid_readmissions_total", "farm_points_total"):
+        assert family in doc["obs"], family
+    summary = doc["summary"]
+    assert summary["points"] > 0
+    assert sum(doc["obs"]["grid_points_total"]["values"].values()) == \
+        summary["points"] - summary["cache_hits"]
+    assert sum(doc["obs"]["grid_dispatch_total"]["values"].values()) >= \
+        summary["points"]

@@ -14,9 +14,16 @@ from repro.errors import ObsError
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Registry,
-    merge_snapshots,
     render_prometheus,
 )
+
+
+def fold_snapshots(*snapshots):
+    """Fold snapshots, in order, into one fresh registry."""
+    registry = Registry()
+    for snapshot in snapshots:
+        registry.merge(snapshot)
+    return registry.snapshot()
 
 
 class TestCounters:
@@ -159,12 +166,12 @@ class TestSnapshotMerge:
         with pytest.raises(ObsError):
             Registry().merge({"x": {"type": "mystery", "values": {}}})
 
-    def test_merge_snapshots_helper(self):
+    def test_merge_folds_several_snapshots(self):
         a, b = Registry(), Registry()
         a.counter("c").inc(1)
         b.counter("c").inc(2)
-        merged = merge_snapshots(a.snapshot(), b.snapshot())
-        assert merged["c"]["values"] == {"[]": 3}
+        assert fold_snapshots(a.snapshot(), b.snapshot())["c"]["values"] \
+            == {"[]": 3}
 
     def test_snapshot_merge_round_trip_is_lossless(self):
         a = Registry()
@@ -298,11 +305,11 @@ class TestMergeUnderConcurrency:
         assert render_prometheus(final) == \
             render_prometheus(parent.snapshot())
 
-    def test_merge_snapshots_order_independence(self):
-        """merge_snapshots gives one answer regardless of arrival order —
+    def test_merge_order_independence(self):
+        """Registry.merge gives one answer regardless of arrival order —
         the property that lets snapshots merge as they land."""
         snaps = [worker_snapshot(i) for i in range(6)]
-        forward = merge_snapshots(*snaps)
-        backward = merge_snapshots(*reversed(snaps))
+        forward = fold_snapshots(*snaps)
+        backward = fold_snapshots(*reversed(snaps))
         assert forward == backward
         assert render_prometheus(forward) == render_prometheus(backward)

@@ -12,7 +12,15 @@ from prom_exposition import (ExpositionError, parse_exposition,
                              validate_exposition)
 from repro.errors import ObsError
 from repro.obs.metrics import (PROMETHEUS_CONTENT_TYPE, Registry,
-                               merge_snapshots, render_prometheus)
+                               render_prometheus)
+
+
+def fold_snapshots(*snapshots):
+    """Fold snapshots, in order, into one fresh registry."""
+    registry = Registry()
+    for snapshot in snapshots:
+        registry.merge(snapshot)
+    return registry.snapshot()
 
 
 def sample_registry() -> Registry:
@@ -176,8 +184,8 @@ class TestMergeAlgebra:
             return registry.snapshot()
 
         a, b, c = snap(ev_a), snap(ev_b), snap(ev_c)
-        left = merge_snapshots(merge_snapshots(a, b), c)
-        right = merge_snapshots(a, merge_snapshots(b, c))
+        left = fold_snapshots(fold_snapshots(a, b), c)
+        right = fold_snapshots(a, fold_snapshots(b, c))
         assert left == right
 
     @given(event_strategy, event_strategy)
@@ -186,7 +194,7 @@ class TestMergeAlgebra:
         ra, rb = Registry(), Registry()
         registry_from_events_into(ra, ev_a)
         registry_from_events_into(rb, ev_b)
-        merged = merge_snapshots(ra.snapshot(), rb.snapshot())
+        merged = fold_snapshots(ra.snapshot(), rb.snapshot())
         text = render_prometheus(merged)
         if text:
             validate_exposition(text)
@@ -198,6 +206,6 @@ class TestMergeAlgebra:
         rb.counter("n_total").inc(4)
         ra.gauge("depth").set(9)
         rb.gauge("depth").set(2)
-        merged = merge_snapshots(ra.snapshot(), rb.snapshot())
+        merged = fold_snapshots(ra.snapshot(), rb.snapshot())
         assert merged["n_total"]["values"][json.dumps([])] == 7
         assert merged["depth"]["values"][json.dumps([])] == 9

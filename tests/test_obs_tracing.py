@@ -19,8 +19,21 @@ from repro.obs.tracing import (
     current_trace,
     new_trace_id,
     read_events,
+    read_run_events,
     span,
 )
+
+
+def wait_child(pid: int) -> int:
+    """A forked child's exit code; fails the test if it hangs."""
+    deadline = time.monotonic() + 10
+    while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child hung on its first emit")
+        time.sleep(0.05)
+    return os.waitstatus_to_exitcode(status[1])
 
 
 @pytest.fixture(autouse=True)
@@ -65,15 +78,9 @@ class TestTracer:
                 code = 0
             finally:
                 os._exit(code)
-        deadline = time.monotonic() + 10
-        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("forked child hung on its first emit")
-            time.sleep(0.05)
+        exit_code = wait_child(pid)
         tracer.close()
-        assert os.waitstatus_to_exitcode(status[1]) == 0
+        assert exit_code == 0
         events = read_events(tmp_path / f"t-{pid}.jsonl")
         assert [e["ev"] for e in events] == ["meta", "x"]
         assert events[0]["pid"] == pid and events[0]["forked"] is True
@@ -320,6 +327,57 @@ class TestCli:
         b = self._write_log(tmp_path, "b.jsonl")
         assert main(["diff", str(a), str(b), "--all"]) == 0
         assert "l1d_miss" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_commands_read_the_forked_workers_logs(self, tmp_path, capsys):
+        """A parallel run's simulation events are in its forked workers'
+        ``<stem>-<pid>`` logs; all four commands read them with the
+        run's log, and leave out a log no worker of the run wrote."""
+        from repro.obs.cli import main
+
+        path = tmp_path / "run.jsonl"
+        obs.enable(path, sample_interval=10)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                runtime.tracer.emit("l1d_miss", cyc=1, line=2, cls="read")
+                runtime.tracer.emit("sample", cyc=100, d_cycles=100,
+                                    d_instr=50, cpi=2.0, l1i_mr=0.01,
+                                    l1d_mr=0.05, wb_stall_frac=0.0,
+                                    l2_misses=3)
+                runtime.tracer.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        assert wait_child(pid) == 0
+        obs.disable()
+        other = self._write_log(tmp_path, "run-2.jsonl")
+        assert main(["summarize", str(path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["event_counts"] == {"l1d_miss": 1, "meta": 2,
+                                           "sample": 1}
+        assert main(["timeline", str(path)]) == 0
+        assert "cpi" in capsys.readouterr().out
+        chrome = tmp_path / "chrome.json"
+        assert main(["export", str(path), "--chrome-trace",
+                     str(chrome)]) == 0
+        doc = json.loads(chrome.read_text())
+        assert {e["ph"] for e in doc["traceEvents"]} == {"C"}
+        capsys.readouterr()
+        assert main(["diff", str(path), str(other)]) == 0
+        assert "meta           2 -> 1 (-1)" in capsys.readouterr().out
+
+    def test_a_single_process_log_reads_alone(self, tmp_path, capsys):
+        from repro.obs.cli import main
+
+        path = self._write_log(tmp_path, "run.jsonl")
+        self._write_log(tmp_path, "run-2.jsonl")  # another run's log
+        assert read_run_events(path) == read_events(path)
+        assert main(["summarize", str(path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["records"] == len(read_events(path))
+        assert summary["event_counts"]["l1d_miss"] == 1
 
     def _write_snapshot(self, tmp_path, wrap=True):
         from repro.obs.metrics import Registry

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, TraceError
@@ -248,10 +248,18 @@ class TestBatchTranslationOracle:
             st.integers(0, 3)), max_size=120)
         seen = set()
 
+        # One explicit example per category, so every path runs whatever
+        # the generated examples happen to be.
         @given(batches=st.lists(st.tuples(rows, st.integers(0, 7)),
                                 min_size=1, max_size=3),
                il_shift=st.sampled_from((0, 2, 3)), warm=st.booleans(),
                foreign=st.booleans())
+        @example(batches=[([(5, KIND_NONE, 3, False, "ok", 0)], 1)],
+                 il_shift=2, warm=False, foreign=True)     # stray address
+        @example(batches=[([(5, KIND_NONE, 3, False, "ok", 0)], 1)],
+                 il_shift=2, warm=False, foreign=False)    # page 0
+        @example(batches=[([(5, KIND_LOAD, 3, False, "ok", 0)], 1)],
+                 il_shift=2, warm=False, foreign=False)    # data only
         @settings(max_examples=120, deadline=None)
         def check(batches, il_shift, warm, foreign):
             for mode in ("raise", "skip"):

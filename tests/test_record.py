@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.trace.record import (
@@ -66,6 +68,33 @@ class TestTraceBatch:
         batch = make_batch(pcs=[1, 2], kinds=[KIND_STORE, KIND_NONE],
                            addrs=[5, 0], partial=[True, False])
         batch.validate()
+
+    def test_validate_accepts_an_empty_batch(self):
+        TraceBatch.empty().validate()
+
+    @given(st.lists(st.tuples(st.integers(-2, 3), st.integers(0, 4),
+                              st.integers(-2, 3), st.booleans()),
+                    max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_validate_raises_what_the_row_masks_say(self, rows):
+        # The checks run in one order, so a batch with several faults
+        # raises the message of the first: the same verdict as masks
+        # over whole columns.
+        batch = make_batch(pcs=[r[0] for r in rows],
+                           kinds=[r[1] for r in rows],
+                           addrs=[r[2] for r in rows],
+                           partial=[r[3] for r in rows])
+        if (batch.pc < 0).any() or (batch.addr < 0).any():
+            expected = "negative address in trace batch"
+        elif (batch.kind > KIND_STORE).any():
+            expected = "unknown access kind in trace batch"
+        elif (batch.partial & (batch.kind != KIND_STORE)).any():
+            expected = "partial flag set on a non-store instruction"
+        else:
+            batch.validate()
+            return
+        with pytest.raises(TraceError, match=f"^{expected}$"):
+            batch.validate()
 
     def test_concat(self):
         a = make_batch(pcs=[1, 2])

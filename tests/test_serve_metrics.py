@@ -115,6 +115,36 @@ class TestPrometheusEndpoint:
         _, text, _ = fetch(server, "/metrics")
         assert "farm_points_total" in validate_exposition(text)
 
+    def test_counts_every_request_without_a_record_per_request(self, server):
+        """One registry counts the node's points: 200 requests (1
+        simulated, 199 cached) all show in the exposition, and nothing
+        the server or its own objects hold grows with the request
+        count."""
+        def sizes():
+            found = {}
+            for name, value in vars(server).items():
+                if hasattr(value, "__len__"):
+                    found[name] = len(value)
+                if type(value).__module__.startswith("repro."):
+                    for inner, item in vars(value).items():
+                        if hasattr(item, "__len__"):
+                            found[f"{name}.{inner}"] = len(item)
+            return found
+
+        assert not simulate(server)["cached"]
+        assert simulate(server)["cached"]
+        before = sizes()
+        for _ in range(198):
+            simulate(server)
+        assert sizes() == before
+        _, text, _ = fetch(server, "/metrics")
+        value = {(s.name, s.labels): s.value
+                 for family in validate_exposition(text).values()
+                 for s in family.samples}
+        assert value["farm_points_total", (("source", "simulated"),)] == 1
+        assert value["farm_points_total", (("source", "cached"),)] == 199
+        assert value["serve_responses_total", (("class", "ok"),)] == 200
+
 
 @pytest.fixture
 def servers():

@@ -43,8 +43,8 @@ def no_retry_client(server):
 
 
 def count(server, family, label):
-    """One labeled child of a serve counter, read from the registry."""
-    return server.metrics.registry.get(family).value_of(label)
+    """One labeled child of a node counter, read from its registry."""
+    return server.registry.get(family).value_of(label)
 
 
 def post_raw(server, payload):
@@ -247,8 +247,7 @@ class TestObservability:
         client.simulate(request_body())
         client.simulate(request_body())  # cache hit
         assert count(server, "serve_responses_total", "ok") == 2
-        assert server.metrics.registry.get(
-            "serve_responses_total").value == 2
+        assert server.registry.get("serve_responses_total").value == 2
 
 
 class TestReadiness:
@@ -322,16 +321,17 @@ class TestDrain:
         from repro.serve.cli import drain_summary
 
         client = no_retry_client(server)
+        started = time.monotonic()
         assert client.simulate(request_body())["cached"] is False
         time.sleep(0.5)  # idle uptime the rate must not divide by
         assert client.simulate(request_body())["cached"] is True
         server.drain(grace_s=2.0)
-        events = server.telemetry.events
-        assert [e["cached"] for e in events] == [False, True]
-        wall = events[0]["wall_s"]
-        assert 0 < wall < server.telemetry.elapsed_s - 0.5
+        assert count(server, "farm_points_total", "simulated") == 1
+        assert count(server, "farm_points_total", "cached") == 1
+        wall = server.registry.get("farm_point_wall_seconds").sum
+        assert 0 < wall < time.monotonic() - started - 0.5
         instructions = 2 * INSTRUCTIONS
-        assert drain_summary(server.telemetry) == (
+        assert drain_summary(server.registry) == (
             f"2 points, 1 cache hits (50.0%), {instructions:,} "
             f"instructions simulated in {wall:.3f}s "
             f"({instructions / wall / 1e6:.2f} M instr/s), "
