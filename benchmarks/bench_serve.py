@@ -108,7 +108,6 @@ def main(argv=None) -> int:
         "level": BENCH_SCALE.level,
         "time_slice": BENCH_SCALE.time_slice,
         "cpu_count": os.cpu_count(),
-        "isolation": server.settings.effective_isolation(),
         "direct_sim_s": round(direct_s, 4),
         "cold_roundtrip_s": round(cold_s, 4),
         "warm_roundtrip_s": round(warm_s, 6),

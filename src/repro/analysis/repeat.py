@@ -100,8 +100,8 @@ def repeat_simulation(config: SystemConfig,
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     chosen = metrics if metrics is not None else DEFAULT_METRICS
-    jobs, cache, telemetry, engine, energy, dispatcher, journal, durable, \
-        scenario = _resolve(jobs, None, None)
+    jobs, cache, telemetry, engine, energy, dispatcher, journal, scenario = \
+        _resolve(jobs, None, None)
     specs = [
         PointSpec(label=f"{config.name}/seed{offset}", config=config,
                   profiles=tuple(reseed_profiles(profiles, offset)),
@@ -112,7 +112,7 @@ def repeat_simulation(config: SystemConfig,
     ]
     stats_list = run_points(specs, jobs=jobs, cache=cache,
                             telemetry=telemetry, dispatcher=dispatcher,
-                            journal=journal, durable=durable)
+                            journal=journal)
     samples: Dict[str, List[float]] = {
         name: [extract(stats) for stats in stats_list]
         for name, extract in chosen.items()

@@ -56,10 +56,9 @@ def _resolve(jobs: Optional[int], cache, telemetry,
         energy = ctx.energy
     dispatcher = ctx.dispatcher if ctx is not None else None
     journal = ctx.journal if ctx is not None else None
-    durable = ctx.durable if ctx is not None else None
     scenario = ctx.scenario if ctx is not None else None
     return jobs, cache, telemetry, engine, energy, dispatcher, journal, \
-        durable, scenario
+        scenario
 
 
 def run_point(config: SystemConfig, profiles: Sequence[BenchmarkProfile],
@@ -77,16 +76,15 @@ def run_point(config: SystemConfig, profiles: Sequence[BenchmarkProfile],
     cache; otherwise this is a plain in-process simulation.  ``engine``
     and ``energy`` default to the ambient session's settings.
     """
-    _, cache, telemetry, engine, energy, dispatcher, journal, durable, \
-        scenario = _resolve(1, cache, None, engine, energy)
+    _, cache, telemetry, engine, energy, dispatcher, journal, scenario = \
+        _resolve(1, cache, None, engine, energy)
     spec = PointSpec(label=config.name, config=config,
                      profiles=tuple(profiles), time_slice=time_slice,
                      level=level, warmup_instructions=warmup_instructions,
                      max_instructions=max_instructions, engine=engine,
                      energy=energy, scenario=scenario)
     return run_points([spec], jobs=1, cache=cache, telemetry=telemetry,
-                      dispatcher=dispatcher, journal=journal,
-                      durable=durable)[0]
+                      dispatcher=dispatcher, journal=journal)[0]
 
 
 def run_sweep(configs: Sequence[Tuple[str, SystemConfig]],
@@ -112,8 +110,8 @@ def run_sweep(configs: Sequence[Tuple[str, SystemConfig]],
         energy: energy technology for every point (``None`` = ambient
             farm session's setting, else disabled).
     """
-    jobs, cache, telemetry, engine, energy, dispatcher, journal, durable, \
-        scenario = _resolve(jobs, cache, telemetry, engine, energy)
+    jobs, cache, telemetry, engine, energy, dispatcher, journal, scenario = \
+        _resolve(jobs, cache, telemetry, engine, energy)
     specs = [
         PointSpec(label=label, config=config, profiles=tuple(profiles),
                   time_slice=time_slice, level=level,
@@ -124,7 +122,7 @@ def run_sweep(configs: Sequence[Tuple[str, SystemConfig]],
     ]
     stats_list = run_points(specs, jobs=jobs, cache=cache,
                             telemetry=telemetry, dispatcher=dispatcher,
-                            journal=journal, durable=durable)
+                            journal=journal)
     return [SweepPoint(label=label, config=config, stats=stats)
             for (label, config), stats in zip(configs, stats_list)]
 

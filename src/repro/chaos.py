@@ -276,7 +276,6 @@ def serve_storm(duration_s: float = 6.0, points: int = 3,
         cache=ResultCache(cache_dir))
     server.start()
     base_url = f"http://127.0.0.1:{server.port}"
-    fork = server.settings.effective_isolation() == "fork"
 
     def client_loop(client: ServeClient, rng: random.Random,
                     phase: int) -> None:
@@ -306,18 +305,17 @@ def serve_storm(duration_s: float = 6.0, points: int = 3,
         _send(ServeClient(base_url, retry=single_shot), dict(hopeless), None,
               "hopeless request", SERVE_DEADLINE_S, report, lock)
         saboteur.start()
-        if fork:
-            # Every burst worker stalls, so the executor holds one burst
-            # request while the others arrive: more of them than the
-            # queue and executors hold must be shed.
-            os.environ[WORKER_FAULT_ENV] = worker_fault_spec(
-                stall=1.0, stall_s=WORKER_STALL_S)
-            _run_threads([threading.Thread(
-                target=_send, name=f"chaos-burst-{k}", daemon=True,
-                args=(ServeClient(base_url, retry=single_shot), bodies[k],
-                      truths[k], f"burst point {k}", SERVE_DEADLINE_S,
-                      report, lock))
-                for k in range(points, len(bodies))], SERVE_DEADLINE_S + 5.0)
+        # Every burst worker stalls, so the executor holds one burst
+        # request while the others arrive: more of them than the queue
+        # and executors hold must be shed.
+        os.environ[WORKER_FAULT_ENV] = worker_fault_spec(
+            stall=1.0, stall_s=WORKER_STALL_S)
+        _run_threads([threading.Thread(
+            target=_send, name=f"chaos-burst-{k}", daemon=True,
+            args=(ServeClient(base_url, retry=single_shot), bodies[k],
+                  truths[k], f"burst point {k}", SERVE_DEADLINE_S,
+                  report, lock))
+            for k in range(points, len(bodies))], SERVE_DEADLINE_S + 5.0)
         os.environ[WORKER_FAULT_ENV] = worker_fault_spec(
             crash=WORKER_CRASH_P, stall=WORKER_STALL_P,
             stall_s=WORKER_STALL_S)
@@ -380,9 +378,9 @@ def serve_storm(duration_s: float = 6.0, points: int = 3,
         report.violations.append(
             f"{counts['hopeless_sent']} hopeless request(s) sent but no "
             "504 ever came back — deadlines are not being enforced")
-    # Under fork isolation the burst overfilled the queue while stalls
-    # pinned the executor, so a server that bounds admission shed.
-    if fork and duration_s >= 4.0 and counts["shed"] == 0:
+    # The burst overfilled the queue while stalls pinned the executor, so
+    # a server that bounds admission shed.
+    if duration_s >= 4.0 and counts["shed"] == 0:
         report.violations.append(
             "full-length storm with stalling workers never produced a "
             "429 — load shedding is not working")
@@ -404,7 +402,7 @@ def grid_storm(points: int = 6, instructions: int = 5000) -> ChaosReport:
     truths = _ground_truth(specs)
     resolutions = 0
 
-    with BackendPool(BACKENDS, deadline_s=60.0) as pool:
+    with BackendPool(BACKENDS) as pool:
         killed, stalled = pool.backends[0], pool.backends[1]
         saboteur = _Saboteur(pool.backends[2].cache_dir,
                              GRID_CORRUPT_EVERY_S, GRID_SEED)
@@ -513,8 +511,7 @@ def _coordinator_child(specs: List[PointSpec], workdir: Path, jobs: int,
     try:
         results = run_points(
             specs, jobs=jobs, cache=ResultCache(workdir / "cache"),
-            telemetry=telemetry, timeout=CHILD_TIMEOUT_S,
-            journal=workdir / "journal",
+            telemetry=telemetry, journal=workdir / "journal",
             durable=DurableSettings(lease_s=LEASE_S,
                                     heartbeat_s=HEARTBEAT_S))
         out["results"] = [stats.to_dict() for stats in results]

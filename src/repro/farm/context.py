@@ -58,8 +58,6 @@ class FarmContext:
     #: sweep-point path runs with no journal hooks).  Typed loosely so
     #: ``repro.farm`` never imports ``repro.durable`` at module load.
     journal: Optional[Any] = None
-    #: Optional :class:`repro.durable.DurableSettings` for the session.
-    durable: Optional[Any] = None
     #: ``scenario_sha256`` of the resolved scenario document driving the
     #: session (``None`` = no scenario).  Joins every point's cache key.
     scenario: Optional[str] = None
@@ -84,7 +82,6 @@ def farm_session(jobs: int = 1,
                  energy: Optional[str] = None,
                  nodes: Optional[Sequence[str]] = None,
                  journal=None,
-                 durable=None,
                  scenario: Optional[str] = None):
     """Activate a :class:`FarmContext` for the duration of the block.
 
@@ -114,8 +111,6 @@ def farm_session(jobs: int = 1,
             :class:`repro.durable.RunJournal`): every sweep in the
             session becomes crash-resumable exactly-once (see
             :mod:`repro.durable`).  Requires caching to stay enabled.
-        durable: optional :class:`repro.durable.DurableSettings`
-            overriding lease/heartbeat/retry-budget timing.
         scenario: ``scenario_sha256`` of the resolved scenario document
             this session runs (see :mod:`repro.scenario`); joins every
             point's cache key.  A scenario run inside binds its own.
@@ -139,7 +134,7 @@ def farm_session(jobs: int = 1,
         dispatcher = GridDispatcher(nodes, metrics=telemetry.registry)
     ctx = FarmContext(jobs=jobs, cache=cache, telemetry=telemetry,
                       engine=engine, energy=energy, dispatcher=dispatcher,
-                      journal=journal, durable=durable, scenario=scenario)
+                      journal=journal, scenario=scenario)
     _STACK.append(ctx)
     try:
         yield ctx
@@ -229,8 +224,7 @@ def render_all(renders: Sequence[Callable[[], T]],
                                telemetry=session.telemetry,
                                stop_event=stop_event,
                                dispatcher=session.dispatcher,
-                               journal=session.journal,
-                               durable=session.durable)
+                               journal=session.journal)
             table.answers.update(zip(table.unknown, stats))
             table.unknown.clear()
         pending = guessed

@@ -168,7 +168,6 @@ def run_points(specs: Sequence[PointSpec],
                jobs: int = 1,
                cache: Optional[ResultCache] = None,
                telemetry: Optional[RunTelemetry] = None,
-               timeout: Optional[float] = None,
                stop_event=None,
                dispatcher=None,
                journal=None,
@@ -187,13 +186,12 @@ def run_points(specs: Sequence[PointSpec],
         jobs: worker processes for the misses (1 = in-process).
         cache: optional result cache probed/filled per point.
         telemetry: optional sink for per-point events.
-        timeout: per-point wall-clock limit (parallel mode).
         stop_event: optional cancellation token forwarded to the
             executor; once it is set, the pool or the dispatcher raises
             :class:`~repro.errors.FarmCancelled`.
         dispatcher: a :class:`repro.grid.GridDispatcher` to run the
-            misses instead of the local pool (``jobs`` and ``timeout``
-            are then ignored).
+            misses instead of the local pool (``jobs`` is then
+            ignored).
         journal: a :class:`repro.durable.RunJournal`, journal file path,
             or journal directory; when set, the whole sweep runs under a
             write-ahead journal (see :mod:`repro.durable`) and is
@@ -272,7 +270,7 @@ def run_points(specs: Sequence[PointSpec],
                                   stop_event=stop_event, **hooks)
         else:
             run_tasks(execute_point, [specs[i].payload() for i in todo],
-                      jobs=jobs, timeout=timeout, retries=retries,
+                      jobs=jobs, retries=retries,
                       labels=[specs[i].label for i in todo],
                       stop_event=stop_event, heartbeat_s=heartbeat_s,
                       lease_s=lease_s, **hooks)

@@ -35,6 +35,9 @@ from typing import List, Optional
 
 from repro.errors import GridError
 
+#: How long each backend gets to report its bound port, seconds.
+_STARTUP_TIMEOUT_S = 30.0
+
 
 def _src_root() -> str:
     """The directory ``import repro`` resolved from, for child
@@ -70,20 +73,17 @@ class Backend:
 class BackendPool:
     """Launch and torture a pool of real serve subprocesses.
 
+    Each backend runs ``repro-serve start`` with the command's defaults.
+
     Args:
         count: backends to launch.
         root: directory for caches/logs/port files (a temp dir is
             created and owned if omitted).
-        queue_depth / workers / isolation / deadline_s: forwarded to
-            each ``repro-serve start``.
-        startup_timeout_s: per-backend wait for the port file.
+        no_cache: launch every backend with ``--no-cache``.
     """
 
     def __init__(self, count: int, root: Optional[Path] = None,
-                 queue_depth: int = 8, workers: int = 2,
-                 isolation: str = "auto", deadline_s: float = 60.0,
-                 no_cache: bool = False,
-                 startup_timeout_s: float = 30.0):
+                 no_cache: bool = False):
         if count < 1:
             raise GridError("a backend pool needs at least one backend")
         self._tmp = None
@@ -95,20 +95,14 @@ class BackendPool:
         self.backends: List[Backend] = []
         try:
             for i in range(count):
-                self.backends.append(self._launch(
-                    i, queue_depth=queue_depth, workers=workers,
-                    isolation=isolation, deadline_s=deadline_s,
-                    no_cache=no_cache,
-                    startup_timeout_s=startup_timeout_s))
+                self.backends.append(self._launch(i, no_cache))
         except Exception:
             self.close()
             raise
 
     # --------------------------------------------------------------- launch
 
-    def _launch(self, index: int, queue_depth: int, workers: int,
-                isolation: str, deadline_s: float, no_cache: bool,
-                startup_timeout_s: float) -> Backend:
+    def _launch(self, index: int, no_cache: bool) -> Backend:
         cache_dir = self.root / f"cache-{index}"
         port_file = self.root / f"port-{index}"
         log_path = self.root / f"backend-{index}.log"
@@ -117,11 +111,7 @@ class BackendPool:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (_src_root(), env.get("PYTHONPATH")) if p)
         command = [sys.executable, "-m", "repro.serve", "start",
-                   "--port", "0", "--port-file", str(port_file),
-                   "--queue-depth", str(queue_depth),
-                   "--workers", str(workers),
-                   "--isolation", isolation,
-                   "--max-deadline", str(max(deadline_s, 120.0))]
+                   "--port", "0", "--port-file", str(port_file)]
         if no_cache:
             command.append("--no-cache")
         else:
@@ -133,7 +123,7 @@ class BackendPool:
                 start_new_session=True)
         finally:
             log.close()
-        deadline = time.monotonic() + startup_timeout_s
+        deadline = time.monotonic() + _STARTUP_TIMEOUT_S
         while time.monotonic() < deadline:
             if process.poll() is not None:
                 raise GridError(
@@ -149,7 +139,7 @@ class BackendPool:
         process.kill()
         raise GridError(
             f"backend {index} did not report a port within "
-            f"{startup_timeout_s:g}s (log: {log_path})")
+            f"{_STARTUP_TIMEOUT_S:g}s (log: {log_path})")
 
     # ---------------------------------------------------------------- faults
 

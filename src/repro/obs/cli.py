@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ObsError, cli_errors
 from repro.obs.chrome import export_chrome_trace
@@ -36,10 +36,24 @@ from repro.obs.tracing import read_run_events
 TIMELINE_METRICS = ("cpi", "l1i_mr", "l1d_mr", "wb_stall_frac", "epi_pj")
 
 
+def _covered_us(intervals: List[Tuple[int, int]]) -> int:
+    """Length of the union of ``[start, end)`` intervals (``start >= 0``)."""
+    total = reach = 0
+    for start, end in sorted(intervals):
+        if end > reach:
+            total += end - max(start, reach)
+            reach = end
+    return total
+
+
 def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The machine-readable summary ``summarize``/``diff`` are built on."""
+    """The machine-readable summary ``summarize``/``diff`` are built on.
+
+    ``span_wall_s`` is the time covered by at least one span: a span
+    nested in another, or a forked worker's span inside the run's, adds
+    only the time no other span covers."""
     counts: Dict[str, int] = {}
-    span_wall_us = 0
+    spans: List[Tuple[int, int]] = []
     span_names: Dict[str, int] = {}
     samples: List[Dict[str, Any]] = []
     energies: List[Dict[str, Any]] = []
@@ -48,7 +62,8 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         ev = record["ev"]
         counts[ev] = counts.get(ev, 0) + 1
         if ev == "span":
-            span_wall_us += int(record.get("dur", 0))
+            start = int(record.get("ts", 0))
+            spans.append((start, start + int(record.get("dur", 0))))
             name = record.get("name", "?")
             span_names[name] = span_names.get(name, 0) + 1
             if record.get("trace"):
@@ -62,7 +77,7 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         "event_counts": dict(sorted(counts.items())),
         "span_count": counts.get("span", 0),
         "span_names": dict(sorted(span_names.items())),
-        "span_wall_s": round(span_wall_us / 1e6, 6),
+        "span_wall_s": round(_covered_us(spans) / 1e6, 6),
         "trace_ids": sorted(traces),
         "samples": len(samples),
     }

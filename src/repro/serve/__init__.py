@@ -5,10 +5,12 @@ interactive: many small configuration→CPI queries over a shared result
 cache.  ``repro.serve`` turns the batch farm into that service:
 
 * :mod:`repro.serve.server` — threaded HTTP server with a bounded
-  admission queue (429 + ``Retry-After`` load shedding), per-request
-  deadlines (504, enforced by the farm pool's kill machinery), health/
-  readiness/metrics endpoints, and graceful SIGTERM/SIGINT drain that
-  finishes or checkpoints in-flight simulations and exits 0;
+  admission queue (429 + ``Retry-After`` load shedding), one executor
+  (the batch farm's ``execute_point`` in a forked pool worker),
+  per-request deadlines (504, enforced by the farm pool's kill
+  machinery), health/readiness/metrics endpoints, and graceful
+  SIGTERM/SIGINT drain that lets in-flight simulations finish within
+  its grace, cancels the rest and exits 0;
 * :mod:`repro.serve.client` — a client with exponential-backoff +
   full-jitter retries honoring ``Retry-After`` and a total deadline
   budget;

@@ -8,7 +8,8 @@ Usage::
     repro-serve metrics --url http://127.0.0.1:8023
 
 ``start`` serves until SIGINT/SIGTERM and then drains gracefully (stop
-accepting, finish or checkpoint in-flight simulations, exit 0).
+accepting, let in-flight simulations finish within the grace, cancel the
+rest, exit 0); every simulation runs in a forked pool worker.
 ``simulate`` is the retrying client: it backs off with jitter on 429/503,
 honors ``Retry-After``, and gives up when its time budget runs out.
 ``metrics`` prints the server's Prometheus text exposition.
@@ -52,11 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ceiling on client-requested deadlines")
     start.add_argument("--drain-grace", type=float, default=10.0,
                        help="seconds a drain lets in-flight work finish")
-    start.add_argument("--isolation", choices=["auto", "fork", "inline"],
-                       default="auto",
-                       help="simulation isolation (default %(default)s)")
-    start.add_argument("--checkpoint-dir", type=Path, default=None,
-                       help="spool for drain checkpoints (inline mode)")
     start.add_argument("--cache-dir", type=Path, default=None,
                        help="result cache root (default: $REPRO_FARM_CACHE "
                             "or ~/.cache/repro-farm)")
@@ -116,8 +112,7 @@ def _cmd_start(args) -> int:
     settings = ServeSettings(
         host=args.host, port=args.port, queue_depth=args.queue_depth,
         workers=args.workers, default_deadline_s=args.deadline,
-        max_deadline_s=args.max_deadline, drain_grace_s=args.drain_grace,
-        isolation=args.isolation, checkpoint_dir=args.checkpoint_dir)
+        max_deadline_s=args.max_deadline, drain_grace_s=args.drain_grace)
     server = SimServer(settings, cache=cache)
     code = server.run_until_signal(port_file=args.port_file)
     print(f"[serve] drained; {drain_summary(server.registry)}",

@@ -22,6 +22,7 @@ the caller's business: the grid quarantines a node that keeps failing
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import socket
@@ -94,8 +95,9 @@ class ServeClient:
                  timeout_s: Optional[float] = None):
         """One attempt; returns ``(status, parsed_json, headers)``.
 
-        Transport-level failures (refused, reset, timeout) are reported
-        as status 0 with a synthesized body.
+        Transport-level failures (refused, reset, timeout, a response
+        cut short by a dying server) are reported as status 0 with a
+        synthesized body.
         """
         url = self.base_url.rstrip("/") + path
         data = None if body is None else json.dumps(body).encode("utf-8")
@@ -113,7 +115,7 @@ class ServeClient:
             payload = _parse(exc.read())
             return exc.code, payload, dict(exc.headers or {})
         except (urllib.error.URLError, socket.timeout, ConnectionError,
-                TimeoutError) as exc:
+                TimeoutError, http.client.HTTPException) as exc:
             reason = getattr(exc, "reason", exc)
             return 0, {"error": f"connection failed: {reason}"}, {}
 

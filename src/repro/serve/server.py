@@ -15,21 +15,20 @@ Failure model (see DESIGN.md §10 for the full policy):
 * **Deadlines** — every request carries a deadline (client-supplied
   ``deadline_s``, clamped to a server maximum).  The clock starts at
   admission, so time spent queued counts.  Expiry anywhere — still
-  queued, or mid-simulation — yields ``504``; under fork isolation the
-  farm pool's timeout machinery *kills* the worker so a runaway
-  simulation cannot hold a slot.
-* **Worker faults** — simulations run in forked pool workers (when the
-  platform can fork); a crashed worker is retried within the pool's
+  queued, or mid-simulation — yields ``504``, and the farm pool's
+  timeout machinery *kills* the worker so a runaway simulation cannot
+  hold a slot.
+* **Worker faults** — every simulation runs the batch farm's
+  ``execute_point`` in a forked pool worker (in-process where the
+  platform cannot fork); a crashed worker is retried within the pool's
   budget, a stalled one is bounded by the deadline.  Either the client
   gets a correct result or an explicit 5xx — never a wrong CPI, because
-  results are only ever produced by the same ``execute_point`` the batch
-  farm uses and cache entries are checksummed (corruption = miss).
+  results are only ever produced by ``execute_point`` and cache entries
+  are checksummed (corruption = miss).
 * **Shutdown** — SIGTERM/SIGINT starts a graceful drain: readiness goes
   503, new work is rejected, queued and in-flight simulations get a grace
   period to finish; whatever is still running when the grace expires is
-  cancelled (fork isolation) or checkpointed via
-  :mod:`repro.robust.checkpoint` to the spool directory (inline
-  isolation) so the work is resumable.  The process then exits 0.
+  cancelled.  The process then exits 0.
 
 Observability: ``GET /healthz`` (liveness), ``GET /readyz`` (admission
 state), ``GET /metrics`` (the Prometheus 0.0.4 text exposition of
@@ -60,7 +59,7 @@ from repro.errors import (
 )
 from repro.farm.cache import ResultCache
 from repro.farm.points import PointSpec, cache_meta, execute_point
-from repro.farm.pool import fork_available, run_tasks
+from repro.farm.pool import run_tasks
 from repro.farm.telemetry import count_point, point_metrics
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, Registry
 from repro.obs.tracing import Trace, span
@@ -73,6 +72,14 @@ from repro.serve.protocol import (
 
 #: How often drain/worker loops poll their events, seconds.
 _TICK = 0.05
+#: ``Retry-After`` seconds attached to shed (429) responses.
+RETRY_AFTER_S = 1
+#: A forked worker whose remaining deadline exceeds this lease must
+#: heartbeat every ``_WORKER_HEARTBEAT_S``; a lease expiring with no beat
+#: means *stuck*, and the pool kills and retries it instead of burning
+#: the whole request deadline.
+_WORKER_LEASE_S = 15.0
+_WORKER_HEARTBEAT_S = 2.0
 
 
 @dataclass
@@ -91,23 +98,8 @@ class ServeSettings:
     max_deadline_s: float = 120.0
     #: How long a drain lets queued + in-flight work finish.
     drain_grace_s: float = 10.0
-    #: ``Retry-After`` value attached to shed (429) responses.
-    retry_after_s: float = 1.0
     #: Crash/timeout re-runs granted to a simulation's pool worker.
     retries: int = 1
-    #: ``"fork"`` (pool worker per simulation, hard kills), ``"inline"``
-    #: (in-thread, cooperative deadline, drain-checkpointing), or
-    #: ``"auto"`` (fork when the platform supports it).
-    isolation: str = "auto"
-    #: Spool directory for drain checkpoints (inline isolation).
-    checkpoint_dir: Optional[Path] = None
-    max_body_bytes: int = 1 << 20
-    #: Forked-worker liveness beat period (long-deadline requests only).
-    worker_heartbeat_s: float = 2.0
-    #: A forked worker whose deadline exceeds this must heartbeat; a
-    #: lease expiring with no beat means *stuck*, and the pool kills and
-    #: retries it instead of burning the whole request deadline.
-    worker_lease_s: float = 15.0
 
     def __post_init__(self):
         if self.queue_depth < 1:
@@ -120,27 +112,11 @@ class ServeSettings:
             raise ConfigurationError(
                 f"retries must be >= 0, got {self.retries!r}")
         for name in ("default_deadline_s", "max_deadline_s",
-                     "drain_grace_s", "retry_after_s", "max_body_bytes",
-                     "worker_heartbeat_s", "worker_lease_s"):
+                     "drain_grace_s"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigurationError(
                     f"{name} must be positive, got {value!r}")
-        if self.worker_heartbeat_s > self.worker_lease_s / 2:
-            raise ConfigurationError(
-                f"worker_heartbeat_s ({self.worker_heartbeat_s:g}) must "
-                f"be at most half of worker_lease_s "
-                f"({self.worker_lease_s:g}); a lease needs several beats "
-                "of slack or healthy workers get reaped")
-        if self.isolation not in ("auto", "fork", "inline"):
-            raise ConfigurationError(
-                f"isolation must be 'auto', 'fork', or 'inline', got "
-                f"{self.isolation!r}")
-
-    def effective_isolation(self) -> str:
-        if self.isolation == "auto":
-            return "fork" if fork_available() else "inline"
-        return self.isolation
 
 
 #: Simulate response class by HTTP status; any other status is
@@ -150,8 +126,8 @@ _RESPONSE_CLASSES = {200: "ok", 400: "bad_request", 404: "not_found",
                      429: "shed", 503: "unavailable",
                      504: "deadline_expired", 500: "internal_error"}
 #: Executor outcomes, likewise pre-seeded.
-_EXECUTOR_OUTCOMES = ("cache_hits", "simulated", "cancelled",
-                      "checkpointed", "failed", "expired_in_queue")
+_EXECUTOR_OUTCOMES = ("cache_hits", "simulated", "cancelled", "failed",
+                      "expired_in_queue")
 #: ``serve_requests_total`` endpoint label by GET path.
 _GET_ENDPOINTS = {"/healthz": "healthz", "/readyz": "readyz",
                   "/metrics": "metrics"}
@@ -183,17 +159,6 @@ class _Job:
         self.status = status
         self.body = body
         self.done.set()
-
-
-class _Drained(Exception):
-    """Inline simulation interrupted by drain (and checkpointed)."""
-
-    def __init__(self, checkpoint: Optional[str]):
-        self.checkpoint = checkpoint
-
-
-class _Expired(Exception):
-    """Inline simulation overran its deadline."""
 
 
 class SimServer:
@@ -264,9 +229,6 @@ class SimServer:
         """Bind, start executor threads and the HTTP accept loop."""
         if self._httpd is not None:
             raise ServeError("server already started")
-        if self.settings.checkpoint_dir is not None:
-            Path(self.settings.checkpoint_dir).mkdir(parents=True,
-                                                     exist_ok=True)
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer(
             (self.settings.host, self.settings.port), handler)
@@ -284,8 +246,8 @@ class SimServer:
 
     def drain(self, grace_s: Optional[float] = None) -> Dict[str, Any]:
         """Graceful shutdown: reject new work, let queued and in-flight
-        simulations finish within the grace, checkpoint or cancel the
-        rest, stop the listener, and report what happened.
+        simulations finish within the grace, cancel the rest, stop the
+        listener, and report what happened.
 
         Idempotent; returns a summary dict (``clean`` means everything
         admitted was finished before the grace expired).
@@ -303,9 +265,8 @@ class SimServer:
             leftover = list(self._jobs)
         clean = not leftover
         for job in leftover:
-            # Cancels a running pool task (stop_event) or triggers the
-            # inline checkpoint path; a still-queued job is answered 503
-            # by the executor as soon as it is dequeued.
+            # Cancels a running pool task (stop_event); a still-queued job
+            # is answered 503 by the executor as soon as it is dequeued.
             job.stop.set()
         # Give cancellations a bounded moment to take effect so children
         # are reaped before the process exits.
@@ -461,30 +422,11 @@ class SimServer:
         started = time.monotonic()
         started_wall = time.time()
         try:
-            if self.settings.effective_isolation() == "fork":
-                stats, wall_s = self._execute_forked(job, remaining)
-            else:
-                stats, wall_s = self._execute_inline(job)
+            stats, wall_s = self._execute_forked(job, remaining)
         except FarmCancelled:
             self._executor.labels("cancelled").inc()
             job.finish(503, error_body(503, "cancelled (drain or "
                                             "abandoned deadline)"))
-            return
-        except _Drained as drained:
-            if drained.checkpoint:
-                self._executor.labels("checkpointed").inc()
-                body = error_body(503, "draining; simulation checkpointed",
-                                  checkpoint=drained.checkpoint)
-            else:
-                self._executor.labels("cancelled").inc()
-                body = error_body(503, "draining; simulation cancelled")
-            job.finish(503, body)
-            return
-        except _Expired:
-            self._executor.labels("failed").inc()
-            job.finish(504, error_body(
-                504, f"deadline of {job.deadline_s:g}s expired "
-                     "mid-simulation"))
             return
         except FarmError as exc:
             self._executor.labels("failed").inc()
@@ -502,8 +444,7 @@ class SimServer:
             job.finish(500, error_body(500, f"simulation failed: {exc}"))
             return
         self._executor.labels("simulated").inc()
-        job.trace.add_span("execute", started_wall, time.time(), cat="serve",
-                           isolation=self.settings.effective_isolation())
+        job.trace.add_span("execute", started_wall, time.time(), cat="serve")
         count_point(self.registry, stats.instructions, wall_s,
                     cached=False)
         if self.cache is not None:
@@ -529,9 +470,9 @@ class SimServer:
         lease = None
         heartbeat = None
         on_heartbeat = None
-        if remaining > self.settings.worker_lease_s:
-            lease = self.settings.worker_lease_s
-            heartbeat = self.settings.worker_heartbeat_s
+        if remaining > _WORKER_LEASE_S:
+            lease = _WORKER_LEASE_S
+            heartbeat = _WORKER_HEARTBEAT_S
 
             def on_heartbeat(_index: int) -> None:
                 self._lease_renewals.inc()
@@ -549,43 +490,6 @@ class SimServer:
         if value.get("obs"):
             self.registry.merge(value["obs"])
         return SimStats.from_dict(value["stats"]), value["wall_s"]
-
-    def _execute_inline(self, job: _Job):
-        """One simulation on this thread: cooperative deadline checks at
-        slice granularity, and a drain checkpoints the run instead of
-        discarding it."""
-        from repro.core.simulator import Simulation
-
-        spec = job.spec
-        sim = Simulation(config=spec.config, profiles=list(spec.profiles),
-                         time_slice=spec.time_slice, level=spec.level,
-                         warmup_instructions=spec.warmup_instructions,
-                         engine=spec.engine, energy=spec.energy)
-
-        def on_slice(scheduler) -> None:
-            # Deadline first: a handler that already answered 504 sets
-            # ``stop`` too, and that abandonment must not masquerade as a
-            # drain checkpoint.
-            if time.monotonic() >= job.deadline:
-                raise _Expired()
-            if job.stop.is_set():
-                checkpoint: Optional[str] = None
-                if self._draining and self.settings.checkpoint_dir:
-                    from repro.robust.checkpoint import save_checkpoint
-
-                    path = (Path(self.settings.checkpoint_dir)
-                            / f"{job.key}.ckpt")
-                    save_checkpoint(sim, path)
-                    checkpoint = str(path)
-                raise _Drained(checkpoint)
-
-        started = time.monotonic()
-        with span("simulate", cat="sim", trace=job.trace):
-            stats = sim.scheduler.run(
-                max_instructions=spec.max_instructions,
-                warmup_instructions=spec.warmup_instructions,
-                on_slice=on_slice)
-        return stats, time.monotonic() - started
 
 
 # ------------------------------------------------------------- HTTP front end
@@ -683,8 +587,7 @@ def _make_handler(server: SimServer):
                 return 400, error_body(400, "Content-Length required"), None
             raw = self.rfile.read(max(0, length))
             try:
-                spec, deadline_s, obs_trace = parse_simulate_request(
-                    raw, settings.max_body_bytes)
+                spec, deadline_s, obs_trace = parse_simulate_request(raw)
             except (ServeError, ConfigurationError) as exc:
                 return 400, error_body(400, str(exc)), None
             if deadline_s is None:
@@ -708,10 +611,9 @@ def _make_handler(server: SimServer):
                 server.admit(job)
             except ServeError as exc:
                 if exc.status == 429:
-                    retry_after = max(1, int(settings.retry_after_s + 0.5))
                     return 429, with_trace(429, error_body(
-                        429, str(exc), retry_after_s=settings.retry_after_s
-                    )), {"Retry-After": str(retry_after)}
+                        429, str(exc), retry_after_s=RETRY_AFTER_S
+                    )), {"Retry-After": str(RETRY_AFTER_S)}
                 return exc.status, with_trace(
                     exc.status, error_body(exc.status, str(exc))), None
             finished = job.done.wait(timeout=(job.deadline

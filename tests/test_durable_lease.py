@@ -153,12 +153,6 @@ def test_grid_settings_validation(kwargs, match):
     (dict(default_deadline_s=0.0), "default_deadline_s"),
     (dict(max_deadline_s=-1.0), "max_deadline_s"),
     (dict(drain_grace_s=0.0), "drain_grace_s"),
-    (dict(retry_after_s=0.0), "retry_after_s"),
-    (dict(max_body_bytes=0), "max_body_bytes"),
-    (dict(worker_heartbeat_s=0.0), "worker_heartbeat_s"),
-    (dict(worker_lease_s=0.0), "worker_lease_s"),
-    (dict(worker_lease_s=3.0, worker_heartbeat_s=2.0), "half"),
-    (dict(isolation="container"), "isolation"),
 ])
 def test_serve_settings_validation(kwargs, match):
     from repro.serve.server import ServeSettings

@@ -29,7 +29,7 @@ def serial(point_specs):
 
 def start_server(tmp_path, name):
     instance = SimServer(ServeSettings(
-        port=0, queue_depth=8, workers=2, isolation="inline",
+        port=0, queue_depth=8, workers=2,
         default_deadline_s=30.0, drain_grace_s=2.0))
     instance.start()
     return instance

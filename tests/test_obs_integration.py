@@ -25,13 +25,12 @@ def request_body():
     }
 
 
-def make_server(tmp_path, isolation):
+def make_server(tmp_path):
     from repro.farm.cache import ResultCache
 
     server = SimServer(
         ServeSettings(port=0, queue_depth=4, workers=1,
-                      default_deadline_s=30.0, drain_grace_s=5.0,
-                      isolation=isolation),
+                      default_deadline_s=30.0, drain_grace_s=5.0),
         cache=ResultCache(tmp_path / "cache"))
     server.start()
     return server
@@ -53,20 +52,12 @@ class TestServeTraceRoundTrip:
         # Every span carries the one request's trace id.
         assert {s["trace"] for s in trace["spans"]} == {trace["id"]}
 
-    def test_inline_isolation(self, tmp_path):
-        server = make_server(tmp_path, "inline")
-        try:
-            result = client_for(server).simulate(request_body())
-            self._assert_trace(result, "simulate")
-        finally:
-            server.drain(grace_s=5.0)
-
     def test_forked_isolation_stitches_worker_spans(self, tmp_path):
         from repro.farm.pool import fork_available
 
         if not fork_available():
             pytest.skip("platform cannot fork")
-        server = make_server(tmp_path, "fork")
+        server = make_server(tmp_path)
         try:
             result = client_for(server).simulate(request_body())
             # The "simulate" span happened in a child process yet appears
@@ -77,7 +68,7 @@ class TestServeTraceRoundTrip:
             server.drain(grace_s=5.0)
 
     def test_cache_hit_still_returns_a_trace(self, tmp_path):
-        server = make_server(tmp_path, "inline")
+        server = make_server(tmp_path)
         try:
             client = client_for(server)
             client.simulate(request_body())

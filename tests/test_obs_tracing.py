@@ -368,6 +368,37 @@ class TestCli:
         assert main(["diff", str(path), str(other)]) == 0
         assert "meta           2 -> 1 (-1)" in capsys.readouterr().out
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_span_wall_counts_overlapping_time_once(self, tmp_path, capsys):
+        """``span wall`` is the time at least one span covers: a span
+        nested in the run's and a forked worker's span overlapping its
+        tail add only the time the run's span leaves uncovered."""
+        from repro.obs.cli import main
+
+        path = tmp_path / "run.jsonl"
+        obs.enable(path)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                Trace().add_span("simulate", 101.5, 103.0)
+                runtime.tracer.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        assert wait_child(pid) == 0
+        trace = Trace()
+        trace.add_span("run", 100.0, 102.0)
+        trace.add_span("render", 100.5, 101.0)
+        obs.disable()
+        assert main(["summarize", str(path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["span_count"] == 3
+        assert summary["span_wall_s"] == 3.0
+        assert main(["summarize", str(path)]) == 0
+        assert "span wall    : 3.000s across 3 spans" in \
+            capsys.readouterr().out
+
     def test_a_single_process_log_reads_alone(self, tmp_path, capsys):
         from repro.obs.cli import main
 

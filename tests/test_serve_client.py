@@ -2,6 +2,8 @@
 floor, and the total budget."""
 
 import random
+import socket
+import threading
 
 import pytest
 
@@ -105,3 +107,32 @@ class TestRetryPolicy:
         rng = random.Random(1)
         delays = {policy.delay(3, rng) for _ in range(20)}
         assert len(delays) > 1
+
+
+def test_a_response_cut_short_is_a_transport_failure():
+    """A server killed between its headers and its body leaves the
+    client an incomplete read: a transport failure (status 0), like a
+    reset, not an exception the client lets escape."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def answer_headers_only():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: "
+                         b"application/json\r\nContent-Length: 100\r\n\r\n")
+
+    server = threading.Thread(target=answer_headers_only, daemon=True)
+    server.start()
+    try:
+        port = listener.getsockname()[1]
+        one_shot = ServeClient(f"http://127.0.0.1:{port}",
+                               retry=RetryPolicy(max_attempts=1))
+        with pytest.raises(ServeError) as failure:
+            one_shot.simulate({}, budget_s=10.0)
+        assert failure.value.status == 0
+    finally:
+        server.join(timeout=10)
+        listener.close()

@@ -39,11 +39,11 @@ def fetch(server, path, accept=None):
                 dict(response.headers))
 
 
-def simulate(server, obs_trace=None):
+def simulate(server, obs_trace=None, time_slice=2_000):
     payload = {
         "config": config_to_dict(base_architecture()),
         "workload": {"profiles": [profile_to_dict(p) for p in SUITE]},
-        "time_slice": 2_000,
+        "time_slice": time_slice,
     }
     if obs_trace is not None:
         payload["obs_trace"] = obs_trace
@@ -146,12 +146,31 @@ class TestPrometheusEndpoint:
         assert value["serve_responses_total", (("class", "ok"),)] == 200
 
 
+def test_node_counts_its_own_simulations(server):
+    """The node's registry counts each simulated request's run and
+    instructions once (its forked worker ships them back) and a cache hit
+    not at all."""
+    registry = server.registry
+    first = simulate(server)
+    assert not first["cached"]
+    assert registry.get("sim_runs_total").value == 1
+    assert simulate(server)["cached"]
+    second = simulate(server, time_slice=3_000)
+    assert not second["cached"]
+    assert simulate(server, time_slice=3_000)["cached"]
+    assert registry.get("sim_runs_total").value == 2
+    assert registry.get("sim_instructions_total").value == (
+        first["stats"]["instructions"] + second["stats"]["instructions"])
+    assert registry.get("sim_wall_seconds").count == 2
+    assert registry.get("farm_points_total").value_of("cached") == 2
+
+
 @pytest.fixture
 def servers():
     pool = []
     for _ in range(2):
         instance = SimServer(ServeSettings(
-            port=0, queue_depth=8, workers=2, isolation="inline",
+            port=0, queue_depth=8, workers=2,
             default_deadline_s=30.0, drain_grace_s=2.0))
         instance.start()
         pool.append(instance)

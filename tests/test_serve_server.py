@@ -15,7 +15,7 @@ from repro.core.serialization import config_to_dict, profile_to_dict
 from repro.core.simulator import simulate
 from repro.errors import ServeError
 from repro.serve.client import RetryPolicy, ServeClient
-from repro.serve.server import ServeSettings, SimServer
+from repro.serve.server import RETRY_AFTER_S, ServeSettings, SimServer
 from repro.trace.benchmarks import default_suite
 
 INSTRUCTIONS = 5_000
@@ -144,8 +144,7 @@ class _StalledServer(SimServer):
 class TestBackpressure:
     def test_full_queue_sheds_429_with_retry_after(self):
         server = _StalledServer(ServeSettings(
-            port=0, queue_depth=1, workers=1, retry_after_s=2.0,
-            default_deadline_s=30.0))
+            port=0, queue_depth=1, workers=1, default_deadline_s=30.0))
         server.start()
         try:
             results = []
@@ -173,7 +172,8 @@ class TestBackpressure:
             assert body["status"] == 429
             retry_after = {k.lower(): v for k, v in headers.items()
                            }.get("retry-after")
-            assert retry_after is not None and int(retry_after) >= 1
+            assert retry_after == str(RETRY_AFTER_S)
+            assert body["retry_after_s"] == RETRY_AFTER_S
             assert count(server, "serve_responses_total", "shed") == 1
 
             server.release.set()
